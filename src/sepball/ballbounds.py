@@ -39,8 +39,6 @@ def closed_form_radius(d0: int, m: int) -> float:
 
     ``r_m = sqrt(d0^m / ((2 d0 - 1)^(m-2) (d0^2 - 1) + 1))``.
     """
-    if d0 < 2 or m < 2:
-        raise ValueError("need d0 >= 2 and m >= 2")
     return math.exp(log_closed_form_radius(d0, m))
 
 
@@ -79,6 +77,18 @@ def log_gb03_baseline(m: int) -> float:
     return (m / 2.0 - 1.0) * math.log(0.5)
 
 
+def log_radius(dims: tuple[int, ...], baseline: str = "recursion") -> float:
+    """Log unnormalized radius for checked dims: ``"recursion"`` (its closed
+    form when all local dimensions are equal, cheap at any count) or ``"gb03"``."""
+    if baseline == "gb03":
+        return log_gb03_baseline(len(dims))
+    if baseline != "recursion":
+        raise ValueError(f"unknown baseline {baseline!r}")
+    if dims.count(dims[0]) == len(dims):
+        return log_closed_form_radius(dims[0], len(dims))
+    return math.log(recursion_radius(dims))
+
+
 def normalized_radius(a: float, d: int) -> float:
     """Convert an unnormalized radius to the normalized-state ball radius:
 
@@ -100,13 +110,21 @@ def log_normalized_radius(log_a: float, log_d: float) -> float:
     return log_a - 0.5 * (2.0 * log_d + math.log1p(-ratio))
 
 
+def log_pseudopure_bound(log_a: float, log_d: float) -> float:
+    """Log of the largest pseudopure weight eps inside the separable ball.
+
+    ``eps * pi + (1 - eps) I/d`` sits at distance ``eps sqrt((d-1)/d)`` from
+    I/d, so the exact condition ``eps <= a / sqrt((d-1)(d-a^2))`` is the
+    normalized radius times ``sqrt(d/(d-1))``.
+    """
+    return log_normalized_radius(log_a, log_d) - 0.5 * math.log1p(-math.exp(-log_d))
+
+
 def qubit_normalized_radius(m: int) -> float:
     """Normalized m-qubit ball radius ``sqrt(3^(m+1)/(3^m + 3)) * 6^(-m/2)``.
 
     Algebraically equal to ``closed_form_radius(2, m) / 2^m`` for m >= 2.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     return math.exp(log_qubit_normalized_radius(m))
 
 

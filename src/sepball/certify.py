@@ -17,12 +17,12 @@ import numpy as np
 
 from . import ballbounds
 from .matcore import (
-    PSD_TOL,
     check_dims,
+    check_matrix_dims,
     frobenius_norm,
     hermitian,
     is_psd,
-    partial_transpose,
+    transpose_parties,
 )
 
 #: Relative width of the band around the bound inside which a verdict is
@@ -101,10 +101,7 @@ def mu(rho) -> float:
 def certify_unnormalized(x, dims: Sequence[int]) -> Certificate:
     """Ball test for an unnormalized density matrix: ||X - I||_2 vs the radius."""
     x = hermitian(x)
-    dims = check_dims(dims)
-    d = math.prod(dims)
-    if x.shape[0] != d:
-        raise ValueError(f"matrix dimension {x.shape[0]} != product of dims {d}")
+    dims, d = check_matrix_dims(x, dims)
     bound = ballbounds.recursion_radius(dims)
     measured = frobenius_norm(x - np.eye(d))
     return _ball_verdict(measured, bound, dims)
@@ -113,10 +110,7 @@ def certify_unnormalized(x, dims: Sequence[int]) -> Certificate:
 def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
     """Ball test for a normalized state: ||rho - I/d||_2 vs a/sqrt(d(d-a^2))."""
     rho = hermitian(rho)
-    dims = check_dims(dims)
-    d = math.prod(dims)
-    if rho.shape[0] != d:
-        raise ValueError(f"matrix dimension {rho.shape[0]} != product of dims {d}")
+    dims, d = check_matrix_dims(rho, dims)
     a = ballbounds.recursion_radius(dims)
     bound = ballbounds.normalized_radius(a, d)
     measured = frobenius_norm(rho - np.eye(d) / d)
@@ -131,45 +125,33 @@ def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
 def pseudopure_bound(dims: Sequence[int], *, baseline: str = "recursion") -> float:
     """Largest epsilon certified separable for a pseudopure state on ``dims``.
 
-    The pseudopure state ``eps * pi + (1 - eps) I/d`` sits at distance
-    ``eps sqrt((d-1)/d)`` from I/d, so the exact ball condition reads
-    ``eps <= b / sqrt((d-1)(d-b^2))`` with b the unnormalized radius.
-    Evaluated in the log domain so arbitrarily many qubits are fine.
+    See ``ballbounds.log_pseudopure_bound``; evaluated in the log domain so
+    arbitrarily many qubits are fine.
     """
     dims = check_dims(dims)
-    m = len(dims)
     log_d = math.fsum(math.log(di) for di in dims)
-    if baseline == "recursion":
-        b = ballbounds.recursion_radius(dims)
-    elif baseline == "gb03":
-        b = ballbounds.gb03_baseline(m)
-    else:
-        raise ValueError(f"unknown baseline {baseline!r}")
-    log_b = math.log(b)
-    # log(d-1) and log(d-b^2) via log1p of tiny ratios.
-    log_dm1 = log_d + math.log1p(-math.exp(-log_d))
-    log_dmb2 = log_d + math.log1p(-math.exp(2.0 * log_b - log_d))
-    return math.exp(log_b - 0.5 * (log_dm1 + log_dmb2))
+    log_b = ballbounds.log_radius(dims, baseline)
+    return math.exp(ballbounds.log_pseudopure_bound(log_b, log_d))
 
 
 def certify_pseudopure(eps: float, dims: Sequence[int], *, baseline: str = "recursion") -> Certificate:
     """Ball test for a pseudopure state, without materializing it."""
     if not 0 <= eps <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
-    dims = check_dims(dims)
     bound = pseudopure_bound(dims, baseline=baseline)
     return _ball_verdict(eps, bound, dims)
 
 
-def ppt_all_cuts(rho, dims: Sequence[int], tol: float = PSD_TOL) -> bool:
+def ppt_all_cuts(rho, dims: Sequence[int]) -> bool:
     """True iff the partial transpose across every bipartition is PSD.
 
     A necessary condition for separability; used to falsify-test the ball
-    certificates (every certified state must pass).
+    certificates (every certified state must pass).  Raises ``ValueError``
+    when the input itself is not PSD.
     """
     rho = hermitian(rho)
-    dims = check_dims(dims)
-    if not is_psd(rho, tol):
+    dims, _ = check_matrix_dims(rho, dims)
+    if not is_psd(rho):
         raise ValueError("input is not PSD")
     m = len(dims)
     parties = range(m)
@@ -179,9 +161,6 @@ def ppt_all_cuts(rho, dims: Sequence[int], tol: float = PSD_TOL) -> bool:
         for subset in combinations(parties, size):
             if size == m - size and 0 not in subset:
                 continue
-            pt = rho
-            for p in subset:
-                pt = partial_transpose(pt, dims, p)
-            if not is_psd(pt, tol):
+            if not is_psd(transpose_parties(rho, dims, subset)):
                 return False
     return True

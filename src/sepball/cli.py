@@ -104,13 +104,13 @@ def cmd_certify(args) -> int:
 
     ppt_line = None
     if args.ppt and len(dims) > 1:
-        from .matcore import is_psd
-
-        if is_psd(matrix):
+        # the certificate accepted matrix and dims: only non-PSD input is left
+        try:
             ppt_ok = certify.ppt_all_cuts(matrix, dims)
-            ppt_line = "ppt: all cuts positive" if ppt_ok else "ppt: VIOLATED"
-        else:
+        except ValueError:
             ppt_line = "ppt: skipped (input not PSD)"
+        else:
+            ppt_line = "ppt: all cuts positive" if ppt_ok else "ppt: VIOLATED"
 
     if args.format == "json":
         obj = json.loads(cert.to_json())
@@ -153,19 +153,16 @@ def cmd_schur_norm(args) -> int:
         return _fail_usage("need a matrix file or --l-matrix ETA N")
 
     n = b.shape[0]
-    oracle = schurnorm.oracle_two_inf_norm(b, restarts=args.restarts, seed=seed)
-    if args.oracle_only:
-        exact = None
-    else:
-        if n > schurnorm.EXACT_SOLVER_CAP:
-            return _fail_usage(
-                f"n = {n} exceeds the exact-solver cap "
-                f"{schurnorm.EXACT_SOLVER_CAP}; rerun with --oracle-only"
-            )
-        try:
-            exact = schurnorm.schur_two_inf_norm(b)
-        except ValueError as exc:
-            return _fail_usage(str(exc))
+    if not args.oracle_only and n > schurnorm.EXACT_SOLVER_CAP:
+        return _fail_usage(
+            f"n = {n} exceeds the exact-solver cap "
+            f"{schurnorm.EXACT_SOLVER_CAP}; rerun with --oracle-only"
+        )
+    try:
+        oracle = schurnorm.oracle_two_inf_norm(b, restarts=args.restarts, seed=seed)
+        exact = None if args.oracle_only else schurnorm.schur_two_inf_norm(b)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
 
     if args.format == "json":
         out = {"n": n, "oracle": oracle}
@@ -188,7 +185,7 @@ def _threshold_margins(eta: float, mode: str, baseline: str, m: int) -> dict:
     for label, mm in (("at_threshold", m), ("above_threshold", m + 1)):
         if mode == "thermal":
             measured = nmr.thermal_deviation_norm(nmr.NmrParams(eta, mm))
-            bound = math.exp(nmr._log_normalized_bound(mm, baseline))
+            bound = math.exp(nmr.log_normalized_bound(mm, baseline))
         else:
             measured = nmr.pseudopure_epsilon(nmr.NmrParams(eta, mm))
             bound = certify.pseudopure_bound((2,) * mm, baseline=baseline)
@@ -249,7 +246,8 @@ def cmd_verify(args) -> int:
                     "passed": len(results) - len(failed),
                     "failed": [r.name for r in failed],
                     "checks": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
+                        {"name": r.name, "passed": r.passed, "detail": r.detail,
+                         "seconds": r.seconds}
                         for r in results
                     ],
                 }

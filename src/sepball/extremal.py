@@ -27,7 +27,13 @@ from .matcore import (
     tilde_apply,
     tracelessify_offdiag,
 )
-from .sampling import rng_from_seed
+from .sampling import random_unit_hermitian, rng_from_seed
+
+#: Points per binding direction in the directed-probe grid.
+PROBE_STEPS = 201
+
+#: PSD tolerance of the ball-positivity test (looser than ``PSD_TOL``).
+BALL_PSD_TOL = 1e-9
 
 
 def critical_mu(a: float, d2: int) -> float:
@@ -121,14 +127,14 @@ def worst_case_input(a: float, d2: int) -> np.ndarray:
 
 def achieved_ratio(phi: MapOnMatrices, y) -> float:
     """||phi(Y)||_inf / ||Y||_2."""
-    y = as_matrix(y, square=True)
+    y = as_matrix(y)
     norm_in = frobenius_norm(y)
     if norm_in == 0:
         raise ValueError("zero input")
     return operator_norm(apply_map(phi, y)) / norm_in
 
 
-def _directed_probes(a: float, d2: int, steps: int = 201) -> list[np.ndarray]:
+def _directed_probes(a: float, d2: int) -> list[np.ndarray]:
     """Deterministic boundary probes of the radius-a Hermitian sphere.
 
     Mixes a trace component into the binding traceless directions; the
@@ -141,7 +147,7 @@ def _directed_probes(a: float, d2: int, steps: int = 201) -> list[np.ndarray]:
     eye = np.eye(d2, dtype=complex)
     probes = []
     for zhat in directions:
-        for c in np.linspace(-a, a, steps):
+        for c in np.linspace(-a, a, PROBE_STEPS):
             t = math.sqrt(max(a * a - c * c, 0.0))
             probes.append(c / math.sqrt(d2) * eye + t * zhat)
             probes.append(c / math.sqrt(d2) * eye - t * zhat)
@@ -153,7 +159,6 @@ def ball_positivity_check(
     a: float,
     samples: int = 1000,
     seed: int | None = None,
-    psd_tol: float = 1e-9,
 ) -> bool:
     """Probabilistic ball-positivity test: phi(I + Delta) PSD on the sphere.
 
@@ -168,12 +173,9 @@ def ball_positivity_check(
     eye = np.eye(d2)
     rng = rng_from_seed(seed)
     deltas = _directed_probes(a, d2)
-    for _ in range(samples):
-        h = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
-        h = (h + h.conj().T) / 2
-        deltas.append(a * h / np.linalg.norm(h))
+    deltas += [a * random_unit_hermitian(rng, d2) for _ in range(samples)]
     for delta in deltas:
-        if not is_psd(apply_map(phi, eye + delta), psd_tol):
+        if not is_psd(apply_map(phi, eye + delta), BALL_PSD_TOL):
             return False
     return True
 
@@ -193,14 +195,11 @@ def block_chain_check(phi: MapOnMatrices, a_mat, a: float, tol: float = 1e-9) ->
     d1 = a_mat.shape[0] // d2
     x, _ = tracelessify_offdiag(a_mat, d1, d2)
 
-    link1 = operator_norm(tilde_apply(phi, x, d1))
-
-    phi_inf = np.empty((d1, d1))
-    bl = x.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
-    for i in range(d1):
-        for j in range(d1):
-            phi_inf[i, j] = operator_norm(apply_map(phi, bl[i, j]))
-    link2 = operator_norm(phi_inf)
+    # tilde_phi(A) is the block matrix of the phi(A_ij), so Phi_inf is its
+    # matrix of block operator norms
+    tilde = tilde_apply(phi, x, d1)
+    link1 = operator_norm(tilde)
+    link2 = operator_norm(block_norm_matrix(tilde, d1, phi.out_dim, "inf"))
 
     lam = ballbounds.lambda_bound(a, d2)
     two_norms = block_norm_matrix(x, d1, d2, "two")

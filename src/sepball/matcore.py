@@ -1,8 +1,12 @@
 """Dense complex/Hermitian matrix algebra underlying the whole package.
 
 Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries.
-Functions here enforce the contracts (finiteness, Hermiticity, dimension
-caps) that the higher-level modules rely on.
+
+Validation happens once, at the public boundary: ``as_matrix`` and
+``hermitian`` are the only validators, and each function exported by the
+package (plus the CLI) runs them once per outside argument.  Every other
+function here is a kernel that takes trusted ndarrays and never re-validates;
+``kron`` still enforces the materialization cap.
 """
 
 from __future__ import annotations
@@ -30,31 +34,30 @@ class MaterializationError(ValueError):
     """Raised when an operation would materialize a matrix above the cap."""
 
 
-def as_matrix(a, *, square: bool = False) -> np.ndarray:
-    """Validate and convert input to a finite complex 2-D array."""
+def as_matrix(a) -> np.ndarray:
+    """Validate and convert input to a finite complex square matrix."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix has non-finite entries")
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def hermitian(a, *, reject_tol: float = HERMITICITY_REJECT_TOL) -> np.ndarray:
+def hermitian(a) -> np.ndarray:
     """Symmetrize ``a`` to (A + A†)/2, rejecting grossly non-Hermitian input.
 
     The rejection threshold is relative: inputs with
-    ``||A - A†||_2 > reject_tol * ||A||_2`` raise ``ValueError``.
+    ``||A - A†||_2 > HERMITICITY_REJECT_TOL * ||A||_2`` raise ``ValueError``.
     """
-    m = as_matrix(a, square=True)
+    m = as_matrix(a)
     anti = m - m.conj().T
     norm_m = frobenius_norm(m)
-    if norm_m > 0 and frobenius_norm(anti) > reject_tol * norm_m:
+    if norm_m > 0 and frobenius_norm(anti) > HERMITICITY_REJECT_TOL * norm_m:
         raise ValueError("input is not Hermitian within the rejection threshold")
-    h = (m + m.conj().T) / 2
-    return h
+    return (m + m.conj().T) / 2
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -67,9 +70,13 @@ def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def total_dim(dims: Sequence[int]) -> int:
-    """Product of local dimensions."""
-    return math.prod(check_dims(dims))
+def check_matrix_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Checked dims profile and its product, which must be the order of ``m``."""
+    dims = check_dims(dims)
+    d = math.prod(dims)
+    if m.shape[0] != d:
+        raise ValueError(f"matrix dimension {m.shape[0]} != product of dims {d}")
+    return dims, d
 
 
 def check_materializable(d: int) -> None:
@@ -89,30 +96,26 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
-def operator_norm(m) -> float:
+def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
-    m = as_matrix(m)
     return float(np.linalg.norm(m, 2))
 
 
-def trace_norm(m) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
-    m = as_matrix(m)
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def eig_hermitian(h) -> np.ndarray:
+def eig_hermitian(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted decreasing.
 
-    Raises ``numpy.linalg.LinAlgError`` on convergence failure (never
-    silently returns garbage).
+    Only the lower triangle is read.  Raises ``numpy.linalg.LinAlgError`` on
+    convergence failure (never silently returns garbage).
     """
-    h = hermitian(h)
-    w = np.linalg.eigvalsh(h)
-    return w[::-1].copy()
+    return np.linalg.eigvalsh(h)[::-1].copy()
 
 
-def is_psd(h, tol: float = PSD_TOL) -> bool:
+def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff lambda_min(H) >= -tol * max(1, ||H||_inf)."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -125,17 +128,15 @@ def is_psd(h, tol: float = PSD_TOL) -> bool:
 # Tensor structure
 # ---------------------------------------------------------------------------
 
-def kron(a, b) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, refusing outputs above the materialization cap."""
-    a = as_matrix(a)
-    b = as_matrix(b)
     check_materializable(a.shape[0] * b.shape[0])
     check_materializable(a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = as_matrix(mats[0])
+    out = mats[0]
     for m in mats[1:]:
         out = kron(out, m)
     return out
@@ -147,41 +148,33 @@ def partial_transpose(h, dims: Sequence[int], subsystem: int) -> np.ndarray:
     ``dims`` lists the local dimensions; ``subsystem`` is a 0-based index.
     The operation is an involution and preserves trace and Frobenius norm.
     """
-    h = as_matrix(h, square=True)
-    dims = check_dims(dims)
-    d = math.prod(dims)
-    if h.shape[0] != d:
-        raise ValueError(f"matrix dimension {h.shape[0]} != product of dims {d}")
+    h = as_matrix(h)
+    dims, _ = check_matrix_dims(h, dims)
     if not 0 <= subsystem < len(dims):
         raise IndexError(f"subsystem index {subsystem} out of range for {dims}")
+    return transpose_parties(h, dims, (subsystem,))
+
+
+def transpose_parties(h: np.ndarray, dims: tuple[int, ...], parties: Sequence[int]) -> np.ndarray:
+    """Transpose on the nonempty set ``parties`` in one axis permutation and copy."""
     m = len(dims)
-    t = h.reshape(dims + dims)
-    t = t.swapaxes(subsystem, m + subsystem)
-    return t.reshape(d, d).copy()
-
-
-def schur(a, b) -> np.ndarray:
-    """Entrywise (Hadamard/Schur) product."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
+    axes = list(range(2 * m))
+    for p in parties:
+        axes[p], axes[m + p] = m + p, p
+    d = h.shape[0]
+    return h.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
 # Block decompositions
 # ---------------------------------------------------------------------------
 
-def blocks(x, d1: int, d2: int) -> np.ndarray:
+def blocks(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """View a (d1*d2) x (d1*d2) matrix as a d1 x d1 array of d2 x d2 blocks."""
-    x = as_matrix(x, square=True)
-    if x.shape[0] != d1 * d2:
-        raise ValueError(f"matrix dimension {x.shape[0]} != d1*d2 = {d1 * d2}")
     return x.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
 
 
-def block_norm_matrix(x, d1: int, d2: int, which: str = "two") -> np.ndarray:
+def block_norm_matrix(x: np.ndarray, d1: int, d2: int, which: str = "two") -> np.ndarray:
     """Real d1 x d1 matrix of per-block norms.
 
     ``which="two"`` uses Frobenius norms (so the Frobenius norm of the
@@ -191,24 +184,19 @@ def block_norm_matrix(x, d1: int, d2: int, which: str = "two") -> np.ndarray:
     if which == "two":
         return np.linalg.norm(bl, axis=(2, 3))
     if which == "inf":
-        out = np.empty((d1, d1))
-        for i in range(d1):
-            for j in range(d1):
-                out[i, j] = operator_norm(bl[i, j])
-        return out
+        return np.linalg.norm(bl, 2, axis=(2, 3))
     raise ValueError(f"which must be 'two' or 'inf', got {which!r}")
 
 
-def tracelessify_offdiag(x, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+def tracelessify_offdiag(x: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate by a local unitary so every off-diagonal block is traceless.
 
     Returns ``((U ⊗ I) X (U ⊗ I)†, U)`` where U diagonalizes the d1 x d1
     matrix of block traces.  Eigenvalues of X are unchanged.
     """
-    x = hermitian(x)
     bl = blocks(x, d1, d2)
     traces = np.trace(bl, axis1=2, axis2=3)
-    _, v = np.linalg.eigh(hermitian(traces))
+    _, v = np.linalg.eigh(traces)
     u = v.conj().T
     big = np.kron(u, np.eye(d2))
     return big @ x @ big.conj().T, u
@@ -245,22 +233,16 @@ class MapOnMatrices:
 
 
 def identity_map(d: int) -> MapOnMatrices:
-    images = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            images[i, j, i, j] = 1.0
-    return MapOnMatrices(d, d, images)
+    # images[i, j, k, l] = 1 exactly when (i, j) == (k, l)
+    return MapOnMatrices(d, d, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
 
 
-def apply_map(phi: MapOnMatrices, x) -> np.ndarray:
+def apply_map(phi: MapOnMatrices, x: np.ndarray) -> np.ndarray:
     """Sum_ij X_ij phi(E_ij)."""
-    x = as_matrix(x, square=True)
-    if x.shape[0] != phi.in_dim:
-        raise ValueError(f"input dimension {x.shape[0]} != map in_dim {phi.in_dim}")
     return np.einsum("ij,ijkl->kl", x, phi.images)
 
 
-def tilde_apply(phi: MapOnMatrices, x, d1: int) -> np.ndarray:
+def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:
     """Apply phi blockwise: the d1 x d1 block matrix of phi(X^(i,j))."""
     bl = blocks(x, d1, phi.in_dim)
     out = np.einsum("abij,ijkl->abkl", bl, phi.images)
@@ -274,10 +256,8 @@ def tilde_apply(phi: MapOnMatrices, x, d1: int) -> np.ndarray:
 
 def matrix_to_json(m, dims: Sequence[int]) -> str:
     """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format."""
-    m = as_matrix(m, square=True)
-    dims = check_dims(dims)
-    if m.shape[0] != math.prod(dims):
-        raise ValueError("matrix dimension inconsistent with dims")
+    m = as_matrix(m)
+    dims, _ = check_matrix_dims(m, dims)
     entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
     return json.dumps({"dims": list(dims), "entries": entries})
 
@@ -285,12 +265,16 @@ def matrix_to_json(m, dims: Sequence[int]) -> str:
 def matrix_from_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """Parse the matrix JSON format; returns (matrix, dims)."""
     obj = json.loads(text)
-    dims = check_dims(obj["dims"])
-    d = math.prod(dims)
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    # wrong JSON types surface as TypeError from indexing, int(), len() or complex()
+    try:
+        dims = check_dims(obj["dims"])
+        d = math.prod(dims)
+        entries = obj["entries"]
+        if len(entries) != d * d:
+            raise ValueError(f"expected {d * d} entries, got {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries])
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix file: {exc}") from exc
     return flat.reshape(d, d), dims
 
 

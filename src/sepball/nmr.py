@@ -74,18 +74,15 @@ def bipartite_qubit_count(eta: float) -> float:
     return 1.0 / eta
 
 
-def _log_normalized_bound(m: int, baseline: str) -> float:
+def log_normalized_bound(m: int, baseline: str) -> float:
     """log of the normalized-ball radius for m qubits with the chosen bound."""
-    if baseline == "recursion":
-        log_a = ballbounds.log_closed_form_radius(2, m)
-    elif baseline == "gb03":
-        log_a = ballbounds.log_gb03_baseline(m)
-    else:
-        raise ValueError(f"unknown baseline {baseline!r}")
+    log_a = ballbounds.log_radius((2,) * m, baseline)
     return ballbounds.log_normalized_radius(log_a, m * math.log(2.0))
 
 
-def _scan_threshold(separable_at) -> int:
+def _scan_threshold(eta: float, separable_at) -> int:
+    if not 0 < eta < LINEARIZATION_WARN:
+        raise ValueError(f"eta must lie in (0, {LINEARIZATION_WARN})")
     last = None
     for m in range(2, SCAN_CAP + 1):
         if separable_at(m):
@@ -103,33 +100,21 @@ def pseudopure_threshold(eta: float, baseline: str = "recursion") -> int:
     Uses the exact ball condition ``eps <= b / sqrt((d-1)(d-b^2))`` with
     eps = eta*m/2^m and b the chosen unnormalized radius.
     """
-    if not 0 < eta < LINEARIZATION_WARN:
-        raise ValueError(f"eta must lie in (0, {LINEARIZATION_WARN})")
 
     def separable_at(m: int) -> bool:
-        log2 = math.log(2.0)
-        log_eps = math.log(eta * m) - m * log2
-        if baseline == "recursion":
-            log_b = ballbounds.log_closed_form_radius(2, m)
-        elif baseline == "gb03":
-            log_b = ballbounds.log_gb03_baseline(m)
-        else:
-            raise ValueError(f"unknown baseline {baseline!r}")
-        log_d = m * log2
-        log_dm1 = log_d + math.log1p(-math.exp(-log_d))
-        log_dmb2 = log_d + math.log1p(-math.exp(2.0 * log_b - log_d))
-        return log_eps <= log_b - 0.5 * (log_dm1 + log_dmb2)
+        log_d = m * math.log(2.0)
+        log_eps = math.log(eta * m) - log_d
+        log_b = ballbounds.log_radius((2,) * m, baseline)
+        return log_eps <= ballbounds.log_pseudopure_bound(log_b, log_d)
 
-    return _scan_threshold(separable_at)
+    return _scan_threshold(eta, separable_at)
 
 
 def thermal_threshold(eta: float, baseline: str = "recursion") -> int:
     """Largest m for which the thermal state itself is certified separable."""
-    if not 0 < eta < LINEARIZATION_WARN:
-        raise ValueError(f"eta must lie in (0, {LINEARIZATION_WARN})")
 
     def separable_at(m: int) -> bool:
         log_measured = math.log(thermal_deviation_norm(NmrParams(eta, m)))
-        return log_measured <= _log_normalized_bound(m, baseline)
+        return log_measured <= log_normalized_bound(m, baseline)
 
-    return _scan_threshold(separable_at)
+    return _scan_threshold(eta, separable_at)

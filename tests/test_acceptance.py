@@ -83,10 +83,10 @@ def test_criterion_07_nmr_thermal_threshold():
     m = nmr.thermal_threshold(eta)
     assert m == 16
     # decision margin of at least 1% on both sides of the threshold
-    bound = math.exp(nmr._log_normalized_bound(m, "recursion"))
+    bound = math.exp(nmr.log_normalized_bound(m, "recursion"))
     measured = nmr.thermal_deviation_norm(nmr.NmrParams(eta, m))
     assert measured <= bound * 0.99
-    bound_next = math.exp(nmr._log_normalized_bound(m + 1, "recursion"))
+    bound_next = math.exp(nmr.log_normalized_bound(m + 1, "recursion"))
     measured_next = nmr.thermal_deviation_norm(nmr.NmrParams(eta, m + 1))
     assert measured_next >= bound_next * 1.01
     assert nmr.thermal_threshold(eta, baseline="gb03") == 13

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sepball import ballbounds, certify
+from sepball import ballbounds, certify, matcore
 from sepball.matcore import frobenius_norm
 from sepball.sampling import (
     random_density_matrix,
@@ -27,6 +27,16 @@ def test_maximally_mixed_is_separable():
     assert cert.verdict == certify.SEPARABLE
     assert cert.measured == 0.0
     assert not cert.boundary
+
+
+def test_certify_normalized_validates_and_solves_once(count_calls):
+    rho = random_density_matrix(rng_from_seed(29), 8)
+    validations = count_calls(matcore, "as_matrix")
+    hermitian = count_calls(matcore, "hermitian")
+    eigensolves = count_calls(np.linalg, "eigvalsh")
+    cert = certify.certify_normalized(rho, (2, 2, 2))
+    assert cert.verdict == certify.INCONCLUSIVE
+    assert (len(validations), len(hermitian), len(eigensolves)) == (1, 1, 1)
 
 
 def test_identity_unnormalized():

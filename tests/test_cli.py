@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sepball import cli
+from sepball import cli, matcore
 from sepball.matcore import save_matrix
 
 
@@ -78,11 +78,52 @@ def test_certify_not_normalized(capsys, tmp_path):
     assert code == 0
 
 
+MALFORMED_MATRIX_FILES = [
+    "not json at all",
+    '{"dims": [2], "entries": null}',
+    '{"dims": [2], "entries": [1.0, 0.0, 0.0, 1.0]}',
+    '{"dims": [2], "entries": [["0.5", 0], [0, 0], [0, 0], [0.5, 0]]}',
+    '[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]',
+]
+
+
 def test_certify_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("not json at all")
-    code, _, err = run_cli(capsys, "certify", str(path))
-    assert code == 2
+    for text in MALFORMED_MATRIX_FILES:
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "certify", str(path))
+        assert code == 2, text
+        assert "cannot read matrix file" in err, text
+
+
+@pytest.mark.parametrize(
+    "psd, code, ppt, eigensolves",
+    [
+        # the certificate, the PPT input check and the 7 cuts of 4 qubits
+        (True, 0, "ppt: all cuts positive", 2 + 7),
+        (False, 4, "ppt: skipped (input not PSD)", 2),
+    ],
+    ids=["psd", "not_psd"],
+)
+def test_certify_ppt_call_counts(capsys, tmp_path, count_calls, psd, code, ppt,
+                                 eigensolves):
+    d = 16
+    rho = np.eye(d) / d
+    rho[0, 0] -= 0.001
+    rho[1, 1] += 0.001
+    if not psd:
+        rho[0, 0] -= 0.1
+        rho[1, 1] += 0.1
+    path = tmp_path / "rho.json"
+    save_matrix(path, rho, (2, 2, 2, 2))
+    hermitian = count_calls(matcore, "hermitian")
+    eig = count_calls(np.linalg, "eigvalsh")
+    got, out, _ = run_cli(capsys, "certify", str(path), "--ppt")
+    assert got == code
+    assert out.splitlines()[-1] == ppt
+    # one validation per public call that receives the matrix
+    assert len(hermitian) == 2
+    assert len(eig) == eigensolves
 
 
 def test_certify_json_output_roundtrip(capsys, tmp_path):
@@ -121,6 +162,17 @@ def test_schur_norm_over_cap_requires_oracle_only(capsys, tmp_path):
     assert code == 2
     code, out, _ = run_cli(capsys, "schur-norm", str(path), "--oracle-only")
     assert code == 0
+
+
+def test_schur_norm_bad_input_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "upper.json"
+    save_matrix(path, np.array([[1.0, 1.0], [0.0, 1.0]]), (2,))
+    code, _, err = run_cli(capsys, "schur-norm", str(path))
+    assert code == 2
+    assert "not Hermitian" in err
+    code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", "3", "--restarts", "0")
+    assert code == 2
+    assert "restart" in err
 
 
 def test_schur_norm_missing_input(capsys):
@@ -173,7 +225,9 @@ def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SEPBALL_SEED", "0x1234")
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "fast")
     assert code == 0
-    assert json.loads(out)["seed"] == 0x1234
+    obj = json.loads(out)
+    assert obj["seed"] == 0x1234
+    assert all(check["seconds"] >= 0.0 for check in obj["checks"])
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,0 +1,62 @@
+"""Source layout rules: helpers that other modules use are public."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sepball"
+MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """Every read of another package module's ``_name`` in ``source``."""
+    tree = ast.parse(source)
+    module_names = set()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package_level = (node.level == 1 and node.module is None) or (
+            node.level == 0 and node.module == "sepball"
+        )
+        for alias in node.names:
+            if package_level and alias.name in MODULES:
+                module_names.add(alias.asname or alias.name)
+            elif (node.level == 1 or (node.module or "").startswith("sepball.")) and _private(
+                alias.name
+            ):
+                found.append(f"from {node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_names
+            and _private(node.attr)
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_scanner_finds_private_reads():
+    source = (
+        "from . import nmr\n"
+        "from .matcore import _secret, public\n"
+        "def f():\n"
+        "    return nmr._helper(nmr.public, nmr.__name__)\n"
+    )
+    assert sorted(foreign_private_reads(source)) == [
+        "from matcore import _secret",
+        "nmr._helper",
+    ]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if (reads := foreign_private_reads(path.read_text()))
+    }
+    assert found == {}

@@ -1,5 +1,6 @@
 """Matrix-core tests: norms, tensor structure, maps, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +80,18 @@ def test_partial_transpose_involution_and_invariants():
             matcore.frobenius_norm(rho), abs=1e-13
         )
         assert np.trace(pt).real == pytest.approx(1.0, abs=1e-13)
+
+
+def test_transpose_parties_matches_chained_partial_transposes():
+    rng = rng_from_seed(19)
+    dims = (2, 3, 2)
+    rho = random_density_matrix(rng, 12)
+    for size in range(1, 4):
+        for parties in itertools.combinations(range(3), size):
+            chained = rho
+            for p in parties:
+                chained = matcore.partial_transpose(chained, dims, p)
+            assert np.array_equal(matcore.transpose_parties(rho, dims, parties), chained)
 
 
 def test_blocks_and_block_norms():

@@ -69,10 +69,10 @@ def test_thermal_thresholds():
 def test_threshold_margins_at_decision():
     eta = nmr.ETA_DEFAULT
     m = nmr.thermal_threshold(eta)
-    bound = math.exp(nmr._log_normalized_bound(m, "recursion"))
+    bound = math.exp(nmr.log_normalized_bound(m, "recursion"))
     measured = nmr.thermal_deviation_norm(nmr.NmrParams(eta, m))
     assert measured <= bound * 0.99
-    bound_next = math.exp(nmr._log_normalized_bound(m + 1, "recursion"))
+    bound_next = math.exp(nmr.log_normalized_bound(m + 1, "recursion"))
     measured_next = nmr.thermal_deviation_norm(nmr.NmrParams(eta, m + 1))
     assert measured_next >= bound_next * 1.01
 
