@@ -14,6 +14,15 @@ from typing import Sequence
 
 from .matcore import check_dims
 
+LOG2 = math.log(2.0)
+
+
+def _exp(log_x: float) -> float:
+    """``exp(log_x)`` with the power of two split off, so that multiples of
+    ln 2 (gb03's radii at even party counts) come out exact."""
+    n = round(log_x / LOG2)
+    return math.ldexp(math.exp(log_x - n * LOG2), n)
+
 
 def recursion_radius(dims: Sequence[int]) -> float:
     """Separable-ball radius (Frobenius, unnormalized) via the recursion.
@@ -46,9 +55,10 @@ def log_closed_form_radius(d0: int, m: int) -> float:
     """Natural log of ``closed_form_radius``; safe for very large m."""
     if d0 < 2 or m < 2:
         raise ValueError("need d0 >= 2 and m >= 2")
-    # log denominator: (2 d0 - 1)^(m-2) (d0^2 - 1) + 1
-    log_main = (m - 2) * math.log(2 * d0 - 1) + math.log(d0 * d0 - 1)
-    log_den = log_main + math.log1p(math.exp(-log_main))
+    # log denominator with (2 d0 - 1)^(m-2) factored out: for large m the
+    # leftover 1/(2 d0 - 1)^(m-2) underflows harmlessly, and m = 2 gives 0
+    log_q = (m - 2) * math.log(2 * d0 - 1)
+    log_den = log_q + math.log(d0 * d0 - 1 + math.exp(-log_q))
     return 0.5 * (m * math.log(d0) - log_den)
 
 
@@ -59,16 +69,18 @@ def qubit_asymptotic_exponent() -> float:
 
 def weak_radius(d0: int, m: int) -> float:
     """The weaker corollary bound ``(d0 / (2 d0 - 1))^(m/2 - 1)``."""
+    return _exp(log_weak_radius(d0, m))
+
+
+def log_weak_radius(d0: int, m: int) -> float:
     if d0 < 2 or m < 2:
         raise ValueError("need d0 >= 2 and m >= 2")
-    return (d0 / (2.0 * d0 - 1.0)) ** (m / 2.0 - 1.0)
+    return (m / 2.0 - 1.0) * math.log(d0 / (2.0 * d0 - 1.0))
 
 
 def gb03_baseline(m: int) -> float:
     """Prior-work comparison baseline ``(1/2)^(m/2 - 1)``."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    return 0.5 ** (m / 2.0 - 1.0)
+    return _exp(log_gb03_baseline(m))
 
 
 def log_gb03_baseline(m: int) -> float:
@@ -77,16 +89,40 @@ def log_gb03_baseline(m: int) -> float:
     return (m / 2.0 - 1.0) * math.log(0.5)
 
 
-def log_radius(dims: tuple[int, ...], baseline: str = "recursion") -> float:
-    """Log unnormalized radius for checked dims: ``"recursion"`` (its closed
-    form when all local dimensions are equal, cheap at any count) or ``"gb03"``."""
-    if baseline == "gb03":
-        return log_gb03_baseline(len(dims))
-    if baseline != "recursion":
-        raise ValueError(f"unknown baseline {baseline!r}")
-    if dims.count(dims[0]) == len(dims):
-        return log_closed_form_radius(dims[0], len(dims))
+def log_radius(dims: tuple[int, ...], method: str = "recursion") -> float:
+    """Log unnormalized radius for checked dims; the one dispatch on method names.
+
+    ``"recursion"`` is its closed form when all local dimensions are equal
+    (cheap at any count) and ``recursion_radius`` otherwise;
+    ``"closed_form"`` and ``"weak_corollary"`` need equal local dimensions;
+    ``"gb03"`` depends only on the party count.
+    """
+    m = len(dims)
+    if m < 2:
+        raise ValueError("the radius bounds need at least 2 parties")
+    if method == "gb03":
+        return log_gb03_baseline(m)
+    if method not in ("recursion", "closed_form", "weak_corollary"):
+        raise ValueError(f"unknown method {method!r}")
+    if dims.count(dims[0]) == m:
+        if method == "weak_corollary":
+            return log_weak_radius(dims[0], m)
+        return log_closed_form_radius(dims[0], m)
+    if method != "recursion":
+        raise ValueError(f"{method} needs equal local dimensions")
     return math.log(recursion_radius(dims))
+
+
+def log_bounds(dims: tuple[int, ...], method: str) -> tuple[float, float, float]:
+    """Logs of the radius by ``method`` (see ``log_radius``), its normalized
+    conversion and the pseudopure bound, for checked dims.
+
+    The one evaluator from dims to the bounds: ``radius_report``,
+    ``certify.pseudopure_bound`` and the ``nmr`` thresholds all read it.
+    """
+    log_a = log_radius(dims, method)
+    log_d = math.fsum(math.log(di) for di in dims)
+    return log_a, log_normalized_radius(log_a, log_d), log_pseudopure_bound(log_a, log_d)
 
 
 def normalized_radius(a: float, d: int) -> float:
@@ -96,9 +132,7 @@ def normalized_radius(a: float, d: int) -> float:
     """
     if not 0 < a:
         raise ValueError("radius must be positive")
-    if a * a >= d:
-        raise ValueError(f"a^2 = {a * a} >= d = {d}: degenerate denominator")
-    return a / math.sqrt(d * (d - a * a))
+    return _exp(log_normalized_radius(math.log(a), math.log(d)))
 
 
 def log_normalized_radius(log_a: float, log_d: float) -> float:
@@ -175,23 +209,10 @@ class RadiusReport:
 
 
 def radius_report(dims: Sequence[int], method: str = "recursion") -> RadiusReport:
-    """Compute a radius by the chosen method and its normalized conversion."""
+    """The radius by ``method`` (see ``log_radius``) and its normalized
+    conversion, both evaluated in the log domain: any party count works, and
+    a value below the double range comes out as 0.
+    """
     dims = check_dims(dims)
-    d = math.prod(dims)
-    homogeneous = len(set(dims)) == 1
-    m = len(dims)
-    if method == "recursion":
-        a = recursion_radius(dims)
-    elif method == "closed_form":
-        if not homogeneous:
-            raise ValueError("closed form needs equal local dimensions")
-        a = closed_form_radius(dims[0], m)
-    elif method == "weak_corollary":
-        if not homogeneous:
-            raise ValueError("the weak corollary needs equal local dimensions")
-        a = weak_radius(dims[0], m)
-    elif method == "gb03_baseline":
-        a = gb03_baseline(m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return RadiusReport(dims, a, normalized_radius(a, d), method)
+    log_a, log_normalized, _ = log_bounds(dims, method)
+    return RadiusReport(dims, _exp(log_a), _exp(log_normalized), method)

@@ -102,7 +102,7 @@ def certify_unnormalized(x, dims: Sequence[int]) -> Certificate:
     """Ball test for an unnormalized density matrix: ||X - I||_2 vs the radius."""
     x = hermitian(x)
     dims, d = check_matrix_dims(x, dims)
-    bound = ballbounds.recursion_radius(dims)
+    bound = ballbounds.radius_report(dims).unnormalized_radius
     measured = frobenius_norm(x - np.eye(d))
     return _ball_verdict(measured, bound, dims)
 
@@ -111,8 +111,7 @@ def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
     """Ball test for a normalized state: ||rho - I/d||_2 vs a/sqrt(d(d-a^2))."""
     rho = hermitian(rho)
     dims, d = check_matrix_dims(rho, dims)
-    a = ballbounds.recursion_radius(dims)
-    bound = ballbounds.normalized_radius(a, d)
+    bound = ballbounds.radius_report(dims).normalized_radius
     measured = frobenius_norm(rho - np.eye(d) / d)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > TRACE_TOL:
@@ -125,13 +124,11 @@ def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
 def pseudopure_bound(dims: Sequence[int], *, baseline: str = "recursion") -> float:
     """Largest epsilon certified separable for a pseudopure state on ``dims``.
 
-    See ``ballbounds.log_pseudopure_bound``; evaluated in the log domain so
-    arbitrarily many qubits are fine.
+    See ``ballbounds.log_pseudopure_bound``; ``baseline`` is any method of
+    ``ballbounds.log_radius``.  Evaluated in the log domain (``ballbounds.log_bounds``)
+    so arbitrarily many qubits are fine.
     """
-    dims = check_dims(dims)
-    log_d = math.fsum(math.log(di) for di in dims)
-    log_b = ballbounds.log_radius(dims, baseline)
-    return math.exp(ballbounds.log_pseudopure_bound(log_b, log_d))
+    return math.exp(ballbounds.log_bounds(check_dims(dims), baseline)[2])
 
 
 def certify_pseudopure(eps: float, dims: Sequence[int], *, baseline: str = "recursion") -> Certificate:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -25,6 +24,9 @@ EXIT_REJECTED = 4
 
 #: All numeric output uses 9 significant digits.
 FMT = ".9g"
+
+#: Radius tables print the gb03 method under its long name.
+TABLE_NAMES = {"gb03": "gb03_baseline"}
 
 
 def _fail_usage(message: str) -> int:
@@ -45,27 +47,26 @@ def cmd_bound(args) -> int:
     if args.qubits is not None:
         if args.dims:
             return _fail_usage("give either dims or --qubits, not both")
-        if args.qubits < 2:
-            return _fail_usage("--qubits needs at least 2")
         dims = [2] * args.qubits
     elif args.dims:
         dims = args.dims
     else:
         return _fail_usage("no dimensions given")
-    if any(d < 2 for d in dims):
-        return _fail_usage("all local dimensions must be >= 2")
 
-    methods = ["recursion", "gb03_baseline"]
+    methods = ["recursion", "gb03"]
     if len(set(dims)) == 1:
         methods[1:1] = ["closed_form", "weak_corollary"]
-    reports = [ballbounds.radius_report(dims, m) for m in methods]
+    try:
+        reports = [ballbounds.radius_report(dims, m) for m in methods]
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     all_qubits = set(dims) == {2}
 
     if args.format == "json":
         out = {
             "dims": list(reports[0].dims),
             "methods": {
-                r.method: {
+                TABLE_NAMES.get(r.method, r.method): {
                     "unnormalized": r.unnormalized_radius,
                     "normalized": r.normalized_radius,
                 }
@@ -79,8 +80,9 @@ def cmd_bound(args) -> int:
         print(f"dims: {' '.join(str(d) for d in dims)}")
         print(f"{'method':<16} {'unnormalized':>14} {'normalized':>14}")
         for r in reports:
+            name = TABLE_NAMES.get(r.method, r.method)
             print(
-                f"{r.method:<16} {r.unnormalized_radius:>14{FMT}} "
+                f"{name:<16} {r.unnormalized_radius:>14{FMT}} "
                 f"{r.normalized_radius:>14{FMT}}"
             )
         if all_qubits:
@@ -179,32 +181,16 @@ def cmd_schur_norm(args) -> int:
     return EXIT_OK
 
 
-def _threshold_margins(eta: float, mode: str, baseline: str, m: int) -> dict:
-    """Measured deviation vs bound at the threshold and one qubit above."""
-    out = {}
-    for label, mm in (("at_threshold", m), ("above_threshold", m + 1)):
-        if mode == "thermal":
-            measured = nmr.thermal_deviation_norm(nmr.NmrParams(eta, mm))
-            bound = math.exp(nmr.log_normalized_bound(mm, baseline))
-        else:
-            measured = nmr.pseudopure_epsilon(nmr.NmrParams(eta, mm))
-            bound = certify.pseudopure_bound((2,) * mm, baseline=baseline)
-        out[label] = {"m": mm, "measured": measured, "bound": bound}
-    return out
-
-
 def cmd_nmr(args) -> int:
-    if not 0 < args.eta < 0.1:
-        return _fail_usage("--eta must lie in (0, 0.1)")
-    threshold_fn = (
-        nmr.thermal_threshold if args.mode == "thermal" else nmr.pseudopure_threshold
-    )
     try:
-        m = threshold_fn(args.eta, baseline=args.baseline)
-        m_gb03 = threshold_fn(args.eta, baseline="gb03")
+        m = nmr.threshold(args.eta, args.mode, args.baseline)
+        m_gb03 = nmr.threshold(args.eta, args.mode, "gb03")
     except (ValueError, RuntimeError) as exc:
         return _fail_usage(str(exc))
-    margins = _threshold_margins(args.eta, args.mode, args.baseline, m)
+    margins = {}
+    for label, mm in (("at_threshold", m), ("above_threshold", m + 1)):
+        measured, bound = nmr.measured_and_bound(args.eta, mm, args.mode, args.baseline)
+        margins[label] = {"m": mm, "measured": measured, "bound": bound}
 
     if args.format == "json":
         print(

@@ -35,6 +35,9 @@ PROBE_STEPS = 201
 #: PSD tolerance of the ball-positivity test (looser than ``PSD_TOL``).
 BALL_PSD_TOL = 1e-9
 
+#: Slack allowed on each link of the block norm-inequality chain.
+CHAIN_TOL = 1e-9
+
 
 def critical_mu(a: float, d2: int) -> float:
     """Largest scale keeping tau positive on the radius-a ball cone."""
@@ -180,7 +183,7 @@ def ball_positivity_check(
     return True
 
 
-def block_chain_check(phi: MapOnMatrices, a_mat, a: float, tol: float = 1e-9) -> bool:
+def block_chain_check(phi: MapOnMatrices, a_mat, a: float) -> bool:
     """Verify the blockwise norm-inequality chain on one Hermitian input.
 
     After making off-diagonal blocks traceless, checks
@@ -207,4 +210,4 @@ def block_chain_check(phi: MapOnMatrices, a_mat, a: float, tol: float = 1e-9) ->
     np.fill_diagonal(bound_mat, np.diag(two_norms) / a)
     link3 = operator_norm(bound_mat)
 
-    return link1 <= link2 + tol and link2 <= link3 + tol
+    return link1 <= link2 + CHAIN_TOL and link2 <= link3 + CHAIN_TOL

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_materializable, kron_all
+from .matcore import check_dims, check_materializable, kron_all
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def sep_symmetry_witness(
     witness states run over the completed local orthonormal bases, skipping
     the all-first-members combination.
     """
-    dims = tuple(int(x) for x in dims)
+    dims = check_dims(dims)
     if len(local_vectors) != len(dims):
         raise ValueError("need one local vector per party")
     d = math.prod(dims)
@@ -87,7 +87,7 @@ def sep_symmetry_witness(
                 [np.outer(b[:, i], b[:, i].conj()) for b, i in zip(bases, idx)]
             )
         )
-    target = (np.eye(d) - pi) / (d - 1) if d > 1 else np.zeros((1, 1))
+    target = (np.eye(d) - pi) / (d - 1)
     weights = np.full(len(states), 1.0 / (d - 1))
     return ConvexWitness(weights, states, target)
 

@@ -29,6 +29,9 @@ PSD_TOL = 1e-10
 #: large relative to the matrix itself.
 HERMITICITY_REJECT_TOL = 1e-8
 
+#: Entrywise tolerance of the ``MapOnMatrices`` property checks.
+MAP_TOL = 1e-12
+
 
 class MaterializationError(ValueError):
     """Raised when an operation would materialize a matrix above the cap."""
@@ -221,15 +224,15 @@ class MapOnMatrices:
         if self.images.shape != (self.in_dim, self.in_dim, self.out_dim, self.out_dim):
             raise ValueError("images array has wrong shape")
 
-    def preserves_hermiticity(self, tol: float = 1e-12) -> bool:
-        """phi(E_ij)† == phi(E_ji) entrywise within tol."""
+    def preserves_hermiticity(self) -> bool:
+        """phi(E_ij)† == phi(E_ji) entrywise within ``MAP_TOL``."""
         adj = self.images.conj().transpose(1, 0, 3, 2)
-        return bool(np.max(np.abs(self.images - adj)) <= tol)
+        return bool(np.max(np.abs(self.images - adj)) <= MAP_TOL)
 
-    def is_stochastic(self, tol: float = 1e-12) -> bool:
-        """phi(I) == I entrywise within tol."""
+    def is_stochastic(self) -> bool:
+        """phi(I) == I entrywise within ``MAP_TOL``."""
         img_i = apply_map(self, np.eye(self.in_dim))
-        return bool(np.max(np.abs(img_i - np.eye(self.out_dim))) <= tol)
+        return bool(np.max(np.abs(img_i - np.eye(self.out_dim))) <= MAP_TOL)
 
 
 def identity_map(d: int) -> MapOnMatrices:

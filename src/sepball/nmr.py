@@ -58,13 +58,21 @@ def thermal_deviation_norm(p: NmrParams) -> float:
 
     Log-domain evaluation; no materialization cap.
     """
-    log_num = math.log(math.expm1(p.m * math.log1p(p.eta * p.eta)))
-    return math.exp(0.5 * (log_num - p.m * math.log(2.0)))
+    return _thermal_norm(p.eta, p.m)
+
+
+def _thermal_norm(eta: float, m: int) -> float:
+    log_num = math.log(math.expm1(m * math.log1p(eta * eta)))
+    return math.exp(0.5 * (log_num - m * math.log(2.0)))
 
 
 def pseudopure_epsilon(p: NmrParams) -> float:
     """Pseudopure purity from thermal input: eta * m / 2^m."""
-    return p.eta * p.m * math.exp(-p.m * math.log(2.0))
+    return _epsilon(p.eta, p.m)
+
+
+def _epsilon(eta: float, m: int) -> float:
+    return math.ldexp(eta * m, -m)
 
 
 def bipartite_qubit_count(eta: float) -> float:
@@ -76,17 +84,49 @@ def bipartite_qubit_count(eta: float) -> float:
 
 def log_normalized_bound(m: int, baseline: str) -> float:
     """log of the normalized-ball radius for m qubits with the chosen bound."""
-    log_a = ballbounds.log_radius((2,) * m, baseline)
-    return ballbounds.log_normalized_radius(log_a, m * math.log(2.0))
+    return ballbounds.log_bounds((2,) * m, baseline)[1]
 
 
-def _scan_threshold(eta: float, separable_at) -> int:
+def measured_and_bound(
+    eta: float, m: int, mode: str, baseline: str
+) -> tuple[float, float]:
+    """The m-qubit state's measured deviation and the largest certified one.
+
+    ``"thermal"``: ``thermal_deviation_norm`` against the normalized-ball
+    radius.  ``"pseudopure"``: ``pseudopure_epsilon`` against
+    ``certify.pseudopure_bound``, the exact ball condition
+    ``eps <= b / sqrt((d-1)(d-b^2))``.  Both bounds come from
+    ``ballbounds.log_bounds``; ``baseline`` is any method of
+    ``ballbounds.log_radius``.  eta and m are trusted (``threshold`` checks
+    eta once for its whole scan), so no ``NmrParams`` is built per m.
+    """
+    _, log_normalized, log_pseudopure = ballbounds.log_bounds((2,) * m, baseline)
+    if mode == "pseudopure":
+        return _epsilon(eta, m), math.exp(log_pseudopure)
+    if mode == "thermal":
+        return _thermal_norm(eta, m), math.exp(log_normalized)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def threshold(eta: float, mode: str, baseline: str) -> int:
+    """Largest m for which the ``mode`` state is certified separable.
+
+    measured/bound from ``measured_and_bound`` grows strictly with m: it is
+    ``sqrt(((1 + eta^2)^m - 1)(d - a^2)) / a`` (thermal) or
+    ``eta m sqrt((1 - 1/d)(1/a^2 - 1/d))`` (pseudopure), with d = 2^m rising
+    and the radius a falling in m for every method.  So the certified
+    counts run from 2 up to the threshold, and the scan stops at the first
+    count that is not certified.  ``baseline`` is any method of
+    ``ballbounds.log_radius``.
+    """
     if not 0 < eta < LINEARIZATION_WARN:
         raise ValueError(f"eta must lie in (0, {LINEARIZATION_WARN})")
     last = None
     for m in range(2, SCAN_CAP + 1):
-        if separable_at(m):
-            last = m
+        measured, bound = measured_and_bound(eta, m, mode, baseline)
+        if measured > bound:
+            break
+        last = m
     if last == SCAN_CAP:
         raise RuntimeError(f"threshold scan reached the cap of {SCAN_CAP} qubits")
     if last is None:
@@ -95,26 +135,10 @@ def _scan_threshold(eta: float, separable_at) -> int:
 
 
 def pseudopure_threshold(eta: float, baseline: str = "recursion") -> int:
-    """Largest m for which the standard pseudopure state is certified separable.
-
-    Uses the exact ball condition ``eps <= b / sqrt((d-1)(d-b^2))`` with
-    eps = eta*m/2^m and b the chosen unnormalized radius.
-    """
-
-    def separable_at(m: int) -> bool:
-        log_d = m * math.log(2.0)
-        log_eps = math.log(eta * m) - log_d
-        log_b = ballbounds.log_radius((2,) * m, baseline)
-        return log_eps <= ballbounds.log_pseudopure_bound(log_b, log_d)
-
-    return _scan_threshold(eta, separable_at)
+    """Largest m for which the standard pseudopure state is certified separable."""
+    return threshold(eta, "pseudopure", baseline)
 
 
 def thermal_threshold(eta: float, baseline: str = "recursion") -> int:
     """Largest m for which the thermal state itself is certified separable."""
-
-    def separable_at(m: int) -> bool:
-        log_measured = math.log(thermal_deviation_norm(NmrParams(eta, m)))
-        return log_measured <= log_normalized_bound(m, baseline)
-
-    return _scan_threshold(eta, separable_at)
+    return threshold(eta, "thermal", baseline)

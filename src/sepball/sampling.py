@@ -43,10 +43,9 @@ def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
-    """Wishart-distributed normalized density matrix."""
-    k = rank or d
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Wishart-distributed normalized density matrix (full rank)."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

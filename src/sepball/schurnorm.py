@@ -22,6 +22,9 @@ from .sampling import rng_from_seed
 #: Largest instance the exact support-enumeration solver accepts.
 EXACT_SOLVER_CAP = 16
 
+#: Slack on the totals and prefix sums compared by ``majorizes``.
+MAJORIZATION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SimplexQPResult:
@@ -175,21 +178,22 @@ def gram(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return v.conj() @ v.T
 
 
-def majorizes(u, v, tol: float = 1e-9) -> bool:
+def majorizes(u, v) -> bool:
     """True iff u majorizes v: prefix sums of sorted-decreasing u dominate v's.
 
-    Vectors are zero-padded to a common length; totals must agree within tol.
+    Vectors are zero-padded to a common length; totals must agree within
+    ``MAJORIZATION_TOL``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     n = max(u.size, v.size)
     u = np.pad(u, (0, n - u.size))
     v = np.pad(v, (0, n - v.size))
-    if abs(u.sum() - v.sum()) > tol * max(1.0, abs(u.sum())):
+    if abs(u.sum() - v.sum()) > MAJORIZATION_TOL * max(1.0, abs(u.sum())):
         raise ValueError("sums differ beyond tolerance; majorization undefined")
     cu = np.cumsum(np.sort(u)[::-1])
     cv = np.cumsum(np.sort(v)[::-1])
-    return bool(np.all(cu >= cv - tol))
+    return bool(np.all(cu >= cv - MAJORIZATION_TOL))
 
 
 def nielsen_kempe_check(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:

@@ -146,7 +146,7 @@ def check_ball_boundary_ppt(seed: int, fast: bool) -> None:
     n = 25 if fast else 200
     for dims in [(2, 2), (2, 2, 2)]:
         d = math.prod(dims)
-        b = ballbounds.normalized_radius(ballbounds.recursion_radius(dims), d)
+        b = ballbounds.radius_report(dims).normalized_radius
         for _ in range(n):
             delta = random_traceless_unit_hermitian(rng, d)
             rho = np.eye(d) / d + b * delta
@@ -176,7 +176,7 @@ def check_pseudopure_bound_consistency(seed: int, fast: bool) -> None:
     pi[0, 0] = 1.0
     rho = eps * pi + (1.0 - eps) * np.eye(d) / d
     measured = frobenius_norm(rho - np.eye(d) / d)
-    bound = ballbounds.normalized_radius(ballbounds.recursion_radius(dims), d)
+    bound = ballbounds.radius_report(dims).normalized_radius
     assert abs(measured - bound) <= 1e-12, "pseudopure epsilon bound is not tight"
 
 

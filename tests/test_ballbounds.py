@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sepball import ballbounds
+from sepball import ballbounds, certify
 
 
 def test_bipartite_base_case():
@@ -137,3 +137,52 @@ def test_radius_report_methods():
         ballbounds.radius_report((2, 3), "closed_form")
     with pytest.raises(ValueError):
         ballbounds.radius_report((2, 2), "no_such_method")
+
+
+@pytest.mark.parametrize(
+    "dims, methods",
+    [
+        ((2,) * 5, ["recursion", "closed_form", "weak_corollary", "gb03"]),
+        ((3,) * 4, ["recursion", "closed_form", "weak_corollary", "gb03"]),
+        ((2,) * 600, ["recursion", "closed_form", "weak_corollary", "gb03"]),
+        ((2, 3, 2), ["recursion", "gb03"]),
+        ((2, 3) * 50, ["recursion", "gb03"]),
+    ],
+)
+def test_radius_report_reads_log_radius(dims, methods):
+    log_d = math.fsum(math.log(d) for d in dims)
+    for method in methods:
+        rep = ballbounds.radius_report(dims, method)
+        log_a = ballbounds.log_radius(dims, method)
+        assert rep.unnormalized_radius == pytest.approx(math.exp(log_a), rel=1e-13)
+        assert rep.normalized_radius == pytest.approx(
+            math.exp(ballbounds.log_normalized_radius(log_a, log_d)), rel=1e-13
+        )
+        assert rep.normalized_radius > 0.0
+
+
+def test_log_radius_matches_references():
+    # the closed form against the fold for equal dims, the fold itself for mixed
+    for dims in [(2, 2), (3, 5), (2, 3, 4), (4, 3, 2), (2, 3) * 50, (2,) * 40]:
+        want = ballbounds.recursion_radius(dims)
+        assert math.exp(ballbounds.log_radius(dims)) == pytest.approx(want, rel=1e-12)
+    assert ballbounds.radius_report((2, 2)).unnormalized_radius == 1.0
+    # powers of two stay exact (28 and 30 qubits print halfway cases)
+    for m in (2, 4, 28, 30):
+        assert ballbounds.gb03_baseline(m) == 0.5 ** (m / 2.0 - 1.0)
+    assert ballbounds.gb03_baseline(31) == pytest.approx(0.5**14.5, rel=1e-15)
+    with pytest.raises(ValueError):
+        ballbounds.log_radius((2, 3), "weak_corollary")
+    with pytest.raises(ValueError):
+        ballbounds.log_radius((3,))
+    with pytest.raises(ValueError):
+        ballbounds.log_radius((2, 2), "gb03_baseline")
+
+
+def test_log_bounds_is_the_one_composition():
+    for dims, method in [((2,) * 16, "recursion"), ((2,) * 30, "gb03"), ((2, 3, 2), "recursion")]:
+        log_a, log_normalized, log_pseudopure = ballbounds.log_bounds(dims, method)
+        rep = ballbounds.radius_report(dims, method)
+        assert rep.unnormalized_radius == pytest.approx(math.exp(log_a), rel=1e-15)
+        assert rep.normalized_radius == pytest.approx(math.exp(log_normalized), rel=1e-15)
+        assert certify.pseudopure_bound(dims, baseline=method) == math.exp(log_pseudopure)

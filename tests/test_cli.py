@@ -1,11 +1,12 @@
 """CLI tests: subcommands, exit codes, output formats, seeding."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from sepball import cli, matcore
+from sepball import ballbounds, cli, matcore
 from sepball.matcore import save_matrix
 
 
@@ -39,9 +40,37 @@ def test_bound_qubits_shorthand(capsys):
 
 
 def test_bound_bad_dims(capsys):
-    code, _, err = run_cli(capsys, "bound", "2", "1")
-    assert code == 2
-    assert "error" in err
+    # a local dimension below 2, and a single party
+    for dims in (["2", "1"], ["3"], ["2"]):
+        code, _, err = run_cli(capsys, "bound", *dims)
+        assert code == 2, dims
+        assert err.startswith("error: "), dims
+
+
+def test_bound_600_qubits_normalized_radius(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "bound", "--qubits", "600")
+    assert code == 0
+    got = json.loads(out)["methods"]["recursion"]["normalized"]
+    log_a = ballbounds.log_closed_form_radius(2, 600)
+    want = math.exp(ballbounds.log_normalized_radius(log_a, 600 * math.log(2.0)))
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("qubits", [1024, 1100, 5000])
+def test_bound_below_double_range_prints_zero(capsys, qubits):
+    code, out, err = run_cli(capsys, "bound", "--qubits", str(qubits))
+    assert code == 0
+    assert err == ""
+    rows = [line.split() for line in out.splitlines()[2:6]]
+    assert [row[0] for row in rows] == [
+        "recursion", "closed_form", "weak_corollary", "gb03_baseline"
+    ]
+    assert all(row[2] == "0" for row in rows)
+    if qubits == 5000:
+        assert all(row[1] == "0" for row in rows)
+    else:
+        assert all(float(row[1]) > 0.0 for row in rows)
 
 
 def test_bound_no_dims(capsys):

@@ -42,6 +42,11 @@ def test_sep_symmetry_witness_computational_basis():
     assert np.max(np.abs(w.target - (np.eye(4) - pi) / 3)) < 1e-14
 
 
+def test_sep_symmetry_witness_rejects_unit_dims():
+    with pytest.raises(ValueError):
+        geometry.sep_symmetry_witness((1, 1), [np.ones(1), np.ones(1)])
+
+
 def test_sep_symmetry_witness_random_vectors():
     rng = rng_from_seed(5)
     for dims in [(2, 2), (2, 2, 2), (3, 3), (9,)]:

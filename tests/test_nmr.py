@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sepball import nmr
+from sepball import certify, nmr
 from sepball.matcore import frobenius_norm, is_psd
 
 
@@ -84,3 +84,34 @@ def test_threshold_eta_validation():
         nmr.pseudopure_threshold(-1e-5)
     with pytest.raises(ValueError):
         nmr.thermal_threshold(nmr.ETA_DEFAULT, baseline="unknown")
+    with pytest.raises(ValueError):
+        nmr.threshold(nmr.ETA_DEFAULT, "no_such_mode", "recursion")
+
+
+def test_measured_over_bound_grows_with_m():
+    # the threshold scan stops at the first count that is not certified
+    for eta in (1e-6, nmr.ETA_DEFAULT, 0.01):
+        for mode in ("pseudopure", "thermal"):
+            for baseline in ("recursion", "closed_form", "weak_corollary", "gb03"):
+                ratios = [
+                    measured / bound
+                    for measured, bound in (
+                        nmr.measured_and_bound(eta, m, mode, baseline)
+                        for m in range(2, nmr.SCAN_CAP + 1)
+                    )
+                ]
+                assert all(x < y for x, y in zip(ratios, ratios[1:])), (
+                    eta, mode, baseline
+                )
+
+
+def test_measured_and_bound_matches_public_formulas():
+    eta = nmr.ETA_DEFAULT
+    for m in (2, 16, 35, 200):
+        p = nmr.NmrParams(eta, m)
+        measured, bound = nmr.measured_and_bound(eta, m, "thermal", "recursion")
+        assert measured == nmr.thermal_deviation_norm(p)
+        assert bound == math.exp(nmr.log_normalized_bound(m, "recursion"))
+        measured, bound = nmr.measured_and_bound(eta, m, "pseudopure", "gb03")
+        assert measured == nmr.pseudopure_epsilon(p)
+        assert bound == certify.pseudopure_bound((2,) * m, baseline="gb03")
