@@ -159,6 +159,9 @@ def test_radius_report_reads_log_radius(dims, methods):
             math.exp(ballbounds.log_normalized_radius(log_a, log_d)), rel=1e-13
         )
         assert rep.normalized_radius > 0.0
+        # the pseudopure bound comes from the same composition
+        log_pseudopure = ballbounds.log_bounds(dims, method)[2]
+        assert certify.pseudopure_bound(dims, baseline=method) == math.exp(log_pseudopure)
 
 
 def test_log_radius_matches_references():
@@ -178,11 +181,3 @@ def test_log_radius_matches_references():
     with pytest.raises(ValueError):
         ballbounds.log_radius((2, 2), "gb03_baseline")
 
-
-def test_log_bounds_is_the_one_composition():
-    for dims, method in [((2,) * 16, "recursion"), ((2,) * 30, "gb03"), ((2, 3, 2), "recursion")]:
-        log_a, log_normalized, log_pseudopure = ballbounds.log_bounds(dims, method)
-        rep = ballbounds.radius_report(dims, method)
-        assert rep.unnormalized_radius == pytest.approx(math.exp(log_a), rel=1e-15)
-        assert rep.normalized_radius == pytest.approx(math.exp(log_normalized), rel=1e-15)
-        assert certify.pseudopure_bound(dims, baseline=method) == math.exp(log_pseudopure)
