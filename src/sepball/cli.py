@@ -1,5 +1,12 @@
 """Command-line front end: radius tables, certification, norms, thresholds.
 
+Each command builds its result once, as a JSON object and as human lines,
+and ``_emit`` prints the one ``--format`` asks for.  ``main`` is the only
+place that turns bad input into an exit code: a ``ValueError`` from a command
+or the library (bad dims, an unreadable matrix file, eta outside the
+threshold scan, a ``SEPBALL_SEED`` that is not an integer) prints
+``error: <message>`` to stderr and exits 2.
+
 Exit codes: 0 success/separable, 1 verification failure, 2 usage or parse
 error, 3 inconclusive certificate, 4 state not PSD or not normalized.
 """
@@ -10,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import ballbounds, certify, nmr, schurnorm, verify
@@ -22,6 +30,14 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_REJECTED = 4
 
+#: Exit code of each certificate verdict.
+VERDICT_EXIT = {
+    certify.SEPARABLE: EXIT_OK,
+    certify.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    certify.NOT_PSD: EXIT_REJECTED,
+    certify.NOT_NORMALIZED: EXIT_REJECTED,
+}
+
 #: All numeric output uses 9 significant digits.
 FMT = ".9g"
 
@@ -29,222 +45,164 @@ FMT = ".9g"
 TABLE_NAMES = {"gb03": "gb03_baseline"}
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _emit(args, obj: dict, lines: list[str]) -> None:
+    print(json.dumps(obj) if args.format == "json" else "\n".join(lines))
+
+
+def _load(path):
+    try:
+        return load_matrix(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read matrix file: {exc}") from exc
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SEPBALL_SEED")
-    if env is not None:
-        return int(env, 0)
-    return DEFAULT_SEED
+    return DEFAULT_SEED if env is None else int(env, 0)
 
 
 def cmd_bound(args) -> int:
     if args.qubits is not None:
         if args.dims:
-            return _fail_usage("give either dims or --qubits, not both")
+            raise ValueError("give either dims or --qubits, not both")
         dims = [2] * args.qubits
     elif args.dims:
         dims = args.dims
     else:
-        return _fail_usage("no dimensions given")
+        raise ValueError("no dimensions given")
 
     methods = ["recursion", "gb03"]
     if len(set(dims)) == 1:
         methods[1:1] = ["closed_form", "weak_corollary"]
-    try:
-        reports = [ballbounds.radius_report(dims, m) for m in methods]
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    all_qubits = set(dims) == {2}
+    reports = [ballbounds.radius_report(dims, m) for m in methods]
 
-    if args.format == "json":
-        out = {
-            "dims": list(reports[0].dims),
-            "methods": {
-                TABLE_NAMES.get(r.method, r.method): {
-                    "unnormalized": r.unnormalized_radius,
-                    "normalized": r.normalized_radius,
-                }
-                for r in reports
-            },
+    obj = {"dims": list(reports[0].dims), "methods": {}}
+    lines = [
+        f"dims: {' '.join(str(d) for d in dims)}",
+        f"{'method':<16} {'unnormalized':>14} {'normalized':>14}",
+    ]
+    for r in reports:
+        name = TABLE_NAMES.get(r.method, r.method)
+        obj["methods"][name] = {
+            "unnormalized": r.unnormalized_radius,
+            "normalized": r.normalized_radius,
         }
-        if all_qubits:
-            out["qubit_exponent"] = ballbounds.qubit_asymptotic_exponent()
-        print(json.dumps(out))
-    else:
-        print(f"dims: {' '.join(str(d) for d in dims)}")
-        print(f"{'method':<16} {'unnormalized':>14} {'normalized':>14}")
-        for r in reports:
-            name = TABLE_NAMES.get(r.method, r.method)
-            print(
-                f"{name:<16} {r.unnormalized_radius:>14{FMT}} "
-                f"{r.normalized_radius:>14{FMT}}"
-            )
-        if all_qubits:
-            g = ballbounds.qubit_asymptotic_exponent()
-            print(f"qubit decay exponent gamma = {g:{FMT}}")
+        lines.append(
+            f"{name:<16} {r.unnormalized_radius:>14{FMT}} "
+            f"{r.normalized_radius:>14{FMT}}"
+        )
+    if set(dims) == {2}:
+        g = ballbounds.qubit_asymptotic_exponent()
+        obj["qubit_exponent"] = g
+        lines.append(f"qubit decay exponent gamma = {g:{FMT}}")
+    _emit(args, obj, lines)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    try:
-        matrix, dims = load_matrix(args.file)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_usage(f"cannot read matrix file: {exc}")
-    try:
-        if args.unnormalized:
-            cert = certify.certify_unnormalized(matrix, dims)
-        else:
-            cert = certify.certify_normalized(matrix, dims)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    matrix, dims = _load(args.file)
+    certify_fn = (certify.certify_unnormalized if args.unnormalized
+                  else certify.certify_normalized)
+    cert = certify_fn(matrix, dims)
 
-    ppt_line = None
+    obj = json.loads(cert.to_json())
+    lines = [
+        f"verdict:  {cert.verdict}",
+        f"bound:    {cert.bound_used:{FMT}}",
+        f"measured: {cert.measured:{FMT}}",
+        f"margin:   {cert.margin:{FMT}}",
+    ]
+    if cert.boundary:
+        lines.append("note: within the boundary band of the bound")
     if args.ppt and len(dims) > 1:
         # the certificate accepted matrix and dims: only non-PSD input is left
         try:
-            ppt_ok = certify.ppt_all_cuts(matrix, dims)
+            ppt = ("all cuts positive" if certify.ppt_all_cuts(matrix, dims)
+                   else "VIOLATED")
         except ValueError:
-            ppt_line = "ppt: skipped (input not PSD)"
-        else:
-            ppt_line = "ppt: all cuts positive" if ppt_ok else "ppt: VIOLATED"
-
-    if args.format == "json":
-        obj = json.loads(cert.to_json())
-        if ppt_line is not None:
-            obj["ppt"] = ppt_line.split(": ", 1)[1]
-        print(json.dumps(obj))
-    else:
-        print(f"verdict:  {cert.verdict}")
-        print(f"bound:    {cert.bound_used:{FMT}}")
-        print(f"measured: {cert.measured:{FMT}}")
-        print(f"margin:   {cert.margin:{FMT}}")
-        if cert.boundary:
-            print("note: within the boundary band of the bound")
-        if ppt_line is not None:
-            print(ppt_line)
-
-    if cert.verdict == certify.SEPARABLE:
-        return EXIT_OK
-    if cert.verdict == certify.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_REJECTED
+            ppt = "skipped (input not PSD)"
+        obj["ppt"] = ppt
+        lines.append(f"ppt: {ppt}")
+    _emit(args, obj, lines)
+    return VERDICT_EXIT[cert.verdict]
 
 
 def cmd_schur_norm(args) -> int:
     seed = _resolve_seed(args)
     if args.l_matrix is not None:
         if args.file is not None:
-            return _fail_usage("give either a file or --l-matrix, not both")
+            raise ValueError("give either a file or --l-matrix, not both")
         eta, n_raw = args.l_matrix
-        n = int(n_raw)
-        if n != n_raw or n < 1:
-            return _fail_usage("--l-matrix size must be a positive integer")
-        b = schurnorm.l_matrix(float(eta), n)
+        if not (n_raw >= 1 and n_raw.is_integer()):
+            raise ValueError("--l-matrix size must be a positive integer")
+        b = schurnorm.l_matrix(eta, int(n_raw))
     elif args.file is not None:
-        try:
-            b, _ = load_matrix(args.file)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _fail_usage(f"cannot read matrix file: {exc}")
+        b, _ = _load(args.file)
     else:
-        return _fail_usage("need a matrix file or --l-matrix ETA N")
+        raise ValueError("need a matrix file or --l-matrix ETA N")
 
     n = b.shape[0]
     if not args.oracle_only and n > schurnorm.EXACT_SOLVER_CAP:
-        return _fail_usage(
+        raise ValueError(
             f"n = {n} exceeds the exact-solver cap "
             f"{schurnorm.EXACT_SOLVER_CAP}; rerun with --oracle-only"
         )
-    try:
-        oracle = schurnorm.oracle_two_inf_norm(b, restarts=args.restarts, seed=seed)
-        exact = None if args.oracle_only else schurnorm.schur_two_inf_norm(b)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-
-    if args.format == "json":
-        out = {"n": n, "oracle": oracle}
-        if exact is not None:
-            out["exact"] = exact
-            out["gap"] = exact - oracle
-        print(json.dumps(out))
-    else:
-        if exact is not None:
-            print(f"exact:  {exact:{FMT}}")
-        print(f"oracle: {oracle:{FMT}}")
-        if exact is not None:
-            print(f"gap:    {exact - oracle:{FMT}}")
+    oracle = schurnorm.oracle_two_inf_norm(b, restarts=args.restarts, seed=seed)
+    obj = {"n": n, "oracle": oracle}
+    lines = [f"oracle: {oracle:{FMT}}"]
+    if not args.oracle_only:
+        exact = schurnorm.schur_two_inf_norm(b)
+        obj.update(exact=exact, gap=exact - oracle)
+        lines = [f"exact:  {exact:{FMT}}", *lines, f"gap:    {exact - oracle:{FMT}}"]
+    _emit(args, obj, lines)
     return EXIT_OK
 
 
 def cmd_nmr(args) -> int:
-    try:
-        m = nmr.threshold(args.eta, args.mode, args.baseline)
-        m_gb03 = nmr.threshold(args.eta, args.mode, "gb03")
-    except (ValueError, RuntimeError) as exc:
-        return _fail_usage(str(exc))
-    margins = {}
+    m = nmr.threshold(args.eta, args.mode, args.baseline)
+    m_gb03 = nmr.threshold(args.eta, args.mode, "gb03")
+    obj = {
+        "mode": args.mode,
+        "eta": args.eta,
+        "baseline": args.baseline,
+        "threshold": m,
+        "gb03_threshold": m_gb03,
+        "margins": {},
+    }
+    lines = [
+        f"mode: {args.mode}   eta = {args.eta:{FMT}}   baseline = {args.baseline}",
+        f"threshold: {m} qubits certified separable",
+        f"entanglement not certified possible until {m + 1}",
+    ]
     for label, mm in (("at_threshold", m), ("above_threshold", m + 1)):
         measured, bound = nmr.measured_and_bound(args.eta, mm, args.mode, args.baseline)
-        margins[label] = {"m": mm, "measured": measured, "bound": bound}
-
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "mode": args.mode,
-                    "eta": args.eta,
-                    "baseline": args.baseline,
-                    "threshold": m,
-                    "gb03_threshold": m_gb03,
-                    "margins": margins,
-                }
-            )
-        )
-    else:
-        print(f"mode: {args.mode}   eta = {args.eta:{FMT}}   baseline = {args.baseline}")
-        print(f"threshold: {m} qubits certified separable")
-        print(f"entanglement not certified possible until {m + 1}")
-        for label in ("at_threshold", "above_threshold"):
-            row = margins[label]
-            print(
-                f"  m = {row['m']}: measured {row['measured']:{FMT}} "
-                f"vs bound {row['bound']:{FMT}}"
-            )
-        print(f"gb03 baseline comparison: threshold {m_gb03}")
+        obj["margins"][label] = {"m": mm, "measured": measured, "bound": bound}
+        lines.append(f"  m = {mm}: measured {measured:{FMT}} vs bound {bound:{FMT}}")
+    lines.append(f"gb03 baseline comparison: threshold {m_gb03}")
+    _emit(args, obj, lines)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     results = verify.run_suite(args.suite, seed)
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "seed": seed,
-                    "passed": len(results) - len(failed),
-                    "failed": [r.name for r in failed],
-                    "checks": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail,
-                         "seconds": r.seconds}
-                        for r in results
-                    ],
-                }
-            )
-        )
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            extra = "" if r.passed else f"  ({r.detail})"
-            print(f"{status} {r.name}{extra}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    failed = [r.name for r in results if not r.passed]
+    passed = len(results) - len(failed)
+    obj = {
+        "suite": args.suite,
+        "seed": seed,
+        "passed": passed,
+        "failed": failed,
+        "checks": [asdict(r) for r in results],
+    }
+    lines = [
+        f"PASS {r.name}" if r.passed else f"FAIL {r.name}  ({r.detail})"
+        for r in results
+    ]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    _emit(args, obj, lines)
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
@@ -303,9 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

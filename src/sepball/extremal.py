@@ -11,6 +11,7 @@ cone, and on a designed input it attains the all-matrices norm bound
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -175,12 +176,12 @@ def ball_positivity_check(
     d2 = phi.in_dim
     eye = np.eye(d2)
     rng = rng_from_seed(seed)
-    deltas = _directed_probes(a, d2)
-    deltas += [a * random_unit_hermitian(rng, d2) for _ in range(samples)]
-    for delta in deltas:
-        if not is_psd(apply_map(phi, eye + delta), BALL_PSD_TOL):
-            return False
-    return True
+    # each draw is tested as it is made, so no list of samples is kept
+    draws = (a * random_unit_hermitian(rng, d2) for _ in range(samples))
+    return all(
+        is_psd(apply_map(phi, eye + delta), BALL_PSD_TOL)
+        for delta in chain(_directed_probes(a, d2), draws)
+    )
 
 
 def block_chain_check(phi: MapOnMatrices, a_mat, a: float) -> bool:

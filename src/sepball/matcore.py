@@ -64,8 +64,12 @@ def hermitian(a) -> np.ndarray:
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    """Validate a profile of local dimensions; every entry must be >= 2."""
-    out = tuple(int(d) for d in dims)
+    """Validate a profile of local dimensions: integers (numpy ones too), each >= 2."""
+    dims = tuple(dims)
+    # an infinite entry maps to 0, where int() would raise OverflowError
+    out = tuple(0 if d in (math.inf, -math.inf) else int(d) for d in dims)
+    if out != dims:
+        raise ValueError(f"local dimensions must be integers, got {dims}")
     if not out:
         raise ValueError("empty dimension profile")
     if any(d < 2 for d in out):
@@ -268,7 +272,8 @@ def matrix_to_json(m, dims: Sequence[int]) -> str:
 def matrix_from_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """Parse the matrix JSON format; returns (matrix, dims)."""
     obj = json.loads(text)
-    # wrong JSON types surface as TypeError from indexing, int(), len() or complex()
+    # a missing key surfaces as KeyError, wrong JSON types as TypeError from
+    # indexing, int(), len() or complex()
     try:
         dims = check_dims(obj["dims"])
         d = math.prod(dims)
@@ -276,7 +281,7 @@ def matrix_from_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, got {len(entries)}")
         flat = np.array([complex(re, im) for re, im in entries])
-    except TypeError as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file: {exc}") from exc
     return flat.reshape(d, d), dims
 

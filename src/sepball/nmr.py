@@ -128,9 +128,9 @@ def threshold(eta: float, mode: str, baseline: str) -> int:
             break
         last = m
     if last == SCAN_CAP:
-        raise RuntimeError(f"threshold scan reached the cap of {SCAN_CAP} qubits")
+        raise ValueError(f"threshold scan reached the cap of {SCAN_CAP} qubits")
     if last is None:
-        raise RuntimeError("no qubit count certified separable within the scan range")
+        raise ValueError("no qubit count certified separable within the scan range")
     return last
 
 

@@ -109,6 +109,9 @@ def test_certify_not_normalized(capsys, tmp_path):
 
 MALFORMED_MATRIX_FILES = [
     "not json at all",
+    '{"dims": [2]}',
+    '{"dims": [2.7], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}',
+    '{"dims": [Infinity], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}',
     '{"dims": [2], "entries": null}',
     '{"dims": [2], "entries": [1.0, 0.0, 0.0, 1.0]}',
     '{"dims": [2], "entries": [["0.5", 0], [0, 0], [0, 0], [0.5, 0]]}',
@@ -202,6 +205,10 @@ def test_schur_norm_bad_input_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", "3", "--restarts", "0")
     assert code == 2
     assert "restart" in err
+    for size in ("3.5", "0", "nan", "inf"):
+        code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", size)
+        assert code == 2, size
+        assert err == "error: --l-matrix size must be a positive integer\n", size
 
 
 def test_schur_norm_missing_input(capsys):
@@ -259,7 +266,65 @@ def test_seed_env_override(capsys, monkeypatch):
     assert all(check["seconds"] >= 0.0 for check in obj["checks"])
 
 
+def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SEPBALL_SEED", "zz")
+    code, out, err = run_cli(capsys, "verify", "fast")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'zz'" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bound", "--no-such-flag", "2", "2"])
     assert exc.value.code == 2
+
+
+# the complete human output of five commands, byte for byte
+PINNED_HUMAN_OUTPUT = [
+    (["bound", "2", "2", "2"], """\
+dims: 2 2 2
+method             unnormalized     normalized
+recursion           0.894427191     0.11785113
+closed_form         0.894427191     0.11785113
+weak_corollary      0.816496581    0.106600358
+gb03_baseline       0.707106781   0.0912870929
+qubit decay exponent gamma = 0.29248125
+"""),
+    (["certify", "{id8}", "--ppt"], """\
+verdict:  separable
+bound:    0.11785113
+measured: 0
+margin:   0.11785113
+ppt: all cuts positive
+"""),
+    (["schur-norm", "--l-matrix", "2", "3"], """\
+exact:  1.73205081
+oracle: 1.73205081
+gap:    -2.22044605e-16
+"""),
+    (["nmr"], """\
+mode: pseudopure   eta = 3.746e-05   baseline = recursion
+threshold: 35 qubits certified separable
+entanglement not certified possible until 36
+  m = 35: measured 3.81580321e-14 vs bound 4.1774739e-14
+  m = 36: measured 1.96241308e-14 vs bound 1.70544658e-14
+gb03 baseline comparison: threshold 22
+"""),
+    (["nmr", "--mode", "thermal", "--baseline", "gb03"], """\
+mode: thermal   eta = 3.746e-05   baseline = gb03
+threshold: 13 qubits certified separable
+entanglement not certified possible until 14
+  m = 13: measured 1.49225994e-06 vs bound 2.69739839e-06
+  m = 14: measured 1.09501942e-06 vs bound 9.53674324e-07
+gb03 baseline comparison: threshold 13
+"""),
+]
+
+
+def test_human_output_is_pinned(capsys, tmp_path):
+    id8 = tmp_path / "id8.json"
+    save_matrix(id8, np.eye(8) / 8, (2, 2, 2))
+    for argv, want in PINNED_HUMAN_OUTPUT:
+        argv = [arg.format(id8=id8) for arg in argv]
+        assert run_cli(capsys, *argv) == (0, want, ""), argv

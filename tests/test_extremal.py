@@ -118,6 +118,22 @@ def test_ball_positivity_violated_above_critical_mu():
         assert not extremal.ball_positivity_check(inflated, a, samples=0, seed=5)
 
 
+def test_ball_positivity_draws_as_it_tests(count_calls):
+    from sepball import matcore, sampling
+
+    a, d2 = 0.6, 6
+    draws = count_calls(sampling, "random_unit_hermitian")
+    psd = count_calls(matcore, "is_psd")
+    assert extremal.ball_positivity_check(extremal.build_tau(a, d2), a, samples=50, seed=5)
+    # 3 directions x 2 signs x PROBE_STEPS probes, then every draw
+    assert (len(draws), len(psd)) == (50, 6 * extremal.PROBE_STEPS + 50)
+    draws.clear()
+    inflated = extremal.build_tau(a, d2, mu_scale=1.05)
+    assert not extremal.ball_positivity_check(inflated, a, samples=50, seed=5)
+    # a failing probe ends the test before any sample is drawn
+    assert draws == []
+
+
 def test_tilde_ratios_below_gamma():
     rng = rng_from_seed(71)
     from sepball.matcore import tilde_apply

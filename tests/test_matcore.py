@@ -31,6 +31,11 @@ def test_check_dims():
         matcore.check_dims([2, 1])
     with pytest.raises(ValueError):
         matcore.check_dims([])
+    # entries must equal their int; numpy integers and integral floats pass
+    assert matcore.check_dims([np.int64(2), 3.0]) == (2, 3)
+    for dims in ([2.5, 2.9], [2, 2.2], ["2", 2], [2, float("inf")], [float("nan")]):
+        with pytest.raises(ValueError):
+            matcore.check_dims(dims)
 
 
 def test_norms_on_known_matrix():
@@ -149,3 +154,7 @@ def test_matrix_json_roundtrip_bitexact(tmp_path):
 def test_matrix_json_rejects_wrong_entry_count():
     with pytest.raises(ValueError):
         matcore.matrix_from_json('{"dims": [2, 2], "entries": [[1.0, 0.0]]}')
+    # a missing key is a malformed file, not a KeyError
+    for text in ('{"dims": [2]}', '{"entries": [[1.0, 0.0]]}'):
+        with pytest.raises(ValueError, match="malformed matrix file"):
+            matcore.matrix_from_json(text)
