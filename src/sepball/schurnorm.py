@@ -3,15 +3,21 @@
 The induced norm of ``X -> B o X`` (from Frobenius norm in to operator norm
 out) equals ``sqrt(max y^t C y)`` over the probability simplex, with
 ``C_ij = |B_ij|^2``.  The exact simplex maximum is found by support
-enumeration (the general problem is NP-hard, so the exact solver is capped);
-a seeded multiplicative-ascent oracle provides an independent lower bound.
+enumeration (the general problem is NP-hard, so the exact solver is capped
+at ``EXACT_SOLVER_CAP``): the supports of each size are solved in stacked
+LAPACK calls of at most ``FACE_CHUNK`` faces, each face's value is kept by
+its lexicographic rank (2^n doubles), and the rank-ordered scan keeps ties
+on the lexicographically smallest support.  A seeded multiplicative-ascent
+oracle provides an independent lower bound; its restarts are drawn and
+ascended ``RESTART_BLOCK`` at a time as one batch, so its memory is
+O(RESTART_BLOCK * n) for any number of restarts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +27,15 @@ from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
 EXACT_SOLVER_CAP = 16
+
+#: Supports of one size that ``simplex_qp_max`` solves per stacked call.
+FACE_CHUNK = 512
+
+#: Restarts that ``oracle_two_inf_norm`` draws and ascends together.
+RESTART_BLOCK = 64
+
+#: Iteration cap of each restart's multiplicative ascent.
+ASCENT_STEPS = 5000
 
 #: Slack on the totals and prefix sums compared by ``majorizes``.
 MAJORIZATION_TOL = 1e-9
@@ -35,68 +50,119 @@ class SimplexQPResult:
     support: tuple[int, ...]
 
 
-def _face_candidate(c: np.ndarray, support: tuple[int, ...]) -> np.ndarray | None:
-    """Stationary point of y^t C y on the face with the given support.
+def _lex_ranks(n: int, idx: np.ndarray) -> np.ndarray:
+    """Positions of the supports in ``idx`` (sorted rows) in the sorted list of all.
 
-    Solves C_S y_S = lam * 1 with sum(y_S) = 1; returns None when the
-    stationary point leaves the face.  Singular faces fall back to a
-    pseudo-inverse solution (degenerate faces are otherwise covered by
-    their vertices).
+    All nonempty supports of {0..n-1}, sorted as tuples, put a support's
+    proper prefixes before it, and 2^(n-1-t) supports extend each prefix
+    ending in t; summing those counts telescopes to this closed form.
     """
-    cs = c[np.ix_(support, support)]
-    ones = np.ones(len(support))
-    try:
-        z = np.linalg.solve(cs, ones)
-    except np.linalg.LinAlgError:
-        z = np.linalg.pinv(cs) @ ones
-    total = z.sum()
-    if abs(total) < 1e-14:
-        return None
-    ys = z / total
-    if np.any(ys < -1e-12):
-        return None
-    ys = np.clip(ys, 0.0, None)
-    ys /= ys.sum()
-    y = np.zeros(c.shape[0])
-    y[list(support)] = ys
-    return y
+    r = idx.shape[1]
+    return (
+        (1 << n) + r - 1
+        - np.left_shift(1, n - idx[:, -1])
+        - np.left_shift(1, n - 1 - idx[:, :-1]).sum(axis=1)
+    )
+
+
+def _lex_support(n: int, rank: int) -> tuple[int, ...]:
+    """The support at ``rank`` in the sorted list of all nonempty supports."""
+    support: list[int] = []
+    t = 0
+    while True:
+        block = 1 << (n - 1 - t)  # supports that continue the prefix with t
+        if rank < block:
+            support.append(t)
+            if rank == 0:
+                return tuple(support)
+            rank -= 1
+        else:
+            rank -= block
+        t += 1
+
+
+def _face_points(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary points of y^t C y on the faces whose supports are the rows of idx.
+
+    Solves C_S y_S = lam * 1 with sum(y_S) = 1 for every face in one stacked
+    call.  Singular faces, where LU meets a zero pivot (``slogdet`` sign 0),
+    take the pseudo-inverse solution instead (degenerate faces are otherwise
+    covered by their vertices).  Returns the points on their supports and a
+    mask of the faces whose point stays on the face.
+    """
+    cs = c[idx[:, :, None], idx[:, None, :]]
+    ones = np.ones((1, idx.shape[1], 1))
+    singular = np.linalg.slogdet(cs)[0] == 0
+    z = np.empty(idx.shape)
+    z[~singular] = np.linalg.solve(cs[~singular], ones)[..., 0]
+    if singular.any():
+        z[singular] = (np.linalg.pinv(cs[singular]) @ ones)[..., 0]
+    total = z.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ys = z / total[:, None]
+        feasible = (np.abs(total) >= 1e-14) & ~np.any(ys < -1e-12, axis=1)
+        ys = np.clip(ys, 0.0, None)
+        ys /= ys.sum(axis=1, keepdims=True)
+    return ys, feasible
 
 
 def simplex_qp_max(c) -> SimplexQPResult:
     """Global maximum of y^t C y over {y >= 0, sum y = 1}, by enumeration.
 
     Every nonempty support contributes its interior stationary point (when
-    feasible); all vertices are included via the singleton supports.  Ties
-    are broken toward the lexicographically smallest support.
+    feasible); all vertices are included via the singleton supports.  The
+    supports of each size are solved ``FACE_CHUNK`` at a time.  Scanning the
+    supports in lexicographic order, a face replaces the incumbent only when
+    it gains more than 1e-12 * max(1, max C), so ties go to the
+    lexicographically smallest support.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("C must be a square matrix")
     n = c.shape[0]
+    if n == 0:
+        raise ValueError("C must be non-empty")
     if n > EXACT_SOLVER_CAP:
         raise ValueError(
             f"n = {n} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
             "use oracle_two_inf_norm for larger instances"
         )
+    if not np.all(np.isfinite(c)):
+        raise ValueError("C must be finite")
     if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
         raise ValueError("C must be symmetric")
     if np.any(c < 0):
         raise ValueError("C must be entrywise nonnegative")
 
-    supports = sorted(
-        (s for r in range(1, n + 1) for s in combinations(range(n), r))
-    )
-    best: SimplexQPResult | None = None
-    scale = max(1.0, float(np.max(c)))
-    for support in supports:
-        y = _face_candidate(c, support)
-        if y is None:
-            continue
-        value = float(y @ c @ y)
-        if best is None or value > best.value + 1e-12 * scale:
-            best = SimplexQPResult(value, y, support)
-    assert best is not None  # singletons always feasible
-    return best
+    # values[rank] is the value of the face at that lexicographic rank
+    values = np.full((1 << n) - 1, -np.inf)
+    for r in range(1, n + 1):
+        # the supports of size r in lexicographic order, FACE_CHUNK at a time
+        flat = chain.from_iterable(combinations(range(n), r))
+        while (idx := np.fromiter(islice(flat, FACE_CHUNK * r), np.intp)).size:
+            idx = idx.reshape(-1, r)
+            ys, feasible = _face_points(c, idx)
+            y = np.zeros((idx.shape[0], n))
+            np.put_along_axis(y, idx, ys, axis=1)
+            y = y[feasible]
+            # y @ c @ y row by row, by the BLAS calls it takes on one row
+            value = y[:, None, :] @ c @ y[:, :, None]
+            values[_lex_ranks(n, idx[feasible])] = value[:, 0, 0]
+
+    tol = 1e-12 * max(1.0, float(np.max(c)))
+    best, incumbent = -1, -math.inf
+    for rank, value in enumerate(values.tolist()):
+        if value > incumbent + tol:
+            best, incumbent = rank, value
+    if best < 0:  # C = 0: every face is singular with a zero solution
+        support = (0,)
+        y = np.eye(n)[0]
+    else:
+        support = _lex_support(n, best)
+        ys, _ = _face_points(c, np.array([support], dtype=np.intp))
+        y = np.zeros(n)
+        y[list(support)] = ys[0]
+    return SimplexQPResult(float(y @ c @ y), y, support)
 
 
 def schur_two_inf_norm(b) -> float:
@@ -128,12 +194,60 @@ def l_matrix_norm(eta: float, n: int) -> float:
     return math.sqrt((eta * eta * (n - 1) + 1.0) / n)
 
 
+def _ascend(c: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicative ascent y <- y o (Cy) / y^t C y on every row of ``y``.
+
+    Each row stops on its own: when its value is not positive, when the
+    update leaves the simplex, when it gains at most 1e-16, or after
+    ``ASCENT_STEPS`` steps.  Rows that stop leave the batch.  Every row goes
+    through the same BLAS calls whatever the batch holds (one ``y C`` per
+    step, which also gives the next step's gradient, since C is symmetric),
+    so a row's result does not depend on the rows beside it.  Returns each
+    row's final value and the index of its largest entry.
+    """
+    k = y.shape[0]
+    final_value = np.empty(k)
+    final_peak = np.empty(k, dtype=np.intp)
+    rows = np.arange(k)
+    g = (y[:, None, :] @ c)[:, 0, :]
+    value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(ASCENT_STEPS):
+            y_new = y * g / value[:, None]
+            s = y_new.sum(axis=1)
+            y_new /= s[:, None]
+            g_new = (y_new[:, None, :] @ c)[:, 0, :]
+            new_value = (g_new[:, None, :] @ y_new[:, :, None])[:, 0, 0]
+            stuck = (value <= 0) | (s <= 0)
+            done = stuck | (new_value <= value + 1e-16)
+            if done.any():
+                # a stuck row keeps its point; a converged one takes the step
+                y_new[stuck] = y[stuck]
+                new_value = np.where(stuck, value, np.maximum(value, new_value))
+                final_value[rows[done]] = new_value[done]
+                final_peak[rows[done]] = np.argmax(y_new[done], axis=1)
+                going = ~done
+                rows, y_new, g_new, new_value = (
+                    rows[going], y_new[going], g_new[going], new_value[going]
+                )
+            y, g, value = y_new, g_new, new_value
+            if not rows.size:
+                break
+    final_value[rows] = value
+    final_peak[rows] = np.argmax(y, axis=1)
+    return final_value, final_peak
+
+
 def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float:
     """Sampled lower bound on the Schur-map norm via maximizing ||B o xx†||_2.
 
     For a rank-one projector the squared objective is ``y^t C y`` with
     ``y_i = |x_i|^2``, so each restart runs a monotone multiplicative ascent
-    on the simplex from a random unit vector's amplitude profile.
+    on the simplex from a random unit vector's amplitude profile, and the
+    vertex at its largest entry counts too.  Restarts are drawn and ascended
+    ``RESTART_BLOCK`` at a time, so memory is O(RESTART_BLOCK * n) for any
+    number of restarts; neither the draws nor any restart's result depend
+    on the block size.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -142,29 +256,12 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     c = np.abs(b) ** 2
     rng = rng_from_seed(seed)
     best = 0.0
-    for _ in range(restarts):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = np.abs(x) ** 2
-        y /= y.sum()
-        value = float(y @ c @ y)
-        for _ in range(5000):
-            g = c @ y
-            if value <= 0:
-                break
-            y_new = y * g / value
-            s = y_new.sum()
-            if s <= 0:
-                break
-            y_new /= s
-            new_value = float(y_new @ c @ y_new)
-            if new_value <= value + 1e-16:
-                y = y_new
-                value = max(value, new_value)
-                break
-            y, value = y_new, new_value
-        # include the vertex nearest the final iterate
-        vertex = float(c[np.argmax(y), np.argmax(y)])
-        best = max(best, value, vertex)
+    for start in range(0, restarts, RESTART_BLOCK):
+        x = rng.standard_normal((min(RESTART_BLOCK, restarts - start), 2, n))
+        y = np.abs(x[:, 0] + 1j * x[:, 1]) ** 2
+        y /= y.sum(axis=1, keepdims=True)
+        value, peak = _ascend(c, y)
+        best = max(best, float(value.max()), float(c[peak, peak].max()))
     return math.sqrt(best)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -232,6 +233,52 @@ def check_simplex_dominance(seed: int, fast: bool) -> None:
         y = rng.dirichlet(np.ones(n), size=1000)
         vals = np.einsum("ki,ij,kj->k", y, c, y)
         assert float(vals.max()) <= best + 1e-9, "random simplex point beat the solver"
+
+
+def _planted_clique(rng: np.random.Generator, n: int) -> np.ndarray:
+    """0/1 adjacency of G(n, 1/2) with a clique planted on a random vertex subset."""
+    adj = np.triu(rng.random((n, n)) < 0.5, 1)
+    members = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+    adj[np.ix_(members, members)] = True
+    adj = np.triu(adj, 1)
+    return (adj | adj.T).astype(float)
+
+
+def _clique_number(adj: np.ndarray) -> int:
+    n = adj.shape[0]
+    return max(
+        r
+        for r in range(1, n + 1)
+        for s in combinations(range(n), r)
+        if all(adj[i, j] for i, j in combinations(s, 2))
+    )
+
+
+def check_kkt_certificate(seed: int, fast: bool) -> None:
+    """Re-check the exact maximizer's first-order optimality from scratch.
+
+    At a maximizer y of y^t C y on the simplex the multipliers
+    mu_i = y^t C y - (Cy)_i are nonnegative and vanish wherever y_i > 0
+    (complementary slackness, y_i mu_i = 0).  On graphs the maximum is
+    1 - 1/omega (Motzkin-Straus), with omega found by brute force.
+    """
+    rng = rng_from_seed(seed)
+    cases = []
+    for _ in range(5 if fast else 20):
+        c = np.abs(random_hermitian(rng, int(rng.integers(1, 9)))) ** 2
+        cases.append((c, None))
+        adj = _planted_clique(rng, int(rng.integers(2, 9)))
+        cases.append((adj, 1.0 - 1.0 / _clique_number(adj)))
+    for c, motzkin_straus in cases:
+        y = schurnorm.simplex_qp_max(c).maximizer
+        grad = c @ y
+        value = float(y @ grad)
+        mu = value - grad
+        tol = 1e-9 * max(1.0, float(np.max(c)))
+        assert np.all(mu >= -tol), "a vertex direction improves the maximizer"
+        assert np.all(np.abs(y * mu) <= tol), "complementary slackness fails"
+        if motzkin_straus is not None:
+            assert abs(value - motzkin_straus) <= tol, "graph maximum is not 1 - 1/omega"
 
 
 def check_nielsen_kempe_ensembles(seed: int, fast: bool) -> None:
@@ -463,6 +510,7 @@ CHECKS: list[tuple[str, Callable[[int, bool], None]]] = [
     ("schurnorm.oracle_matches_exact", check_oracle_matches_exact),
     ("schurnorm.duality_sampled", check_duality_sampled),
     ("schurnorm.simplex_dominance", check_simplex_dominance),
+    ("schurnorm.kkt_certificate", check_kkt_certificate),
     ("schurnorm.nielsen_kempe_ensembles", check_nielsen_kempe_ensembles),
     ("schurnorm.ds_schur_majorization", check_ds_schur_majorization),
     ("extremal.tau_construction", check_tau_construction),

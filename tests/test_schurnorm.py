@@ -1,5 +1,6 @@
 """Schur-map norm tests: simplex QP, closed forms, oracle, majorization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,98 @@ def test_simplex_qp_validation():
         schurnorm.simplex_qp_max(-np.eye(2))  # negative entries
     with pytest.raises(ValueError):
         schurnorm.simplex_qp_max(np.eye(17))  # over the exact-solver cap
+    for c in ([[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="C must be finite"):
+            schurnorm.simplex_qp_max(np.array(c))
+    with pytest.raises(ValueError, match="C must be non-empty"):
+        schurnorm.simplex_qp_max(np.zeros((0, 0)))
+
+
+def _reference_simplex_qp_max(c):
+    """The per-support loop the stacked solver replaced: value and support."""
+    n = c.shape[0]
+    best = None
+    scale = max(1.0, float(np.max(c)))
+    for support in sorted(
+        s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)
+    ):
+        cs = c[np.ix_(support, support)]
+        ones = np.ones(len(support))
+        try:
+            z = np.linalg.solve(cs, ones)
+        except np.linalg.LinAlgError:
+            z = np.linalg.pinv(cs) @ ones
+        total = z.sum()
+        if abs(total) < 1e-14:
+            continue
+        ys = z / total
+        if np.any(ys < -1e-12):
+            continue
+        ys = np.clip(ys, 0.0, None)
+        ys /= ys.sum()
+        y = np.zeros(n)
+        y[list(support)] = ys
+        value = float(y @ c @ y)
+        if best is None or value > best[0] + 1e-12 * scale:
+            best = (value, support)
+    return best
+
+
+def _adjacency(rng, n, p):
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    return (adj | adj.T).astype(float)
+
+
+def _clique_number(adj):
+    n = adj.shape[0]
+    return max(
+        r
+        for r in range(1, n + 1)
+        for s in itertools.combinations(range(n), r)
+        if all(adj[i, j] for i, j in itertools.combinations(s, 2))
+    )
+
+
+def test_simplex_qp_matches_reference_loop():
+    rng = rng_from_seed(61)
+    corpus = []
+    for n in range(1, 11):
+        c = np.abs(random_hermitian(rng, n)) ** 2
+        corpus.append(c)
+        # 0/1 adjacency matrices have many singular faces
+        corpus.append(_adjacency(rng, n, 0.3) + np.eye(n))
+        corpus.append(_adjacency(rng, n, 0.7))
+    # exact ties across sizes go to the lexicographically smallest support
+    corpus += [np.ones((4, 4)), np.eye(5), np.ones((7, 7)), np.eye(9)]
+    tie = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.5], [0.0, 1.5, 0.5]])
+    corpus.append(tie)  # vertex (0,) and the later face (1, 2) both reach 1
+    for c in corpus:
+        if not c.any():
+            continue  # the loop has no feasible face on C = 0
+        want_value, want_support = _reference_simplex_qp_max(c)
+        got = schurnorm.simplex_qp_max(c)
+        assert got.support == want_support
+        assert abs(got.value - want_value) <= 1e-12 * max(1.0, float(np.max(c)))
+    assert schurnorm.simplex_qp_max(tie).support == (0,)
+
+
+def test_simplex_qp_zero_matrix_is_vertex():
+    res = schurnorm.simplex_qp_max(np.zeros((3, 3)))
+    assert res.value == 0.0
+    assert res.support == (0,)
+    assert res.maximizer.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_simplex_qp_motzkin_straus():
+    # [DERIVED] max y^t A y over the simplex is 1 - 1/omega for a graph A
+    rng = rng_from_seed(67)
+    for _ in range(12):
+        n = int(rng.integers(2, 10))
+        adj = _adjacency(rng, n, rng.uniform(0.2, 0.8))
+        if not adj.any():
+            continue
+        want = 1.0 - 1.0 / _clique_number(adj)
+        assert schurnorm.simplex_qp_max(adj).value == pytest.approx(want, abs=1e-12)
 
 
 def test_simplex_qp_result_invariants():
@@ -103,6 +196,85 @@ def test_oracle_known_values():
     assert schurnorm.oracle_two_inf_norm(np.eye(4), seed=1) == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def _reference_oracle(b, restarts, seed):
+    """The per-restart loop the batched ascent replaced."""
+    b = (b + b.conj().T) / 2
+    n = b.shape[0]
+    c = np.abs(b) ** 2
+    rng = rng_from_seed(seed)
+    best = 0.0
+    for _ in range(restarts):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = np.abs(x) ** 2
+        y /= y.sum()
+        value = float(y @ c @ y)
+        for _ in range(5000):
+            g = c @ y
+            if value <= 0:
+                break
+            y_new = y * g / value
+            s = y_new.sum()
+            if s <= 0:
+                break
+            y_new /= s
+            new_value = float(y_new @ c @ y_new)
+            if new_value <= value + 1e-16:
+                y = y_new
+                value = max(value, new_value)
+                break
+            y, value = y_new, new_value
+        vertex = float(c[np.argmax(y), np.argmax(y)])
+        best = max(best, value, vertex)
+    return math.sqrt(best)
+
+
+def test_oracle_matches_per_restart_loop():
+    rng = rng_from_seed(71)
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        b = random_hermitian(rng, n)
+        restarts = int(rng.integers(1, 100))
+        seed = int(rng.integers(2**31))
+        want = _reference_oracle(b, restarts, seed)
+        got = schurnorm.oracle_two_inf_norm(b, restarts=restarts, seed=seed)
+        assert abs(got - want) <= 1e-12 * want
+
+
+class _DrawRecorder:
+    """Stands in for the oracle's generator and records every draw's shape."""
+
+    def __init__(self, seed):
+        self.rng = rng_from_seed(seed)
+        self.shapes = []
+
+    def standard_normal(self, size):
+        self.shapes.append(size)
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("steps", [3, schurnorm.ASCENT_STEPS])
+def test_oracle_independent_of_restart_block(monkeypatch, steps):
+    # cut short, the ascent ends off its fixed points, where the value
+    # moves with the last bit of every step; a zero diagonal keeps the
+    # vertices from deciding the maximum
+    monkeypatch.setattr(schurnorm, "ASCENT_STEPS", steps)
+    rng = rng_from_seed(73)
+    for n in (3, 8, 24):
+        b = random_hermitian(rng, n)
+        np.fill_diagonal(b, 0.0)
+        results = {}
+        for block in (1, 7, 64):
+            recorder = _DrawRecorder(5)
+            monkeypatch.setattr(schurnorm, "rng_from_seed", lambda seed: recorder)
+            monkeypatch.setattr(schurnorm, "RESTART_BLOCK", block)
+            value = schurnorm.oracle_two_inf_norm(b, restarts=70)
+            # the draws, and so the arrays, are bounded by the block
+            assert max(shape[0] for shape in recorder.shapes) == min(block, 70)
+            assert sum(shape[0] for shape in recorder.shapes) == 70
+            results[block] = (value, recorder.rng.bit_generator.state)
+        assert results[1] == results[7] == results[64]
 
 
 def test_duality_sampled_never_exceeds_norm():
