@@ -6,11 +6,22 @@ the rest of matrix space.  With the critical scale
 ``mu = (1/a) sqrt(1 - a^2/d2)`` it is exactly positive on the radius-a ball
 cone, and on a designed input it attains the all-matrices norm bound
 ``sqrt(2/a^2 - 1/d2)``.
+
+``ball_positivity_check`` decides its inputs in stacks, not one at a time:
+the directed probes one binding direction (``2 * PROBE_STEPS`` inputs) at a
+time, then the seeded draws in blocks of at most ``SAMPLE_BLOCK``.  Each
+stack costs one matrix product (``apply_map``) and one stacked eigensolve
+(``is_psd``, whose rule is applied to every input of the stack), and the
+test stops at the first stack holding a failing input.  The draws are the
+same, in the same order, whatever the block size, and memory stays
+O(``SAMPLE_BLOCK`` * d2^2) for any number of samples.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -28,10 +39,13 @@ from .matcore import (
     tilde_apply,
     tracelessify_offdiag,
 )
-from .sampling import random_unit_hermitian, rng_from_seed
+from .sampling import random_unit_hermitians, rng_from_seed
 
 #: Points per binding direction in the directed-probe grid.
 PROBE_STEPS = 201
+
+#: Most draws the ball-positivity test holds at once.
+SAMPLE_BLOCK = 256
 
 #: PSD tolerance of the ball-positivity test (looser than ``PSD_TOL``).
 BALL_PSD_TOL = 1e-9
@@ -138,24 +152,26 @@ def achieved_ratio(phi: MapOnMatrices, y) -> float:
     return operator_norm(apply_map(phi, y)) / norm_in
 
 
-def _directed_probes(a: float, d2: int) -> list[np.ndarray]:
+def _directed_probes(a: float, d2: int) -> Iterator[np.ndarray]:
     """Deterministic boundary probes of the radius-a Hermitian sphere.
 
     Mixes a trace component into the binding traceless directions; the
-    worst case for the critical map lies on this family.
+    worst case for the critical map lies on this family.  Yields one
+    ``(2 * PROBE_STEPS, d2, d2)`` stack per direction: for each trace weight
+    c in ``linspace(-a, a, PROBE_STEPS)``, the probes
+    ``c I/sqrt(d2) + t zhat`` and ``c I/sqrt(d2) - t zhat``, t = sqrt(a^2 - c^2).
     """
     directions = [z_pattern(d2)]
     if d2 >= 4:
         directions.append(x_pattern(d2))
         directions.append((directions[0] + directions[1]) / math.sqrt(2.0))
+    c = np.linspace(-a, a, PROBE_STEPS)
+    t = np.sqrt(np.maximum(a * a - c * c, 0.0))
     eye = np.eye(d2, dtype=complex)
-    probes = []
+    trace_part = np.repeat(c / math.sqrt(d2), 2)[:, None, None] * eye
+    signed_t = np.stack([t, -t], axis=1).reshape(-1, 1, 1)
     for zhat in directions:
-        for c in np.linspace(-a, a, PROBE_STEPS):
-            t = math.sqrt(max(a * a - c * c, 0.0))
-            probes.append(c / math.sqrt(d2) * eye + t * zhat)
-            probes.append(c / math.sqrt(d2) * eye - t * zhat)
-    return probes
+        yield trace_part + signed_t * zhat
 
 
 def ball_positivity_check(
@@ -166,21 +182,30 @@ def ball_positivity_check(
 ) -> bool:
     """Probabilistic ball-positivity test: phi(I + Delta) PSD on the sphere.
 
-    Draws ``samples`` seeded Hermitian Delta uniformly on the radius-a
-    Frobenius sphere (the worst case is on the boundary by homogeneity) and
-    adds a deterministic grid of directed probes along the binding
-    directions.  A sound falsifier, probabilistic verifier.
+    Tests a deterministic grid of directed probes along the binding
+    directions, then draws ``samples`` seeded Hermitian Delta uniformly on
+    the radius-a Frobenius sphere (the worst case is on the boundary by
+    homogeneity), ``SAMPLE_BLOCK`` at a time.  A sound falsifier,
+    probabilistic verifier.  ``a`` must lie in (0, 1], the domain of
+    ``critical_mu``, and ``samples`` must be a nonnegative integer.
     """
+    if not (isinstance(samples, numbers.Integral) and samples >= 0):
+        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
+    if not 0 < a <= 1:
+        raise ValueError("need 0 < a <= 1")
     if not phi.is_stochastic():
         raise ValueError("phi must be stochastic")
     d2 = phi.in_dim
     eye = np.eye(d2)
     rng = rng_from_seed(seed)
-    # each draw is tested as it is made, so no list of samples is kept
-    draws = (a * random_unit_hermitian(rng, d2) for _ in range(samples))
+    # a block is drawn only when the stacks before it have passed
+    draws = (
+        a * random_unit_hermitians(rng, min(SAMPLE_BLOCK, samples - start), d2)
+        for start in range(0, samples, SAMPLE_BLOCK)
+    )
     return all(
-        is_psd(apply_map(phi, eye + delta), BALL_PSD_TOL)
-        for delta in chain(_directed_probes(a, d2), draws)
+        is_psd(apply_map(phi, eye + deltas), BALL_PSD_TOL)
+        for deltas in chain(_directed_probes(a, d2), draws)
     )
 
 

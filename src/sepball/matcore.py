@@ -116,19 +116,24 @@ def trace_norm(m: np.ndarray) -> float:
 def eig_hermitian(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted decreasing.
 
-    Only the lower triangle is read.  Raises ``numpy.linalg.LinAlgError`` on
+    A stack ``(..., d, d)`` gives one row of eigenvalues per matrix.  Only
+    the lower triangle is read.  Raises ``numpy.linalg.LinAlgError`` on
     convergence failure (never silently returns garbage).
     """
-    return np.linalg.eigvalsh(h)[::-1].copy()
+    return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
 def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff lambda_min(H) >= -tol * max(1, ||H||_inf)."""
+    """True iff lambda_min(H) >= -tol * max(1, ||H||_inf).
+
+    On a stack ``(..., d, d)`` the rule is applied to each matrix, and the
+    answer is True iff every one of them passes.
+    """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     w = eig_hermitian(h)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return bool(w[-1] >= -tol * scale)
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
+    return bool(np.all(w[..., -1] >= -tol * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +250,13 @@ def identity_map(d: int) -> MapOnMatrices:
 
 
 def apply_map(phi: MapOnMatrices, x: np.ndarray) -> np.ndarray:
-    """Sum_ij X_ij phi(E_ij)."""
-    return np.einsum("ij,ijkl->kl", x, phi.images)
+    """Sum_ij X_ij phi(E_ij), for one X or for each X of a stack ``(..., d, d)``.
+
+    One matrix product of the flattened inputs with the flattened images.
+    """
+    d_in, d_out = phi.in_dim, phi.out_dim
+    flat = x.reshape(-1, d_in * d_in) @ phi.images.reshape(d_in * d_in, d_out * d_out)
+    return flat.reshape(x.shape[:-2] + (d_out, d_out))
 
 
 def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:

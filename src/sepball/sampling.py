@@ -21,21 +21,30 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform direction on the Frobenius unit sphere of Hermitian matrices."""
-    h = random_hermitian(rng, d)
-    return h / np.linalg.norm(h)
+def random_unit_hermitians(
+    rng: np.random.Generator, k: int, d: int, traceless: bool = False
+) -> np.ndarray:
+    """``k`` uniform directions on the Frobenius unit sphere of Hermitian
+    matrices, stacked as a ``(k, d, d)`` array.
+
+    Gaussian on an orthonormal Hermitian basis, then normalized; the measure
+    is rotation invariant.  With ``traceless`` each draw is projected to
+    trace zero before it is normalized.  The stack reads the generator's
+    stream exactly as ``k`` calls of ``random_hermitian`` do (real part, then
+    imaginary part, per draw), so drawing in blocks of any size gives the
+    same draws in the same order.
+    """
+    g = rng.standard_normal((k, 2, d, d))
+    a = g[:, 0] + 1j * g[:, 1]
+    h = (a + a.conj().transpose(0, 2, 1)) / 2
+    if traceless:
+        h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / d * np.eye(d)
+    return h / np.linalg.norm(h, axis=(1, 2), keepdims=True)
 
 
 def random_traceless_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform direction on the unit sphere of traceless Hermitian matrices.
-
-    Gaussian on an orthonormal Hermitian basis, projected to traceless,
-    then normalized; the resulting measure is rotation invariant.
-    """
-    h = random_hermitian(rng, d)
-    h -= np.trace(h).real / d * np.eye(d)
-    return h / np.linalg.norm(h)
+    """Uniform direction on the unit sphere of traceless Hermitian matrices."""
+    return random_unit_hermitians(rng, 1, d, traceless=True)[0]
 
 
 def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -56,6 +56,10 @@ def test_is_psd_tolerance_scaling():
     assert not matcore.is_psd(np.diag([1.0, -1e-6]))
     # relative scaling: a tiny negative eigenvalue next to a huge one passes
     assert matcore.is_psd(np.diag([1e12, -1e-2]))
+    # on a stack the scale is each matrix's own, and every matrix must pass
+    assert matcore.is_psd(np.stack([np.diag([1.0, 0.0]), np.diag([1e12, -1e-2])]))
+    assert not matcore.is_psd(np.stack([np.diag([1e12, 0.0]), np.diag([1.0, -1e-2])]))
+    assert not matcore.is_psd(np.stack([np.diag([1.0, -1e-6]), np.eye(2)]))
 
 
 def test_kron_cap():
@@ -132,6 +136,11 @@ def test_map_on_matrices_identity():
     rng = rng_from_seed(5)
     x = random_hermitian(rng, 3)
     assert np.allclose(matcore.apply_map(phi, x), x, atol=1e-15)
+    # a stack of inputs gives the stack of their images
+    stack = np.stack([x, 2 * x, random_hermitian(rng, 3)])
+    images = matcore.apply_map(phi, stack)
+    assert images.shape == (3, 3, 3)
+    assert np.allclose(images, stack, atol=1e-15)
 
 
 def test_tilde_apply_blockwise():
