@@ -130,13 +130,13 @@ def worst_case_input(a: float, d2: int) -> np.ndarray:
     """Unit-Frobenius input on which tau attains the all-matrices bound.
 
     ``Y = (alpha/sqrt(d2)) I + (beta/sqrt2)(X + iZ)`` with the weights set by
-    ``gamma' = (1/a) sqrt(2 (1 - a^2/d2))``.
+    ``lambda = (1/a) sqrt(2 (1 - a^2/d2))`` (``ballbounds.lambda_bound``).
     """
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
-    gp = math.sqrt(2.0 * (1.0 - a * a / d2)) / a
-    alpha = math.sqrt(1.0 / (1.0 + gp * gp * d2))
-    beta = math.sqrt(gp * gp * d2 / (1.0 + gp * gp * d2))
+    lam = ballbounds.lambda_bound(a, d2)
+    alpha = math.sqrt(1.0 / (1.0 + lam * lam * d2))
+    beta = math.sqrt(lam * lam * d2 / (1.0 + lam * lam * d2))
     return (
         alpha / math.sqrt(d2) * np.eye(d2, dtype=complex)
         + beta / math.sqrt(2.0) * (x_pattern(d2) + 1j * z_pattern(d2))

@@ -2,33 +2,66 @@
 
 The separable hull and the maximally-entangled hull both have coefficient of
 symmetry 1/(d-1); the witnesses below make that constructive by exhibiting
-the reflected extreme point as an explicit convex combination.
+the reflected extreme point as an explicit convex combination.  Every
+witness state is pure, so a witness stores one unit vector per state, in
+O(k*d) memory for k states of dimension d; the dense projectors are built
+only on request.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_dims, check_materializable, kron_all
+from .matcore import (
+    MATERIALIZATION_CAP,
+    MaterializationError,
+    check_dims,
+    check_materializable,
+    kron_all,
+)
 
 
 @dataclass(frozen=True)
 class ConvexWitness:
-    """Explicit convex decomposition: sum_i weights[i] * states[i] = target."""
+    """Explicit convex decomposition of ``target`` into pure states.
+
+    ``vectors`` is a ``(k, d)`` array of unit vectors v_i, and
+    ``sum_i weights[i] |v_i><v_i| = target``.
+    """
 
     weights: np.ndarray
-    states: list[np.ndarray]
+    vectors: np.ndarray
     target: np.ndarray
 
+    @property
+    def states(self) -> np.ndarray:
+        """The ``(k, d, d)`` stack of projectors |v_i><v_i|, built on request.
+
+        Raises ``MaterializationError`` when the stack would hold more entries
+        than one matrix at the materialization cap.
+        """
+        k, d = self.vectors.shape
+        if k * d * d > MATERIALIZATION_CAP**2:
+            raise MaterializationError(
+                f"{k} states of dimension {d} exceed {MATERIALIZATION_CAP}^2 entries; "
+                "use the vectors instead"
+            )
+        return self.vectors[:, :, None] * self.vectors[:, None, :].conj()
+
     def reconstruction_error(self) -> float:
-        acc = sum(w * s for w, s in zip(self.weights, self.states))
+        v = self.vectors
+        acc = (v.T * self.weights) @ v.conj()
         return float(np.max(np.abs(acc - self.target)))
+
+
+def _reflection_witness(pi: np.ndarray, vectors: np.ndarray) -> ConvexWitness:
+    """Witness of (I - pi)/(d-1) with equal weights over the d-1 rows of ``vectors``."""
+    d = pi.shape[0]
+    return ConvexWitness(np.full(d - 1, 1.0 / (d - 1)), vectors, (np.eye(d) - pi) / (d - 1))
 
 
 def complete_local_basis(v: np.ndarray) -> np.ndarray:
@@ -54,8 +87,7 @@ def complete_local_basis(v: np.ndarray) -> np.ndarray:
 
 def sep_symmetry_coefficient(d: int) -> float:
     """Coefficient of symmetry of the separable hull: 1/(d-1)."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    (d,) = check_dims((d,))
     return 1.0 / (d - 1)
 
 
@@ -71,25 +103,14 @@ def sep_symmetry_witness(
     dims = check_dims(dims)
     if len(local_vectors) != len(dims):
         raise ValueError("need one local vector per party")
-    d = math.prod(dims)
-    check_materializable(d)
-    bases = [complete_local_basis(np.asarray(v, dtype=complex)) for v in local_vectors]
-    for b, dp in zip(bases, dims):
-        if b.shape[0] != dp:
-            raise ValueError("local vector dimension inconsistent with dims")
+    check_materializable(math.prod(dims))
+    bases = [complete_local_basis(v) for v in local_vectors]
+    if tuple(b.shape[0] for b in bases) != dims:
+        raise ValueError("local vector dimension inconsistent with dims")
     pi = kron_all([np.outer(b[:, 0], b[:, 0].conj()) for b in bases])
-    states = []
-    for idx in product(*(range(dp) for dp in dims)):
-        if all(i == 0 for i in idx):
-            continue
-        states.append(
-            kron_all(
-                [np.outer(b[:, i], b[:, i].conj()) for b, i in zip(bases, idx)]
-            )
-        )
-    target = (np.eye(d) - pi) / (d - 1)
-    weights = np.full(len(states), 1.0 / (d - 1))
-    return ConvexWitness(weights, states, target)
+    # column j of the product basis is the product vector of the j-th index
+    # tuple in itertools.product order, so column 0 spans pi
+    return _reflection_witness(pi, kron_all(bases)[:, 1:].T)
 
 
 def john_ball_figures(d: int) -> dict[str, float]:
@@ -100,8 +121,7 @@ def john_ball_figures(d: int) -> dict[str, float]:
     inner_ball_bound = shrink * covering_ball = d^(-3/2), an upper bound on
     what the John route can give (the true covering ellipsoid is not a ball).
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    (d,) = check_dims((d,))
     shrink = math.sqrt(1.0 / (d - 1)) / d
     covering = math.sqrt((d - 1) / d)
     return {
@@ -111,35 +131,25 @@ def john_ball_figures(d: int) -> dict[str, float]:
     }
 
 
-def unitary_basis(n: int) -> list[np.ndarray]:
+def unitary_basis(n: int) -> np.ndarray:
     """Trace-orthogonal unitary basis {P^k S^l} of M(n), with U_0 = I.
 
     P = diag(omega^j) for the principal n-th root of unity, S the cyclic
-    shift.  Satisfies the depolarizing identity
+    shift.  Returned as an ``(n^2, n, n)`` stack whose member k*n + l is
+    P^k S^l: row i holds omega^(k i) at column (i + l) mod n and zeros
+    elsewhere.  Satisfies the depolarizing identity
     ``(1/n) sum_i U_i X U_i† = (tr X) I``.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    omega = cmath.exp(2j * math.pi / n)
-    p = np.diag([omega**j for j in range(n)])
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        s[i, (i + 1) % n] = 1.0
-    basis = []
-    pk = np.eye(n, dtype=complex)
-    for _ in range(n):
-        sl = np.eye(n, dtype=complex)
-        for _ in range(n):
-            basis.append(pk @ sl)
-            sl = sl @ s
-        pk = pk @ p
-    return basis
+    (n,) = check_dims((n,))
+    k, i, l = np.ogrid[:n, :n, :n]
+    basis = np.zeros((n, n, n, n), dtype=complex)
+    basis[k, l, i, (i + l) % n] = np.exp(2j * math.pi * (k * i % n) / n)
+    return basis.reshape(n * n, n, n)
 
 
 def maximally_entangled_projector(n: int) -> np.ndarray:
-    psi = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        psi[i * n + i] = 1.0 / math.sqrt(n)
+    """|psi><psi| for psi = vec(I)/sqrt(n)."""
+    psi = np.eye(n, dtype=complex).ravel() / math.sqrt(n)
     return np.outer(psi, psi.conj())
 
 
@@ -148,18 +158,11 @@ def mes_symmetry_witness(n: int) -> ConvexWitness:
 
     pi is the maximally entangled projector; the states are
     ``(I ⊗ U_i) pi (I ⊗ U_i)†`` for the non-identity members of the unitary
-    basis, each maximally entangled itself.
+    basis, each maximally entangled itself.  Their vectors
+    ``(I ⊗ U_i) vec(I)/sqrt(n)`` are vec(U_i^T)/sqrt(n).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    check_materializable(n * n)
-    pi = maximally_entangled_projector(n)
-    eye_n = np.eye(n, dtype=complex)
-    states = []
-    for u in unitary_basis(n)[1:]:
-        big = np.kron(eye_n, u)
-        states.append(big @ pi @ big.conj().T)
+    (n,) = check_dims((n,))
     d = n * n
-    target = (np.eye(d) - pi) / (d - 1)
-    weights = np.full(len(states), 1.0 / (d - 1))
-    return ConvexWitness(weights, states, target)
+    check_materializable(d)
+    vectors = unitary_basis(n)[1:].transpose(0, 2, 1).reshape(d - 1, d) / math.sqrt(n)
+    return _reflection_witness(maximally_entangled_projector(n), vectors)

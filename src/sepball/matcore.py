@@ -261,8 +261,7 @@ def apply_map(phi: MapOnMatrices, x: np.ndarray) -> np.ndarray:
 
 def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:
     """Apply phi blockwise: the d1 x d1 block matrix of phi(X^(i,j))."""
-    bl = blocks(x, d1, phi.in_dim)
-    out = np.einsum("abij,ijkl->abkl", bl, phi.images)
+    out = apply_map(phi, blocks(x, d1, phi.in_dim))
     d_out = d1 * phi.out_dim
     return out.transpose(0, 2, 1, 3).reshape(d_out, d_out)
 

@@ -8,6 +8,7 @@ so qubit counts far beyond the materialization cap are fine.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -34,16 +35,16 @@ class NmrParams:
     m: int
 
     def __post_init__(self):
-        if not 0 < self.eta:
-            raise ValueError("polarization must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"polarization must be finite and positive, got {self.eta!r}")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
+            raise ValueError(f"need a whole number of qubits >= 1, got {self.m!r}")
         if self.eta > LINEARIZATION_WARN:
             warnings.warn(
                 f"eta = {self.eta} is large; the thermal-state linearization "
                 "is only accurate for eta << 1",
                 stacklevel=2,
             )
-        if self.m < 1:
-            raise ValueError("need at least one qubit")
 
 
 def thermal_state(p: NmrParams) -> np.ndarray:

@@ -54,7 +54,7 @@ def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_density_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     """Wishart-distributed normalized density matrix (full rank)."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = random_complex_matrix(rng, d)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

@@ -216,12 +216,10 @@ def check_duality_sampled(seed: int, fast: bool) -> None:
         n = int(rng.integers(2, 7))
         b = random_hermitian(rng, n)
         norm = schurnorm.schur_two_inf_norm(b)
-        for _ in range(20):
-            x = random_hermitian(rng, n)
-            x /= np.linalg.norm(x)
-            assert operator_norm(b * x) <= norm + 1e-6, (
-                "sampled ratio exceeded the computed norm"
-            )
+        xs = random_unit_hermitians(rng, 20, n)
+        assert np.all(np.linalg.norm(b * xs, 2, axis=(1, 2)) <= norm + 1e-6), (
+            "sampled ratio exceeded the computed norm"
+        )
 
 
 def check_simplex_dominance(seed: int, fast: bool) -> None:
@@ -386,9 +384,7 @@ def check_tilde_ratios_respect_gamma(seed: int, fast: bool) -> None:
         for d1 in (2, 3):
             tau = extremal.build_tau(a, d2, d1)
             g = ballbounds.gamma_bound(d1, d2, a)
-            for _ in range(n):
-                h = random_hermitian(rng, d1 * d2)
-                h /= np.linalg.norm(h)
+            for h in random_unit_hermitians(rng, n, d1 * d2):
                 ratio = operator_norm(tilde_apply(tau, h, d1))
                 assert ratio <= g + 1e-9, "blockwise ratio exceeded gamma"
 

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import sepball
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "sepball"
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
@@ -60,3 +62,18 @@ def test_no_module_reads_another_modules_private_names():
         if (reads := foreign_private_reads(path.read_text()))
     }
     assert found == {}
+
+
+def test_all_matches_the_public_imports():
+    # the validate-once contract covers the names in __all__, which is kept
+    # by hand next to the imports it must list
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if not _private(alias.name)
+    }
+    assert len(sepball.__all__) == len(set(sepball.__all__))
+    assert set(sepball.__all__) == imported

@@ -16,6 +16,25 @@ def test_params_validation():
         nmr.NmrParams(0.01, 0)
     with pytest.warns(UserWarning):
         nmr.NmrParams(0.5, 4)
+    assert nmr.NmrParams(0.05, np.int64(3)).m == 3
+
+
+@pytest.mark.parametrize(
+    "eta, m",
+    [
+        (0.05, 2.5),  # used to give a deviation norm for "2.5 qubits"
+        (0.05, 3.0),
+        (0.05, "3"),
+        (0.05, -1),
+        (math.inf, 3),  # used to pass with only the large-eta warning
+        (-math.inf, 3),
+        (math.nan, 3),
+        (0.0, 3),
+    ],
+)
+def test_params_reject_bad_values(eta, m):
+    with pytest.raises(ValueError):
+        nmr.NmrParams(eta, m)
 
 
 def test_thermal_state_small():
