@@ -7,12 +7,20 @@ Validation happens once, at the public boundary: ``as_matrix`` and
 package (plus the CLI) runs them once per outside argument.  Every other
 function here is a kernel that takes trusted ndarrays and never re-validates;
 ``kron`` still enforces the materialization cap.
+
+Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
+row-major order.  A file laid out as ``save_matrix`` writes it (the dims key
+first, then the entries key, any JSON whitespace between tokens) is read
+with one flat parse of its 2·d² numbers; every other valid JSON layout still
+loads, through the full JSON parser.  Entries must be JSON numbers:
+booleans and integers beyond float range are rejected as malformed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -274,29 +282,119 @@ def matrix_to_json(m, dims: Sequence[int]) -> str:
     """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format."""
     m = as_matrix(m)
     dims, _ = check_matrix_dims(m, dims)
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    entries = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
     return json.dumps({"dims": list(dims), "entries": entries})
 
 
-def matrix_from_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Parse the matrix JSON format; returns (matrix, dims)."""
+_WS = rb"[ \t\n\r]*"
+
+#: The head of ``save_matrix``'s layout, up to the entries array: the dims
+#: key first, holding only digits, commas and whitespace, then the entries key.
+_FLAT_HEAD = re.compile(
+    _WS + rb"\{" + _WS + rb'"dims"' + _WS + rb":" + _WS + rb"(\[[0-9, \t\n\r]*\])"
+    + _WS + rb"," + _WS + rb'"entries"' + _WS + rb":" + _WS
+)
+
+#: What may follow the entries array's closing bracket.
+_FLAT_TAIL = re.compile(_WS + rb"\}" + _WS)
+
+#: Byte kinds in an entries array: 0 refused, 1 whitespace, 2 number byte,
+#: 3 "[", 4 "]", 5 ",".
+_ENTRY_KIND = np.zeros(256, np.uint8)
+_ENTRY_KIND[np.frombuffer(b" \t\n\r", np.uint8)] = 1
+_ENTRY_KIND[np.frombuffer(b"0123456789+-.eE", np.uint8)] = 2
+_ENTRY_KIND[np.frombuffer(b"[],", np.uint8)] = (3, 4, 5)
+
+#: The marks of one pair and the comma after it, "[,],", as kinds.
+_PAIR_MARKS = np.array([3, 5, 4, 5], np.uint8)
+
+#: Byte map that turns brackets into spaces.
+_UNBRACKET = np.arange(256, dtype=np.uint8)
+_UNBRACKET[np.frombuffer(b"[]", np.uint8)] = ord(" ")
+
+
+def _is_pair_array(a: np.ndarray, n: int) -> bool:
+    """True iff the bytes ``a`` are an array of ``n`` pairs ``[x, y]``.
+
+    Only number bytes, JSON whitespace and the marks "[", "]", "," may occur;
+    the marks must read "[[,],[,],…,[,]]" and number bytes may stand only
+    inside a pair.  Whether each number is valid JSON is left to the parser.
+    """
+    kind = _ENTRY_KIND[a]
+    if not (kind.all() and kind[0] == 3 and kind[-1] == 4):
+        return False
+    at = np.flatnonzero(kind >= 3)
+    marks = kind[at]
+    if marks.size != 4 * n + 1 or not np.array_equal(marks[1:-1], np.tile(_PAIR_MARKS, n)[:-1]):
+        return False
+    # does the stretch from each mark up to the next hold a number byte?
+    numbers = np.logical_or.reduceat(kind == 2, at)
+    # stretches from the outer "[", from a pair's "]" and from the comma after it
+    return not (numbers[0] or numbers[3::4].any() or numbers[4::4].any())
+
+
+def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
+    """(matrix, dims) of a file in ``save_matrix``'s layout, else None.
+
+    The entries array is checked by ``_is_pair_array`` and then parsed as
+    one flat JSON list of numbers, its inner brackets turned into spaces.
+    None leaves the file to ``_read_json``, which decides what else is
+    accepted and which error is raised.
+    """
+    head = _FLAT_HEAD.match(data)
+    end = data.rfind(b"]") + 1
+    if head is None or end <= head.end() or _FLAT_TAIL.fullmatch(data, end) is None:
+        return None
+    try:
+        dims = check_dims(json.loads(head[1]))
+    except ValueError:
+        return None
+    d = math.prod(dims)
+    a = np.frombuffer(data, np.uint8)[head.end():end]
+    if not _is_pair_array(a, d * d):
+        return None
+    flat = _UNBRACKET[a]
+    flat[0], flat[-1] = a[0], a[-1]
+    text = str(flat, "ascii")
+    del flat  # one copy of the file less while the parser builds its list
+    try:
+        values = np.array(json.loads(text), dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return values.view(np.complex128).reshape(d, d), dims
+
+
+def _read_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Read any JSON layout of the matrix format with one ``json.loads``."""
     obj = json.loads(text)
     # a missing key surfaces as KeyError, wrong JSON types as TypeError from
-    # indexing, int(), len() or complex()
+    # indexing, int(), len() or complex(), an integer beyond float range as
+    # OverflowError from complex()
     try:
         dims = check_dims(obj["dims"])
         d = math.prod(dims)
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (KeyError, TypeError) as exc:
+        flat = np.array([complex(x, y) for x, y in entries])
+        # complex() takes booleans as 1 and 0
+        if any(type(x) is bool for pair in entries for x in pair):
+            raise TypeError("entries must be JSON numbers, not booleans")
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file: {exc}") from exc
     return flat.reshape(d, d), dims
 
 
+def matrix_from_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Parse the matrix JSON format; returns (matrix, dims)."""
+    found = _read_flat(text.encode("ascii")) if isinstance(text, str) and text.isascii() else None
+    return found if found is not None else _read_json(text)
+
+
 def load_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
-    return matrix_from_json(Path(path).read_text())
+    data = Path(path).read_bytes()
+    found = _read_flat(data)
+    return found if found is not None else _read_json(data.decode("utf-8"))
 
 
 def save_matrix(path, m, dims: Sequence[int]) -> None:

@@ -116,6 +116,11 @@ MALFORMED_MATRIX_FILES = [
     '{"dims": [2], "entries": [1.0, 0.0, 0.0, 1.0]}',
     '{"dims": [2], "entries": [["0.5", 0], [0, 0], [0, 0], [0.5, 0]]}',
     '[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]',
+    # JSON booleans are not numbers: this was read as the identity on 2 qubits
+    '{"dims": [2, 2], "entries": ['
+    + ", ".join("[true, false]" if i % 5 == 0 else "[false, false]" for i in range(16)) + "]}",
+    # an integer beyond float range
+    '{"dims": [2], "entries": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0.5, 0]]}',
 ]
 
 

@@ -1,7 +1,9 @@
 """Matrix-core tests: norms, tensor structure, maps, serialization."""
 
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,3 +169,203 @@ def test_matrix_json_rejects_wrong_entry_count():
     for text in ('{"dims": [2]}', '{"entries": [[1.0, 0.0]]}'):
         with pytest.raises(ValueError, match="malformed matrix file"):
             matcore.matrix_from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# Matrix file reader and writer against the per-entry reference versions
+# ---------------------------------------------------------------------------
+
+def _reference_matrix_to_json(m, dims) -> str:
+    """The writer as one comprehension over the entries."""
+    m = matcore.as_matrix(m)
+    dims, _ = matcore.check_matrix_dims(m, dims)
+    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    return json.dumps({"dims": list(dims), "entries": entries})
+
+
+def _reference_matrix_from_json(text: str):
+    """The reader as one json.loads and one complex() per entry."""
+    obj = json.loads(text)
+    try:
+        dims = matcore.check_dims(obj["dims"])
+        d = math.prod(dims)
+        entries = obj["entries"]
+        if len(entries) != d * d:
+            raise ValueError(f"expected {d * d} entries, got {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed matrix file: {exc}") from exc
+    return flat.reshape(d, d), dims
+
+
+def _random_matrix(seed: int, d: int) -> np.ndarray:
+    rng = rng_from_seed(seed)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _entries_text(entries: list[str], dims: str = "[2]") -> str:
+    """A file in the writer's layout with the given entry texts."""
+    return '{"dims": ' + dims + ', "entries": [' + ", ".join(entries) + "]}"
+
+
+#: One two-by-two file per entry text: the other three entries are fixed.
+ENTRY_TEXTS = ["[NaN, 0]", "[Infinity, -Infinity]", "[1, 0]", "[-0, 0]", "[1e3, -2E-3]",
+               "[1.5e+2, 0]", "[-0.0, -0.0]", "[1e400, 0]", "[9007199254740993, 0]",
+               "[123456789012345678901234567890, 0]", "[+1, 0]", "[01, 0]", "[1., 0]",
+               "[.5, 0]", "[-, 0]", "[1e, 0]", "[0x1, 0]", "[1 2, 0]", "[\"0.5\", 0]",
+               "[null, 0]", "[[1, 0], 0]", "[1, 0, 0]", "[1]", "[]", "1"]
+
+
+def _reader_corpus() -> dict[str, bytes]:
+    corpus = {}
+    for dims in [(2,), (3,), (2, 2, 2), (2,) * 6]:
+        d = math.prod(dims)
+        m = _random_matrix(d, d)
+        m[0, 0] = -0.0
+        m[-1, -1] = 3.0
+        corpus[f"saved{dims}"] = matcore.matrix_to_json(m, dims).encode()
+    m = _random_matrix(3, 4)
+    obj = json.loads(matcore.matrix_to_json(m, (2, 2)))
+    corpus["indent1"] = json.dumps(obj, indent=1).encode()
+    corpus["tabs"] = json.dumps(obj, indent="\t").encode()
+    corpus["crlf"] = json.dumps(obj, indent=2).replace("\n", "\r\n").encode()
+    corpus["no_spaces"] = json.dumps(obj, separators=(",", ":")).encode()
+    corpus["keys_reordered"] = json.dumps({"entries": obj["entries"], "dims": [2, 2]}).encode()
+    corpus["extra_key"] = json.dumps({**obj, "note": "x"}).encode()
+    corpus["extra_key_first"] = json.dumps({"note": "x", **obj}).encode()
+    corpus["string_with_entries"] = json.dumps(
+        {"dims": [2, 2], "note": '"entries": [[', "entries": obj["entries"]}).encode()
+    corpus["string_after_entries"] = json.dumps({**obj, "note": '"entries": [[1, 2]]'}).encode()
+    corpus["dims_twice"] = (json.dumps(obj)[:-1] + ', "dims": [4]}').encode()
+    corpus["dims_float"] = json.dumps({"dims": [2.0, 2], "entries": obj["entries"]}).encode()
+    for dims in ["[2, 1]", "[]", "[02]", "[2,]", "[4]", "[2.5]", "[true]", "[99999999999]"]:
+        corpus[f"dims{dims}"] = _entries_text(["[1, 0]", "[0, 0]", "[0, 0]", "[1, 0]"],
+                                              dims).encode()
+    for i, entry in enumerate(ENTRY_TEXTS):
+        corpus[f"entry{i}:{entry}"] = _entries_text([entry, "[0, 0]", "[0, 0]", "[1, 0]"]).encode()
+    good = ["[0.5, 0]", "[0, 0]", "[0, 0]", "[0.5, 0]"]
+    corpus["good"] = _entries_text(good).encode()
+    corpus["wrong_count"] = _entries_text(good[:3]).encode()
+    corpus["too_many"] = _entries_text(good + ["[0, 0]"]).encode()
+    corpus["flat_list"] = b'{"dims": [2], "entries": [0.5, 0, 0, 0, 0, 0, 0.5, 0]}'
+    corpus["triple_nesting"] = _entries_text(["[" + e + "]" for e in good]).encode()
+    corpus["empty_entries"] = b'{"dims": [2], "entries": []}'
+    corpus["entries_object"] = b'{"dims": [2], "entries": {"a": 1}}'
+    # numbers outside a pair, with a pair left short so the count still fits
+    corpus["number_before_pair"] = b'{"dims": [2], "entries": [0.5[, 0], [0, 0], [0, 0], [0.5, 0]]}'
+    corpus["number_after_pair"] = b'{"dims": [2], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, ]0]}'
+    corpus["number_before_later_pair"] = b'{"dims": [2], "entries": [[0.5, 0], 0[, 0], [0, 0], [0.5, 0]]}'
+    corpus["number_between_pairs"] = b'{"dims": [2], "entries": [[0.5, 0], [0, ] 0, [0, 0], [0.5, 0]]}'
+    corpus["number_before_close"] = b'{"dims": [2], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, ] 0]}'
+    # as many marks as the writer's layout, in another order
+    corpus["comma_before_close"] = b'{"dims": [2], "entries": [[0.5, 0, ][0, 0, ][0, 0, ][0.5, 0]]}'
+    corpus["missing_comma"] = b'{"dims": [2], "entries": [[0.5, 0] [0, 0], [0, 0], [0.5, 0]]}'
+    corpus["number_before_array"] = b'{"dims": [2], "entries": 1[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}'
+    text = _entries_text(good).encode()
+    corpus["trailing_text"] = text + b" x"
+    corpus["trailing_bracket"] = text + b"]"
+    corpus["trailing_whitespace"] = b" \n" + text + b"\r\n\t "
+    corpus["truncated"] = text[:-1]
+    corpus["bom"] = b"\xef\xbb\xbf" + text
+    corpus["invalid_utf8"] = text.replace(b'"dims"', b'"d\xffms"')
+    corpus["invalid_utf8_in_string"] = text[:-1] + b', "note": "\xff"}'
+    corpus["not_json"] = b"not json at all"
+    corpus["empty_file"] = b""
+    # test ids of word characters only
+    named = {re.sub(r"\W+", "_", name).strip("_"): data for name, data in corpus.items()}
+    assert len(named) == len(corpus)
+    return named
+
+
+READER_CORPUS = _reader_corpus()
+
+
+def _read(reader, arg):
+    """(matrix, dims) of a reader, or the class of the error it raised."""
+    try:
+        return reader(arg)
+    except ValueError:
+        return ValueError
+
+
+def _assert_same_read(got, want):
+    if want is ValueError or got is ValueError:
+        assert got is want
+        return
+    (m, dims), (ref, ref_dims) = got, want
+    assert dims == ref_dims
+    assert m.dtype == ref.dtype == np.complex128 and m.shape == ref.shape
+    assert np.array_equal(m.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", list(READER_CORPUS))
+def test_reader_matches_reference(tmp_path, name):
+    data = READER_CORPUS[name]
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    want = _read(lambda p: _reference_matrix_from_json(p.read_text()), path)
+    _assert_same_read(_read(matcore.load_matrix, path), want)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return
+    _assert_same_read(_read(matcore.matrix_from_json, text), want)
+
+
+def test_reader_corpus_takes_both_paths():
+    # the writer's layout and its whitespace variants take the flat parse,
+    # every other layout the full JSON reader
+    flat = {name for name, data in READER_CORPUS.items() if matcore._read_flat(data) is not None}
+    assert {"saved_2_2_2", "indent1", "tabs", "crlf", "no_spaces", "good",
+            "trailing_whitespace"} <= flat
+    assert not flat & {"keys_reordered", "extra_key", "string_with_entries", "dims_float",
+                       "entry0_NaN_0", "entry10_1_0", "bom"}
+
+
+@pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]"],
+                         ids=["true_false", "one_true", "false_zero"])
+@pytest.mark.parametrize("indent", [None, 1])
+def test_reader_rejects_booleans(entry, indent):
+    text = _entries_text([entry, "[0, 0]", "[0, 0]", "[1, 0]"])
+    if indent is not None:
+        text = json.dumps(json.loads(text), indent=indent)
+    with pytest.raises(ValueError, match="malformed matrix file"):
+        matcore.matrix_from_json(text)
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_reader_rejects_integers_beyond_float_range(tmp_path, indent):
+    text = _entries_text(["[1" + "0" * 400 + ", 0]", "[0, 0]", "[0, 0]", "[1, 0]"])
+    if indent is not None:
+        text = json.dumps(json.loads(text), indent=indent)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    for reader, arg in [(matcore.matrix_from_json, text), (matcore.load_matrix, path)]:
+        with pytest.raises(ValueError, match="malformed matrix file"):
+            reader(arg)
+
+
+def _writer_inputs() -> list[np.ndarray]:
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([[-0.0, 0.0], [5e-324, -1e308], [1e308, 2.0], [-3.0, 1e-310],
+                        [tiny * 7, -0.0], [4.0, 2.0**60], [0.1, 1 / 3], [-1.5, 1e16]])
+    return [
+        _random_matrix(21, 4),
+        _random_matrix(22, 4) * 1e-300,
+        np.round(_random_matrix(23, 4) * 100),
+        (special[:, 0] + 1j * special[:, 1]).reshape(2, 4).repeat(2, axis=0),
+        np.asfortranarray(_random_matrix(24, 4)),
+        _random_matrix(25, 8)[::2, ::2],
+        _random_matrix(26, 4).T,
+        np.eye(4),
+        np.arange(16).reshape(4, 4),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_writer_inputs())))
+def test_writer_matches_reference(index):
+    m = _writer_inputs()[index]
+    text = matcore.matrix_to_json(m, (2, 2))
+    assert text == _reference_matrix_to_json(m, (2, 2))
+    back, _ = matcore.matrix_from_json(text)
+    assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(m, complex).view(np.uint64))
