@@ -22,6 +22,7 @@ from .matcore import (
     frobenius_norm,
     hermitian,
     is_psd,
+    psd_floor,
     transpose_parties,
 )
 
@@ -45,6 +46,9 @@ class Certificate:
     margin: float
     dims: tuple[int, ...]
     boundary: bool = field(default=False)
+    #: How PSD was decided: "ball", "cholesky", "eig" or "skipped" (no check
+    #: ran); None when not recorded.
+    psd_check: str | None = field(default=None)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -55,6 +59,7 @@ class Certificate:
                 "margin": self.margin,
                 "dims": list(self.dims),
                 "boundary": self.boundary,
+                "psd_check": self.psd_check,
             }
         )
 
@@ -68,17 +73,19 @@ class Certificate:
             margin=obj["margin"],
             dims=tuple(obj["dims"]),
             boundary=obj.get("boundary", False),
+            psd_check=obj.get("psd_check"),
         )
 
 
-def _ball_verdict(measured: float, bound: float, dims) -> Certificate:
+def _ball_verdict(measured: float, bound: float, dims, psd_check: str = "skipped") -> Certificate:
     band = BOUNDARY_BAND * bound
     if measured <= bound + band:
         return Certificate(
             SEPARABLE, bound, measured, bound - measured, tuple(dims),
-            boundary=measured > bound - band,
+            boundary=measured > bound - band, psd_check=psd_check,
         )
-    return Certificate(INCONCLUSIVE, bound, measured, bound - measured, tuple(dims))
+    return Certificate(INCONCLUSIVE, bound, measured, bound - measured, tuple(dims),
+                       psd_check=psd_check)
 
 
 def mu(rho) -> float:
@@ -108,17 +115,25 @@ def certify_unnormalized(x, dims: Sequence[int]) -> Certificate:
 
 
 def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
-    """Ball test for a normalized state: ||rho - I/d||_2 vs a/sqrt(d(d-a^2))."""
+    """Ball test for a normalized state: ||rho - I/d||_2 vs a/sqrt(d(d-a^2)).
+
+    PSD is decided by ``is_psd`` from the trace and the distance already
+    measured (``psd_floor``) before any factorization; the certificate's
+    ``psd_check`` names the check that decided.
+    """
     rho = hermitian(rho)
     dims, d = check_matrix_dims(rho, dims)
     bound = ballbounds.radius_report(dims).normalized_radius
     measured = frobenius_norm(rho - np.eye(d) / d)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > TRACE_TOL:
-        return Certificate(NOT_NORMALIZED, bound, measured, bound - measured, dims)
-    if not is_psd(rho):
-        return Certificate(NOT_PSD, bound, measured, bound - measured, dims)
-    return _ball_verdict(measured, bound, dims)
+        return Certificate(NOT_NORMALIZED, bound, measured, bound - measured, dims,
+                           psd_check="skipped")
+    psd = is_psd(rho, floor=psd_floor(tr, measured, d))
+    if not psd:
+        return Certificate(NOT_PSD, bound, measured, bound - measured, dims,
+                           psd_check=psd.method)
+    return _ball_verdict(measured, bound, dims, psd.method)
 
 
 def pseudopure_bound(dims: Sequence[int], *, baseline: str = "recursion") -> float:
@@ -144,12 +159,17 @@ def ppt_all_cuts(rho, dims: Sequence[int]) -> bool:
 
     A necessary condition for separability; used to falsify-test the ball
     certificates (every certified state must pass).  Raises ``ValueError``
-    when the input itself is not PSD.
+    when the input itself is not PSD.  Every partial transpose has the
+    input's trace and distance from I/d, so when their ``psd_floor`` is
+    >= 0 all cuts pass without a factorization.
     """
     rho = hermitian(rho)
-    dims, _ = check_matrix_dims(rho, dims)
-    if not is_psd(rho):
+    dims, d = check_matrix_dims(rho, dims)
+    floor = psd_floor(float(np.trace(rho).real), frobenius_norm(rho - np.eye(d) / d), d)
+    if not is_psd(rho, floor=floor):
         raise ValueError("input is not PSD")
+    if floor >= 0:
+        return True
     m = len(dims)
     parties = range(m)
     # Transposing a subset S is equivalent to transposing its complement

@@ -8,12 +8,23 @@ package (plus the CLI) runs them once per outside argument.  Every other
 function here is a kernel that takes trusted ndarrays and never re-validates;
 ``kron`` still enforces the materialization cap.
 
+``is_psd`` decides the rule lambda_min(H) >= -tol·max(1, ||H||_inf) with the
+cheapest check that settles it, and says which one did: a lower bound on
+lambda_min the caller already knows (``psd_floor``, from the trace and the
+distance from I/d), then a Cholesky factorization with a rounding-error
+bound, then the eigensolve, which alone can reject.  The first two accept
+only matrices the eigenvalue rule accepts, so the answer never depends on
+which check ran.
+
 Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
-row-major order.  A file laid out as ``save_matrix`` writes it (the dims key
-first, then the entries key, any JSON whitespace between tokens) is read
-with one flat parse of its 2·d² numbers; every other valid JSON layout still
-loads, through the full JSON parser.  Entries must be JSON numbers:
-booleans and integers beyond float range are rejected as malformed.
+row-major order.  ``save_matrix`` writes the text of one ``json.dumps`` of
+that object, ``WRITE_CHUNK`` entries at a time.  A file laid out that way
+(the dims key first, then the entries key, any JSON whitespace between
+tokens) is checked and parsed in blocks of about ``READ_BLOCK`` bytes, each
+straight into the matrix, so a read holds the file's bytes, the matrix and
+one block; every other valid JSON layout still loads, through the full JSON
+parser.  Entries must be JSON numbers: booleans and integers beyond float
+range are rejected as malformed.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +43,10 @@ MATERIALIZATION_CAP = 4096
 
 #: Default relative PSD tolerance, scaled by max(1, operator norm).
 PSD_TOL = 1e-10
+
+#: Unit roundoffs per step in ``is_psd``'s Cholesky rounding bound: the real
+#: bound takes one, and complex products and sums need a few more.
+CHOLESKY_ROUNDING = 8
 
 #: Reject nominally-Hermitian input when the anti-Hermitian part is this
 #: large relative to the matrix itself.
@@ -131,17 +146,81 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
-def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff lambda_min(H) >= -tol * max(1, ||H||_inf).
+def psd_floor(trace: float, distance: float, d: int) -> float:
+    """Lower bound trace/d - distance·sqrt((d-1)/d) on lambda_min(H).
 
-    On a stack ``(..., d, d)`` the rule is applied to each matrix, and the
+    For Hermitian H on C^d with tr H = ``trace`` and ||H - I/d||_2 =
+    ``distance``: H - (trace/d)·I is traceless with Frobenius norm at most
+    ``distance``, and a traceless Hermitian matrix of Frobenius norm r has
+    lambda_min >= -r·sqrt((d-1)/d).  At trace 1 the bound is >= 0 exactly on
+    the largest PSD ball around I/d, of radius 1/sqrt(d(d-1)) (Gurvits and
+    Barnum, PRA 66, 062311 (2002)).  Partial transposes keep the trace and
+    the Frobenius norm and fix I, so one floor holds for every cut.
+    """
+    return trace / d - distance * math.sqrt((d - 1) / d)
+
+
+@dataclass(frozen=True)
+class PsdCheck:
+    """The answer of ``is_psd``: truthy iff the matrix passed.
+
+    ``method`` names the check that decided: ``"ball"`` (the caller's floor
+    on lambda_min was >= 0), ``"cholesky"`` or ``"eig"``.
+    """
+
+    psd: bool
+    method: str
+
+    def __bool__(self) -> bool:
+        return self.psd
+
+
+def _cholesky_certifies(h: np.ndarray, tol: float) -> bool:
+    """True when a Cholesky factorization proves lambda_min(H) >= -tol·max(1, max|H_ii|).
+
+    With s half that margin: if the factorization R of H + s·I runs to the
+    end, then RᴴR = H + s·I + E with ||E||_2 <= gamma_{d+1}·||R||_2²
+    (Frobenius norms; Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), so lambda_min(H) >= -s - gamma_{d+1}·||R||_2².
+    Gamma is taken with ``CHOLESKY_ROUNDING`` unit roundoffs per step
+    instead of one, which covers complex arithmetic and the rounding of the
+    shift.  Since max|H_ii| <= ||H||_inf, a matrix accepted here meets
+    ``is_psd``'s rule.
+    """
+    d = h.shape[0]
+    margin = tol * max(1.0, float(np.abs(np.diagonal(h)).max()))
+    shift = margin / 2
+    a = h.copy()
+    a.flat[::d + 1] += shift
+    try:
+        r = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    k = CHOLESKY_ROUNDING * (d + 1) * np.finfo(np.float64).eps / 2
+    return shift + k / (1 - k) * float(np.linalg.norm(r)) ** 2 <= margin
+
+
+def is_psd(h: np.ndarray, tol: float = PSD_TOL, floor: float = -math.inf) -> PsdCheck:
+    """Whether lambda_min(H) >= -tol * max(1, ||H||_inf), and which check decided.
+
+    The checks run cheapest first, and only the last can reject: a
+    ``floor`` on lambda_min that the caller already knows (``psd_floor``)
+    settles the question when it is >= 0; a single matrix is then tried with
+    a Cholesky factorization and its rounding-error bound
+    (``_cholesky_certifies``); the eigensolve decides every other case, so
+    the answer is always the eigenvalue rule's.  On a stack ``(..., d, d)``
+    the rule is applied to each matrix with one stacked eigensolve, and the
     answer is True iff every one of them passes.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    if floor >= 0:
+        return PsdCheck(True, "ball")
+    if h.ndim == 2 and _cholesky_certifies(h, tol):
+        return PsdCheck(True, "cholesky")
     w = eig_hermitian(h)
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
-    return bool(np.all(w[..., -1] >= -tol * scale))
+    return PsdCheck(bool(np.all(w[..., -1] >= -tol * scale)), "eig")
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +357,41 @@ def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:
 # Matrix file format
 # ---------------------------------------------------------------------------
 
-def matrix_to_json(m, dims: Sequence[int]) -> str:
-    """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format."""
+#: Pairs formatted per ``json.dumps`` call by the matrix writer.
+WRITE_CHUNK = 1 << 14
+
+#: Bytes of the entries array the matrix reader checks and parses at a time;
+#: each block runs on to the end of the pair it stops in.  Parsed into Python
+#: floats, a block of short numbers takes over ten times its size, so blocks
+#: are kept small; parse speed is flat from 128 KiB to 1 MiB.
+READ_BLOCK = 1 << 18
+
+
+def _json_pieces(m, dims) -> Iterator[str]:
+    """Validate ``m`` and ``dims`` now; return the pieces of their file text.
+
+    The pieces are the head, then the entries ``WRITE_CHUNK`` pairs at a
+    time (each after the first led by ", "), then the tail: joined, they are
+    ``json.dumps({"dims": dims, "entries": [[re, im], ...]})``.
+    """
     m = as_matrix(m)
     dims, _ = check_matrix_dims(m, dims)
-    entries = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
-    return json.dumps({"dims": list(dims), "entries": entries})
+    pairs = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2)
+
+    def pieces():
+        yield '{"dims": ' + json.dumps(list(dims)) + ', "entries": ['
+        for start in range(0, len(pairs), WRITE_CHUNK):
+            # dumps of a chunk is "[[re, im], ...]": drop the outer brackets
+            chunk = json.dumps(pairs[start:start + WRITE_CHUNK].tolist())[1:-1]
+            yield ", " + chunk if start else chunk
+        yield "]}"
+
+    return pieces()
+
+
+def matrix_to_json(m, dims: Sequence[int]) -> str:
+    """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format."""
+    return "".join(_json_pieces(m, dims))
 
 
 _WS = rb"[ \t\n\r]*"
@@ -298,48 +406,64 @@ _FLAT_HEAD = re.compile(
 #: What may follow the entries array's closing bracket.
 _FLAT_TAIL = re.compile(_WS + rb"\}" + _WS)
 
-#: Byte kinds in an entries array: 0 refused, 1 whitespace, 2 number byte,
-#: 3 "[", 4 "]", 5 ",".
-_ENTRY_KIND = np.zeros(256, np.uint8)
-_ENTRY_KIND[np.frombuffer(b" \t\n\r", np.uint8)] = 1
-_ENTRY_KIND[np.frombuffer(b"0123456789+-.eE", np.uint8)] = 2
-_ENTRY_KIND[np.frombuffer(b"[],", np.uint8)] = (3, 4, 5)
+#: Bytes that may form a number in an entries array, and a map of them to "0".
+_NUMBER_BYTES = b"0123456789+-.eE"
+_NUMBERS_TO_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 
-#: The marks of one pair and the comma after it, "[,],", as kinds.
-_PAIR_MARKS = np.array([3, 5, 4, 5], np.uint8)
+#: Marks 4k to 4k + 3 of "[[,],[,],…,[,]]": the comma between pairs, then a
+#: pair's "[", inner comma and "]".
+_MARK_CYCLE = b",[,]"
 
 #: Byte map that turns brackets into spaces.
-_UNBRACKET = np.arange(256, dtype=np.uint8)
-_UNBRACKET[np.frombuffer(b"[]", np.uint8)] = ord(" ")
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+
+_LEADING_WS = re.compile(_WS)
 
 
-def _is_pair_array(a: np.ndarray, n: int) -> bool:
-    """True iff the bytes ``a`` are an array of ``n`` pairs ``[x, y]``.
+def _check_block(block: bytes, marks: int, last: int) -> int | None:
+    """Number of marks in one block of an entries array, or None.
 
-    Only number bytes, JSON whitespace and the marks "[", "]", "," may occur;
-    the marks must read "[[,],[,],…,[,]]" and number bytes may stand only
-    inside a pair.  Whether each number is valid JSON is left to the parser.
+    ``marks`` marks came before the block, and ``last`` is the index of the
+    array's closing mark.  Only number bytes, JSON whitespace and the marks
+    "[", "]", "," may occur; the marks must go on reading
+    "[[,],[,],…,[,]]"; and number bytes may stand only inside a pair.  With
+    the whitespace taken out, that last rule reads: no number byte follows a
+    "]" or precedes a "[", and none starts the block (a block follows the
+    last one's "]", or starts the array).
     """
-    kind = _ENTRY_KIND[a]
-    if not (kind.all() and kind[0] == 3 and kind[-1] == 4):
-        return False
-    at = np.flatnonzero(kind >= 3)
-    marks = kind[at]
-    if marks.size != 4 * n + 1 or not np.array_equal(marks[1:-1], np.tile(_PAIR_MARKS, n)[:-1]):
-        return False
-    # does the stretch from each mark up to the next hold a number byte?
-    numbers = np.logical_or.reduceat(kind == 2, at)
-    # stretches from the outer "[", from a pair's "]" and from the comma after it
-    return not (numbers[0] or numbers[3::4].any() or numbers[4::4].any())
+    tokens = block.translate(_NUMBERS_TO_ZERO, b" \t\n\r")
+    got = tokens.translate(None, b"0")  # the marks, and any refused byte
+    count = len(got)
+    if marks + count - 1 > last:
+        return None
+    # a block that passed ends in a pair's "]", mark 4k - 1, so the next one
+    # starts at a multiple of 4
+    want = (_MARK_CYCLE * (count // 4 + 1))[:count]
+    if marks == 0:
+        want = b"[" + want[1:]
+    if marks + count - 1 == last:
+        want = want[:-1] + b"]"
+    if got != want:
+        return None
+    token = np.frombuffer(tokens, np.uint8)
+    number = token == ord("0")
+    if (number[0] or (number[1:] & (token[:-1] == ord("]"))).any()
+            or (number[:-1] & (token[1:] == ord("["))).any()):
+        return None
+    return count
 
 
 def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
     """(matrix, dims) of a file in ``save_matrix``'s layout, else None.
 
-    The entries array is checked by ``_is_pair_array`` and then parsed as
-    one flat JSON list of numbers, its inner brackets turned into spaces.
-    None leaves the file to ``_read_json``, which decides what else is
-    accepted and which error is raised.
+    The entries array is read in blocks of about ``READ_BLOCK`` bytes, each
+    ending right after a "]" and checked by ``_check_block``, which carries
+    the mark count from block to block; d² pairs must be found in all.  Each
+    block's numbers are then parsed as one flat JSON list, its brackets
+    turned into spaces, and written into the matrix.  Whether each number is
+    valid JSON is left to the parser.  None leaves the file to
+    ``_read_json``, which decides what else is accepted and which error is
+    raised.
     """
     head = _FLAT_HEAD.match(data)
     end = data.rfind(b"]") + 1
@@ -350,16 +474,34 @@ def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
     except ValueError:
         return None
     d = math.prod(dims)
-    a = np.frombuffer(data, np.uint8)[head.end():end]
-    if not _is_pair_array(a, d * d):
+    last = 4 * d * d  # index of the closing mark
+    start = head.end()
+    # the shortest array of d² pairs is "[[0,0],…,[0,0]]": 6·d² + 1 bytes
+    if end - start < 6 * d * d + 1:
         return None
-    flat = _UNBRACKET[a]
-    flat[0], flat[-1] = a[0], a[-1]
-    text = str(flat, "ascii")
-    del flat  # one copy of the file less while the parser builds its list
-    try:
-        values = np.array(json.loads(text), dtype=np.float64)
-    except (ValueError, OverflowError):
+    values = np.empty(2 * d * d, np.float64)
+    marks = filled = 0
+    while start < end:
+        # the array's last byte is its closing "]", so every block ends in one
+        stop = data.find(b"]", start + READ_BLOCK, end) + 1 or end
+        count = _check_block(data[start:stop], marks, last)
+        if count is None:
+            return None
+        # the numbers between the block's first mark ("[" of the array or a
+        # comma between pairs) and its closing "]", as one JSON list
+        first = _LEADING_WS.match(data, start).end()
+        if stop - first > 1:
+            text = b"".join((b"[", data[first + 1:stop - 1].translate(_UNBRACKET), b"]"))
+            try:
+                block = np.array(json.loads(text), dtype=np.float64)
+            except (ValueError, OverflowError):
+                return None
+            if filled + block.size > values.size:
+                return None
+            values[filled:filled + block.size] = block
+            filled += block.size
+        marks, start = marks + count, stop
+    if marks != last + 1 or filled != values.size:
         return None
     return values.view(np.complex128).reshape(d, d), dims
 
@@ -398,4 +540,7 @@ def load_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def save_matrix(path, m, dims: Sequence[int]) -> None:
-    Path(path).write_text(matrix_to_json(m, dims))
+    """Write ``matrix_to_json(m, dims)`` to ``path`` one chunk of entries at a time."""
+    pieces = _json_pieces(m, dims)
+    with open(path, "w", encoding="ascii") as f:
+        f.writelines(pieces)

@@ -134,16 +134,19 @@ def test_certify_malformed_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "psd, code, ppt, eigensolves",
+    "psd, code, ppt, psd_check, eigensolves, factorizations",
     [
-        # the certificate, the PPT input check and the 7 cuts of 4 qubits
-        (True, 0, "ppt: all cuts positive", 2 + 7),
-        (False, 4, "ppt: skipped (input not PSD)", 2),
+        # inside the PSD ball around I/d: the state and all 7 cuts of 4 qubits
+        # are PSD by their distance from I/d alone
+        (True, 0, "ppt: all cuts positive", "ball", 0, 0),
+        # the certificate and the PPT input check: a factorization that
+        # fails, then an eigensolve, each
+        (False, 4, "ppt: skipped (input not PSD)", "eig", 2, 2),
     ],
     ids=["psd", "not_psd"],
 )
-def test_certify_ppt_call_counts(capsys, tmp_path, count_calls, psd, code, ppt,
-                                 eigensolves):
+def test_certify_ppt_call_counts(capsys, tmp_path, count_calls, psd, code, ppt, psd_check,
+                                 eigensolves, factorizations):
     d = 16
     rho = np.eye(d) / d
     rho[0, 0] -= 0.001
@@ -155,12 +158,15 @@ def test_certify_ppt_call_counts(capsys, tmp_path, count_calls, psd, code, ppt,
     save_matrix(path, rho, (2, 2, 2, 2))
     hermitian = count_calls(matcore, "hermitian")
     eig = count_calls(np.linalg, "eigvalsh")
+    cholesky = count_calls(np.linalg, "cholesky")
     got, out, _ = run_cli(capsys, "certify", str(path), "--ppt")
     assert got == code
     assert out.splitlines()[-1] == ppt
     # one validation per public call that receives the matrix
     assert len(hermitian) == 2
-    assert len(eig) == eigensolves
+    assert (len(eig), len(cholesky)) == (eigensolves, factorizations)
+    _, out, _ = run_cli(capsys, "--format", "json", "certify", str(path))
+    assert json.loads(out)["psd_check"] == psd_check
 
 
 def test_certify_json_output_roundtrip(capsys, tmp_path):

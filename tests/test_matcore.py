@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,9 +217,28 @@ ENTRY_TEXTS = ["[NaN, 0]", "[Infinity, -Infinity]", "[1, 0]", "[-0, 0]", "[1e3, 
                "[null, 0]", "[[1, 0], 0]", "[1, 0, 0]", "[1]", "[]", "1"]
 
 
+def _block_boundary_defects(saved: bytes) -> dict[str, bytes]:
+    """Defects of a multi-block file placed where its first read block ends.
+
+    The reader's first block ends right after the first "]" at least
+    ``READ_BLOCK`` bytes into the entries array; each defect keeps that "]"
+    where it is.
+    """
+    start = saved.index(b'"entries": ') + len(b'"entries": ')
+    end = saved.index(b"]", start + matcore.READ_BLOCK)  # the block's last byte
+    assert saved[end + 1:end + 3] == b", "
+    inner = saved.rindex(b",", 0, end)  # the comma inside the pair ending there
+    return {
+        "block_number_after_pair": saved[:end + 1] + b" 7" + saved[end + 1:],
+        "block_truncated_pair": saved[:inner] + b" " * (end - inner) + saved[end:],
+        "block_missing_comma": saved[:end + 1] + saved[end + 2:],
+    }
+
+
 def _reader_corpus() -> dict[str, bytes]:
     corpus = {}
-    for dims in [(2,), (3,), (2, 2, 2), (2,) * 6]:
+    # (2,) * 8 holds more than one read block
+    for dims in [(2,), (3,), (2, 2, 2), (2,) * 6, (2,) * 8]:
         d = math.prod(dims)
         m = _random_matrix(d, d)
         m[0, 0] = -0.0
@@ -271,6 +291,7 @@ def _reader_corpus() -> dict[str, bytes]:
     corpus["invalid_utf8_in_string"] = text[:-1] + b', "note": "\xff"}'
     corpus["not_json"] = b"not json at all"
     corpus["empty_file"] = b""
+    corpus.update(_block_boundary_defects(corpus["saved(2, 2, 2, 2, 2, 2, 2, 2)"]))
     # test ids of word characters only
     named = {re.sub(r"\W+", "_", name).strip("_"): data for name, data in corpus.items()}
     assert len(named) == len(corpus)
@@ -316,8 +337,8 @@ def test_reader_corpus_takes_both_paths():
     # the writer's layout and its whitespace variants take the flat parse,
     # every other layout the full JSON reader
     flat = {name for name, data in READER_CORPUS.items() if matcore._read_flat(data) is not None}
-    assert {"saved_2_2_2", "indent1", "tabs", "crlf", "no_spaces", "good",
-            "trailing_whitespace"} <= flat
+    assert {"saved_2_2_2", "saved_2_2_2_2_2_2_2_2", "indent1", "tabs", "crlf", "no_spaces",
+            "good", "trailing_whitespace"} <= flat
     assert not flat & {"keys_reordered", "extra_key", "string_with_entries", "dims_float",
                        "entry0_NaN_0", "entry10_1_0", "bom"}
 
@@ -369,3 +390,47 @@ def test_writer_matches_reference(index):
     assert text == _reference_matrix_to_json(m, (2, 2))
     back, _ = matcore.matrix_from_json(text)
     assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(m, complex).view(np.uint64))
+
+
+@pytest.mark.parametrize("d, chunk", [(4, 15), (4, 16), (4, 17), (4, 4), (8, 63), (8, 64),
+                                      (8, 65), (8, 1), (256, None)])
+def test_writer_chunks_match_one_dumps(monkeypatch, tmp_path, d, chunk):
+    # chunk sizes around d² and below it; None keeps WRITE_CHUNK
+    if chunk is not None:
+        monkeypatch.setattr(matcore, "WRITE_CHUNK", chunk)
+    m = _random_matrix(d + 30, d)
+    dims = (2,) * (d.bit_length() - 1)
+    want = _reference_matrix_to_json(m, dims)
+    assert matcore.matrix_to_json(m, dims) == want
+    path = tmp_path / "m.json"
+    matcore.save_matrix(path, m, dims)
+    assert path.read_bytes() == want.encode()
+
+
+def test_save_refuses_bad_input_before_writing(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError):
+        matcore.save_matrix(path, np.eye(4), (2, 3))
+    assert not path.exists()
+
+
+def test_save_and_load_peak_memory(tmp_path):
+    # a 10-qubit state: 16 MB as a matrix, about 45 MB as a file
+    d = 1024
+    m = _random_matrix(41, d)
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        matcore.save_matrix(path, m, (2,) * 10)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back, _ = matcore.load_matrix(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+    mb = 1 << 20
+    assert save_peak < 32 * mb
+    # the file's bytes, the matrix and one block's worth of parsing
+    assert load_peak < path.stat().st_size + 16 * d * d + 16 * mb
