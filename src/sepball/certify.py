@@ -18,11 +18,10 @@ import numpy as np
 from . import ballbounds
 from .matcore import (
     check_dims,
-    check_matrix_dims,
     frobenius_norm,
     hermitian,
     is_psd,
-    psd_floor,
+    measure,
     transpose_parties,
 )
 
@@ -101,35 +100,38 @@ def mu(rho) -> float:
         raise ValueError(f"state is not normalized: tr = {tr}")
     if not is_psd(rho):
         raise ValueError("state is not positive semidefinite")
-    purity = float(np.trace(rho @ rho).real)
+    # tr(rho^2) = ||rho||_2^2 for Hermitian rho, summed without a square root
+    purity = float(np.vdot(rho, rho).real)
     return math.sqrt(max(d - 1.0 / purity, 0.0))
 
 
 def certify_unnormalized(x, dims: Sequence[int]) -> Certificate:
-    """Ball test for an unnormalized density matrix: ||X - I||_2 vs the radius."""
-    x = hermitian(x)
-    dims, d = check_matrix_dims(x, dims)
-    bound = ballbounds.radius_report(dims).unnormalized_radius
-    measured = frobenius_norm(x - np.eye(d))
-    return _ball_verdict(measured, bound, dims)
+    """Ball test for an unnormalized density matrix: ||X - I||_2 vs the radius.
+
+    ``x`` is a matrix or a ``matcore.State`` of one (see ``matcore.measure``).
+    """
+    state = measure(x, dims)
+    bound = ballbounds.radius_report(state.dims).unnormalized_radius
+    measured = frobenius_norm(state.h - np.eye(len(state.h)))
+    return _ball_verdict(measured, bound, state.dims)
 
 
 def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
     """Ball test for a normalized state: ||rho - I/d||_2 vs a/sqrt(d(d-a^2)).
 
-    PSD is decided by ``is_psd`` from the trace and the distance already
-    measured (``psd_floor``) before any factorization; the certificate's
-    ``psd_check`` names the check that decided.
+    ``rho`` is a matrix or a ``matcore.State`` of one (see
+    ``matcore.measure``).  PSD is decided by ``is_psd`` from the trace and
+    the distance already measured (``State.floor``) before any
+    factorization; the certificate's ``psd_check`` names the check that
+    decided.
     """
-    rho = hermitian(rho)
-    dims, d = check_matrix_dims(rho, dims)
-    bound = ballbounds.radius_report(dims).normalized_radius
-    measured = frobenius_norm(rho - np.eye(d) / d)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    state = measure(rho, dims)
+    bound = ballbounds.radius_report(state.dims).normalized_radius
+    measured, dims = state.distance, state.dims
+    if abs(state.trace - 1.0) > TRACE_TOL:
         return Certificate(NOT_NORMALIZED, bound, measured, bound - measured, dims,
                            psd_check="skipped")
-    psd = is_psd(rho, floor=psd_floor(tr, measured, d))
+    psd = is_psd(state.h, floor=state.floor)
     if not psd:
         return Certificate(NOT_PSD, bound, measured, bound - measured, dims,
                            psd_check=psd.method)
@@ -159,18 +161,17 @@ def ppt_all_cuts(rho, dims: Sequence[int]) -> bool:
 
     A necessary condition for separability; used to falsify-test the ball
     certificates (every certified state must pass).  Raises ``ValueError``
-    when the input itself is not PSD.  Every partial transpose has the
-    input's trace and distance from I/d, so when their ``psd_floor`` is
-    >= 0 all cuts pass without a factorization.
+    when the input itself is not PSD.  ``rho`` is a matrix or a
+    ``matcore.State`` of one.  Every partial transpose has the input's trace
+    and distance from I/d, so when ``State.floor`` is >= 0 all cuts pass
+    without a factorization.
     """
-    rho = hermitian(rho)
-    dims, d = check_matrix_dims(rho, dims)
-    floor = psd_floor(float(np.trace(rho).real), frobenius_norm(rho - np.eye(d) / d), d)
-    if not is_psd(rho, floor=floor):
+    state = measure(rho, dims)
+    if not is_psd(state.h, floor=state.floor):
         raise ValueError("input is not PSD")
-    if floor >= 0:
+    if state.floor >= 0:
         return True
-    m = len(dims)
+    m = len(state.dims)
     parties = range(m)
     # Transposing a subset S is equivalent to transposing its complement
     # (up to global transpose, which preserves the spectrum): half suffices.
@@ -178,6 +179,6 @@ def ppt_all_cuts(rho, dims: Sequence[int]) -> bool:
         for subset in combinations(parties, size):
             if size == m - size and 0 not in subset:
                 continue
-            if not is_psd(transpose_parties(rho, dims, subset)):
+            if not is_psd(transpose_parties(state.h, state.dims, subset)):
                 return False
     return True

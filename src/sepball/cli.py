@@ -21,7 +21,7 @@ from dataclasses import asdict
 from typing import Sequence
 
 from . import ballbounds, certify, nmr, schurnorm, verify
-from .matcore import load_matrix
+from .matcore import load_matrix, measure
 from .sampling import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -102,10 +102,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    matrix, dims = _load(args.file)
-    certify_fn = (certify.certify_unnormalized if args.unnormalized
-                  else certify.certify_normalized)
-    cert = certify_fn(matrix, dims)
+    # one validation and one measurement, read by the certificate and the PPT scan
+    state = measure(*_load(args.file))
+    certify_fn = certify.certify_unnormalized if args.unnormalized else certify.certify_normalized
+    cert = certify_fn(state, state.dims)
 
     obj = json.loads(cert.to_json())
     lines = [
@@ -116,11 +116,11 @@ def cmd_certify(args) -> int:
     ]
     if cert.boundary:
         lines.append("note: within the boundary band of the bound")
-    if args.ppt and len(dims) > 1:
-        # the certificate accepted matrix and dims: only non-PSD input is left
+    if args.ppt:
+        # the certificate accepted the state (a one-party file stops at its
+        # radius): only non-PSD input is left
         try:
-            ppt = ("all cuts positive" if certify.ppt_all_cuts(matrix, dims)
-                   else "VIOLATED")
+            ppt = "all cuts positive" if certify.ppt_all_cuts(state, state.dims) else "VIOLATED"
         except ValueError:
             ppt = "skipped (input not PSD)"
         obj["ppt"] = ppt

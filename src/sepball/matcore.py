@@ -4,9 +4,12 @@ Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries.
 
 Validation happens once, at the public boundary: ``as_matrix`` and
 ``hermitian`` are the only validators, and each function exported by the
-package (plus the CLI) runs them once per outside argument.  Every other
-function here is a kernel that takes trusted ndarrays and never re-validates;
-``kron`` still enforces the materialization cap.
+package runs them once per outside argument.  ``measure`` validates a state
+to certify and records its trace and distance from I/d in a ``State``, which
+the certificates and the PPT scan take in place of the matrix without
+validating again; the CLI's ``certify`` hands them one.  Every other function
+here is a kernel that takes trusted ndarrays and never re-validates; ``kron``
+still enforces the materialization cap.
 
 ``is_psd`` decides the rule lambda_min(H) >= -tol·max(1, ||H||_inf) with the
 cheapest check that settles it, and says which one did: a lower bound on
@@ -76,12 +79,15 @@ def hermitian(a) -> np.ndarray:
     """Symmetrize ``a`` to (A + A†)/2, rejecting grossly non-Hermitian input.
 
     The rejection threshold is relative: inputs with
-    ``||A - A†||_2 > HERMITICITY_REJECT_TOL * ||A||_2`` raise ``ValueError``.
+    ``||A - A†||_2 > HERMITICITY_REJECT_TOL * ||A||_2`` raise ``ValueError``,
+    and so do inputs whose ``||A||_2`` overflows, for which that test cannot
+    be made.
     """
     m = as_matrix(a)
-    anti = m - m.conj().T
     norm_m = frobenius_norm(m)
-    if norm_m > 0 and frobenius_norm(anti) > HERMITICITY_REJECT_TOL * norm_m:
+    if not math.isfinite(norm_m):
+        raise ValueError("matrix norm overflows float64")
+    if norm_m > 0 and frobenius_norm(m - m.conj().T) > HERMITICITY_REJECT_TOL * norm_m:
         raise ValueError("input is not Hermitian within the rejection threshold")
     return (m + m.conj().T) / 2
 
@@ -221,6 +227,51 @@ def is_psd(h: np.ndarray, tol: float = PSD_TOL, floor: float = -math.inf) -> Psd
     w = eig_hermitian(h)
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
     return PsdCheck(bool(np.all(w[..., -1] >= -tol * scale)), "eig")
+
+
+# ---------------------------------------------------------------------------
+# Measured states
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class State:
+    """A validated certify input and the numbers every test of it reads.
+
+    ``h`` is the symmetrized matrix (A + A†)/2, ``dims`` the checked
+    profile, ``trace`` is tr H and ``distance`` is ||H - I/d||_2.  States
+    compare by identity: ``h`` is an array.
+    """
+
+    h: np.ndarray
+    dims: tuple[int, ...]
+    trace: float
+    distance: float
+
+    @property
+    def floor(self) -> float:
+        """``psd_floor`` of the state, a lower bound on lambda_min(H) and on every cut's."""
+        return psd_floor(self.trace, self.distance, self.h.shape[0])
+
+
+def measure(a, dims: Sequence[int]) -> State:
+    """Validate a certify input and measure it, once.
+
+    A matrix goes through ``hermitian`` and ``check_matrix_dims``; a
+    ``State`` is returned as it is, once its dims are checked to be ``dims``.
+    """
+    if not isinstance(a, State):
+        h = hermitian(a)
+        checked, d = check_matrix_dims(h, dims)
+        # ||H - I/d||_2 bit for bit as frobenius_norm(h - np.eye(d) / d), but
+        # with h's diagonal shifted in place and put back: no d×d temporary
+        diagonal = h.diagonal().copy()
+        h.flat[::d + 1] -= 1 / d
+        distance = frobenius_norm(h)
+        h.flat[::d + 1] = diagonal
+        a = State(h, checked, float(np.trace(h).real), distance)
+    if a.dims != check_dims(dims):
+        raise ValueError(f"state has dims {a.dims}, not {tuple(dims)}")
+    return a
 
 
 # ---------------------------------------------------------------------------

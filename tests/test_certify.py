@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -43,6 +44,47 @@ def test_certify_normalized_validates_and_solves_once(count_calls):
     # outside the PSD ball around I/d, so one factorization decides
     assert cert.psd_check == "cholesky"
     assert (len(validations), len(hermitian), len(eigensolves), len(factorizations)) == (1, 1, 0, 1)
+
+
+def test_certificates_and_ppt_read_a_state_without_validating(count_calls):
+    rng = rng_from_seed(31)
+    inputs = [random_density_matrix(rng, 8), np.eye(8) / 8, np.eye(8) / 2,
+              np.diag([0.6, 0.5, 0.0, -0.1, 0.0, 0.0, 0.0, 0.0])]
+    checks = (certify.certify_normalized, certify.certify_unnormalized, certify.ppt_all_cuts)
+
+    def answers(x):
+        got = [fn(x, (2, 4)) for fn in checks[:2]]
+        try:
+            got.append(checks[2](x, (2, 4)))
+        except ValueError as exc:
+            got.append(str(exc))
+        return got
+
+    want = [answers(rho) for rho in inputs]
+    states = [matcore.measure(rho, (2, 4)) for rho in inputs]
+    hermitian = count_calls(matcore, "hermitian")
+    assert [answers(state) for state in states] == want
+    assert hermitian == []
+    assert want[-1][0].verdict == certify.NOT_PSD and want[-1][2] == "input is not PSD"
+    for fn in checks:
+        with pytest.raises(ValueError, match="state has dims"):
+            fn(states[0], (4, 2))
+
+
+def test_certify_normalized_peak_memory():
+    # a 10-qubit state inside the PSD ball, 16 MB as a matrix: the
+    # symmetrized copy and one temporary of hermitian's are all it adds
+    d = 1024
+    rho = np.eye(d) / d + 0.5 / d * random_traceless_unit_hermitian(rng_from_seed(37), d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = certify.certify_normalized(rho, (2,) * 10)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cert.psd_check == "ball"
+    assert peak <= 34e6
 
 
 def test_identity_unnormalized():

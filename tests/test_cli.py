@@ -162,11 +162,32 @@ def test_certify_ppt_call_counts(capsys, tmp_path, count_calls, psd, code, ppt, 
     got, out, _ = run_cli(capsys, "certify", str(path), "--ppt")
     assert got == code
     assert out.splitlines()[-1] == ppt
-    # one validation per public call that receives the matrix
-    assert len(hermitian) == 2
+    # one validation and measurement, shared by the certificate and the PPT scan
+    assert len(hermitian) == 1
     assert (len(eig), len(cholesky)) == (eigensolves, factorizations)
     _, out, _ = run_cli(capsys, "--format", "json", "certify", str(path))
     assert json.loads(out)["psd_check"] == psd_check
+
+
+def test_certify_ppt_one_party_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "qutrit.json"
+    save_matrix(path, np.eye(3) / 3, (3,))
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "certify", str(path), "--ppt")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "at least 2 parties" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_certify_overflowing_norm_is_a_usage_error(capsys, tmp_path):
+    # entries this large square to inf in ||rho||_2: the state was once
+    # accepted and measured as NaN, which is not JSON
+    path = tmp_path / "huge.json"
+    save_matrix(path, np.diag([1e308, 0.0, 0.0, 0.0]), (2, 2))
+    for argv in (("certify",), ("certify", "--ppt"), ("certify", "--unnormalized")):
+        code, out, err = run_cli(capsys, "--format", "json", *argv, str(path))
+        assert (code, out) == (2, ""), argv
+        assert err == "error: matrix norm overflows float64\n", argv
 
 
 def test_certify_json_output_roundtrip(capsys, tmp_path):

@@ -28,6 +28,18 @@ def test_hermitian_symmetrizes_and_rejects():
         matcore.hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_hermitian_rejects_an_overflowing_norm():
+    # ||A||_2 = inf would make the relative Hermiticity test vacuous: the
+    # matrix rejected above, scaled by 1e200, must not pass
+    with pytest.raises(ValueError, match="overflows"):
+        matcore.hermitian(np.array([[0.0, 1e200], [0.0, 0.0]]))
+    # and a Hermitian one would symmetrize to infinite entries
+    with pytest.raises(ValueError, match="overflows"):
+        matcore.hermitian(np.diag([1e308, 0.0]))
+    assert matcore.hermitian(np.diag([1e150, 0.0]))[0, 0] == 1e150
+
+
 def test_check_dims():
     assert matcore.check_dims([2, 3]) == (2, 3)
     with pytest.raises(ValueError):
@@ -63,6 +75,58 @@ def test_is_psd_tolerance_scaling():
     assert matcore.is_psd(np.stack([np.diag([1.0, 0.0]), np.diag([1e12, -1e-2])]))
     assert not matcore.is_psd(np.stack([np.diag([1e12, 0.0]), np.diag([1.0, -1e-2])]))
     assert not matcore.is_psd(np.stack([np.diag([1.0, -1e-6]), np.eye(2)]))
+
+
+def _measure_inputs() -> dict[str, np.ndarray]:
+    rng = rng_from_seed(43)
+    ints = rng.integers(-5, 6, size=(12, 12)).astype(float)
+    neg_zero = random_hermitian(rng, 12)
+    np.fill_diagonal(neg_zero, -0.0)
+    return {
+        "random": random_hermitian(rng, 12) + 1j * 1e-9 * rng.standard_normal((12, 12)),
+        "density": random_density_matrix(rng, 12),
+        "integral": ints + ints.T,
+        "subnormal": random_hermitian(rng, 12) * 1e-310,
+        "negative_zero_diagonal": neg_zero,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_measure_inputs()))
+def test_measure_matches_the_dense_formulas(name):
+    a = _measure_inputs()[name]
+    before = a.copy()
+    state = matcore.measure(a, (3, 4))
+    # the caller's array is untouched, and h is hermitian's output, its
+    # diagonal restored bit for bit after the distance
+    assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
+    h = matcore.hermitian(a)
+    assert np.array_equal(state.h.view(np.uint64), h.view(np.uint64))
+    assert state.dims == (3, 4)
+    assert state.trace == float(np.trace(h).real)
+    assert state.distance == np.linalg.norm(h - np.eye(12) / 12)
+    assert np.array_equal(state.h.view(np.uint64), h.view(np.uint64))
+    assert state.floor == matcore.psd_floor(state.trace, state.distance, 12)
+
+
+def test_measure_takes_a_state_once():
+    a = random_density_matrix(rng_from_seed(44), 8)
+    state = matcore.measure(a, (2, 4))
+    assert matcore.measure(state, (2, 4)) is state
+    assert matcore.measure(state, [np.int64(2), 4]) is state
+    for dims in ((4, 2), (2, 2, 2), (8,)):
+        with pytest.raises(ValueError, match="state has dims"):
+            matcore.measure(state, dims)
+    with pytest.raises(ValueError):
+        matcore.measure(state, (2, 1))
+
+
+def test_measure_validates():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matcore.measure(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
+    with pytest.raises(ValueError, match="product of dims"):
+        matcore.measure(np.eye(4), (2, 3))
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.measure(np.diag([np.nan, 1.0]), (2,))
 
 
 def test_kron_cap():
