@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ballbounds
 from .matcore import (
+    TRACE_TOL,
     check_dims,
     frobenius_norm,
     hermitian,
@@ -28,8 +29,6 @@ from .matcore import (
 #: Relative width of the band around the bound inside which a verdict is
 #: still reported separable, with a "boundary" annotation.
 BOUNDARY_BAND = 1e-9
-
-TRACE_TOL = 1e-10
 
 SEPARABLE = "separable"
 INCONCLUSIVE = "inconclusive"
@@ -163,8 +162,8 @@ def ppt_all_cuts(rho, dims: Sequence[int]) -> bool:
     certificates (every certified state must pass).  Raises ``ValueError``
     when the input itself is not PSD.  ``rho`` is a matrix or a
     ``matcore.State`` of one.  Every partial transpose has the input's trace
-    and distance from I/d, so when ``State.floor`` is >= 0 all cuts pass
-    without a factorization.
+    and distance from (trace/d)·I, so when ``State.floor`` is >= 0 all cuts
+    pass without a factorization, at any trace.
     """
     state = measure(rho, dims)
     if not is_psd(state.h, floor=state.floor):

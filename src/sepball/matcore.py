@@ -5,19 +5,19 @@ Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Validation happens once, at the public boundary: ``as_matrix`` and
 ``hermitian`` are the only validators, and each function exported by the
 package runs them once per outside argument.  ``measure`` validates a state
-to certify and records its trace and distance from I/d in a ``State``, which
-the certificates and the PPT scan take in place of the matrix without
-validating again; the CLI's ``certify`` hands them one.  Every other function
-here is a kernel that takes trusted ndarrays and never re-validates; ``kron``
-still enforces the materialization cap.
+to certify and records its trace, distance from I/d and floor on lambda_min
+in a ``State``, which the certificates and the PPT scan take in place of the
+matrix without validating again; the CLI's ``certify`` hands them one.
+Every other function here is a kernel that takes trusted ndarrays and never
+re-validates; ``kron`` still enforces the materialization cap.
 
 ``is_psd`` decides the rule lambda_min(H) >= -tol·max(1, ||H||_inf) with the
 cheapest check that settles it, and says which one did: a lower bound on
 lambda_min the caller already knows (``psd_floor``, from the trace and the
-distance from I/d), then a Cholesky factorization with a rounding-error
-bound, then the eigensolve, which alone can reject.  The first two accept
-only matrices the eigenvalue rule accepts, so the answer never depends on
-which check ran.
+distance from (trace/d)·I), then a Cholesky factorization with a
+rounding-error bound, then the eigensolve, which alone can reject.  The
+first two accept only matrices the eigenvalue rule accepts, so the answer
+never depends on which check ran.
 
 Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
 row-major order.  ``save_matrix`` writes the text of one ``json.dumps`` of
@@ -25,9 +25,13 @@ that object, ``WRITE_CHUNK`` entries at a time.  A file laid out that way
 (the dims key first, then the entries key, any JSON whitespace between
 tokens) is checked and parsed in blocks of about ``READ_BLOCK`` bytes, each
 straight into the matrix, so a read holds the file's bytes, the matrix and
-one block; every other valid JSON layout still loads, through the full JSON
-parser.  Entries must be JSON numbers: booleans and integers beyond float
-range are rejected as malformed.
+one block.  Those blocks are parsed with ``orjson``, which takes only strict
+JSON and rounds every decimal correctly, so its values are the standard
+library's bit for bit; a block it refuses, such as one holding a number that
+overflows to infinity, sends the whole file to the full parser, stdlib
+``json``, which also reads every other valid JSON layout.  Entries must be
+JSON numbers: booleans and integers beyond float range are rejected as
+malformed.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
+import orjson
 
 #: Largest total dimension for which matrices may be materialized (12 qubits).
 MATERIALIZATION_CAP = 4096
@@ -57,6 +62,9 @@ HERMITICITY_REJECT_TOL = 1e-8
 
 #: Entrywise tolerance of the ``MapOnMatrices`` property checks.
 MAP_TOL = 1e-12
+
+#: How far tr ρ may be from 1 for ρ to count as normalized.
+TRACE_TOL = 1e-10
 
 
 class MaterializationError(ValueError):
@@ -84,7 +92,9 @@ def hermitian(a) -> np.ndarray:
     be made.
     """
     m = as_matrix(a)
-    norm_m = frobenius_norm(m)
+    # an overflowing norm is an answer here, not a warning
+    with np.errstate(over="ignore"):
+        norm_m = frobenius_norm(m)
     if not math.isfinite(norm_m):
         raise ValueError("matrix norm overflows float64")
     if norm_m > 0 and frobenius_norm(m - m.conj().T) > HERMITICITY_REJECT_TOL * norm_m:
@@ -155,8 +165,9 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
 def psd_floor(trace: float, distance: float, d: int) -> float:
     """Lower bound trace/d - distance·sqrt((d-1)/d) on lambda_min(H).
 
-    For Hermitian H on C^d with tr H = ``trace`` and ||H - I/d||_2 =
-    ``distance``: H - (trace/d)·I is traceless with Frobenius norm at most
+    For Hermitian H on C^d with tr H = ``trace`` and ||H - c·I||_2 <=
+    ``distance`` for some real c, such as 1/d or trace/d: H - (trace/d)·I,
+    the part of H orthogonal to I, is traceless with Frobenius norm at most
     ``distance``, and a traceless Hermitian matrix of Frobenius norm r has
     lambda_min >= -r·sqrt((d-1)/d).  At trace 1 the bound is >= 0 exactly on
     the largest PSD ball around I/d, of radius 1/sqrt(d(d-1)) (Gurvits and
@@ -238,19 +249,30 @@ class State:
     """A validated certify input and the numbers every test of it reads.
 
     ``h`` is the symmetrized matrix (A + A†)/2, ``dims`` the checked
-    profile, ``trace`` is tr H and ``distance`` is ||H - I/d||_2.  States
-    compare by identity: ``h`` is an array.
+    profile, ``trace`` is tr H and ``distance`` is ||H - I/d||_2.  ``floor``
+    is ``psd_floor`` of H's distance from (trace/d)·I, a lower bound on
+    lambda_min(H) and on every cut's.  States compare by identity: ``h`` is
+    an array.
     """
 
     h: np.ndarray
     dims: tuple[int, ...]
     trace: float
     distance: float
+    floor: float
 
-    @property
-    def floor(self) -> float:
-        """``psd_floor`` of the state, a lower bound on lambda_min(H) and on every cut's."""
-        return psd_floor(self.trace, self.distance, self.h.shape[0])
+
+def _distance_from_scalar(h: np.ndarray, c: float) -> float:
+    """||H - c·I||_2, bit for bit as frobenius_norm(h - c * np.eye(d)).
+
+    H's diagonal is shifted in place and put back: no d×d temporary.
+    """
+    d = h.shape[0]
+    diagonal = h.diagonal().copy()
+    h.flat[::d + 1] -= c
+    distance = frobenius_norm(h)
+    h.flat[::d + 1] = diagonal
+    return distance
 
 
 def measure(a, dims: Sequence[int]) -> State:
@@ -262,13 +284,12 @@ def measure(a, dims: Sequence[int]) -> State:
     if not isinstance(a, State):
         h = hermitian(a)
         checked, d = check_matrix_dims(h, dims)
-        # ||H - I/d||_2 bit for bit as frobenius_norm(h - np.eye(d) / d), but
-        # with h's diagonal shifted in place and put back: no d×d temporary
-        diagonal = h.diagonal().copy()
-        h.flat[::d + 1] -= 1 / d
-        distance = frobenius_norm(h)
-        h.flat[::d + 1] = diagonal
-        a = State(h, checked, float(np.trace(h).real), distance)
+        trace = float(np.trace(h).real)
+        distance = _distance_from_scalar(h, 1 / d)
+        # ||H - I/d||_2² = ||H - (t/d)·I||_2² + (t - 1)²/d: the sharper
+        # distance is worth a second pass only when t is far from 1
+        spread = distance if abs(trace - 1) <= TRACE_TOL else _distance_from_scalar(h, trace / d)
+        a = State(h, checked, trace, distance, psd_floor(trace, spread, d))
     if a.dims != check_dims(dims):
         raise ValueError(f"state has dims {a.dims}, not {tuple(dims)}")
     return a
@@ -510,11 +531,11 @@ def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
     The entries array is read in blocks of about ``READ_BLOCK`` bytes, each
     ending right after a "]" and checked by ``_check_block``, which carries
     the mark count from block to block; d² pairs must be found in all.  Each
-    block's numbers are then parsed as one flat JSON list, its brackets
-    turned into spaces, and written into the matrix.  Whether each number is
-    valid JSON is left to the parser.  None leaves the file to
-    ``_read_json``, which decides what else is accepted and which error is
-    raised.
+    block's numbers are then parsed by ``orjson`` as one flat JSON list, its
+    brackets turned into spaces, and written into the matrix.  Whether each
+    number is valid JSON, and finite, is left to the parser.  None leaves the
+    file to ``_read_json``, which decides what else is accepted and which
+    error is raised.
     """
     head = _FLAT_HEAD.match(data)
     end = data.rfind(b"]") + 1
@@ -544,8 +565,8 @@ def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
         if stop - first > 1:
             text = b"".join((b"[", data[first + 1:stop - 1].translate(_UNBRACKET), b"]"))
             try:
-                block = np.array(json.loads(text), dtype=np.float64)
-            except (ValueError, OverflowError):
+                block = np.array(orjson.loads(text), dtype=np.float64)
+            except orjson.JSONDecodeError:
                 return None
             if filled + block.size > values.size:
                 return None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,25 @@ def test_certify_ppt_call_counts(capsys, tmp_path, count_calls, psd, code, ppt, 
     assert json.loads(out)["psd_check"] == psd_check
 
 
+def test_certify_unnormalized_ppt_settles_every_cut_by_the_floor(capsys, tmp_path, count_calls):
+    # X = I + Delta with ||Delta||_2 at half the unnormalized radius: its
+    # distance from (t/d)·I puts every cut's lambda_min above 0, while its
+    # distance from I/d, about sqrt(d), did not
+    dims = (2,) * 6
+    rng = np.random.default_rng(46)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    delta = (g + g.conj().T) / 2
+    radius = ballbounds.radius_report(dims).unnormalized_radius
+    path = tmp_path / "x.json"
+    save_matrix(path, np.eye(64) + 0.5 * radius * delta / np.linalg.norm(delta), dims)
+    eig = count_calls(np.linalg, "eigvalsh")
+    cholesky = count_calls(np.linalg, "cholesky")
+    code, out, _ = run_cli(capsys, "certify", "--unnormalized", str(path), "--ppt")
+    assert code == 0
+    assert out.splitlines()[-1] == "ppt: all cuts positive"
+    assert (len(eig), len(cholesky)) == (0, 0)
+
+
 def test_certify_ppt_one_party_file_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "qutrit.json"
     save_matrix(path, np.eye(3) / 3, (3,))
@@ -178,16 +198,20 @@ def test_certify_ppt_one_party_file_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: ") and "at least 2 parties" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_certify_overflowing_norm_is_a_usage_error(capsys, tmp_path):
     # entries this large square to inf in ||rho||_2: the state was once
     # accepted and measured as NaN, which is not JSON
     path = tmp_path / "huge.json"
     save_matrix(path, np.diag([1e308, 0.0, 0.0, 0.0]), (2, 2))
     for argv in (("certify",), ("certify", "--ppt"), ("certify", "--unnormalized")):
-        code, out, err = run_cli(capsys, "--format", "json", *argv, str(path))
+        # outside pytest a warning is printed to stderr: the error line must
+        # be all there is
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "--format", "json", *argv, str(path))
         assert (code, out) == (2, ""), argv
         assert err == "error: matrix norm overflows float64\n", argv
+        assert [str(w.message) for w in caught] == [], argv
 
 
 def test_certify_json_output_roundtrip(capsys, tmp_path):

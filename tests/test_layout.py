@@ -1,11 +1,17 @@
-"""Source layout rules: helpers that other modules use are public."""
+"""Source layout rules: helpers that other modules use are public, and every
+third-party module the package imports is a declared dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import sepball
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sepball"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sepball"
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
 
@@ -77,3 +83,35 @@ def test_all_matches_the_public_imports():
     }
     assert len(sepball.__all__) == len(set(sepball.__all__))
     assert set(sepball.__all__) == imported
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source`` outside the stdlib."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"sepball"}
+
+
+def test_scanner_finds_third_party_imports():
+    source = (
+        "import json, numpy.linalg\n"
+        "from __future__ import annotations\n"
+        "from . import matcore\n"
+        "from orjson import loads\n"
+        "def f():\n"
+        "    import scipy\n"
+    )
+    assert third_party_imports(source) == {"numpy", "orjson", "scipy"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", req)[0].lower() for req in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text()) for path in SRC.glob("*.py")))
+    assert imported <= declared
+    assert {"numpy", "orjson"} <= imported

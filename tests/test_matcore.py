@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,7 +106,26 @@ def test_measure_matches_the_dense_formulas(name):
     assert state.trace == float(np.trace(h).real)
     assert state.distance == np.linalg.norm(h - np.eye(12) / 12)
     assert np.array_equal(state.h.view(np.uint64), h.view(np.uint64))
-    assert state.floor == matcore.psd_floor(state.trace, state.distance, 12)
+    # the floor takes the distance from (t/d)·I once t is off 1, from I/d before
+    t = state.trace
+    spread = (state.distance if abs(t - 1) <= matcore.TRACE_TOL
+              else np.linalg.norm(h - t / 12 * np.eye(12)))
+    assert state.floor == matcore.psd_floor(t, spread, 12)
+
+
+@pytest.mark.parametrize("trace", [1.0, 12.0, 1e-3])
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 0.05, 1.0])
+def test_state_floor_bounds_lambda_min(trace, scale):
+    rng = rng_from_seed(45)
+    for _ in range(20):
+        g = random_hermitian(rng, 12)
+        np.fill_diagonal(g, g.diagonal() - np.trace(g).real / 12)
+        h = trace * (np.eye(12) / 12 + scale * g / np.linalg.norm(g))
+        state = matcore.measure(h, (3, 4))
+        assert state.floor <= np.linalg.eigvalsh(state.h)[0]
+        if scale == 0.0:
+            # a multiple of I has floor t/d, at any trace
+            assert state.floor == pytest.approx(trace / 12, rel=1e-12)
 
 
 def test_measure_takes_a_state_once():
@@ -299,6 +319,43 @@ def _block_boundary_defects(saved: bytes) -> dict[str, bytes]:
     }
 
 
+def _halfway_decimal(x: float) -> str:
+    """The exact decimal halfway between x > 0 and the next double up."""
+    half = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+    k = half.denominator.bit_length() - 1  # the denominator is 2**k
+    digits = str(half.numerator * 5**k)
+    return f"{digits[0]}.{digits[1:] or 0}e{len(digits) - 1 - k}"
+
+
+def _hard_numbers() -> dict[str, list[str]]:
+    """Number texts where a parser that is not correctly rounded goes wrong."""
+    rng = rng_from_seed(47)
+    doubles = np.abs(rng.standard_normal(24)) * 10.0 ** rng.integers(-300, 300, 24)
+    mantissas = ["".join(map(str, rng.integers(0, 10, n))) for n in rng.integers(20, 41, 24)]
+    return {
+        "halfway": [_halfway_decimal(x) for x in [1.0, 0.1, 2.0**-1074, 2.0**-1022,
+                                                  9007199254740992.0, *doubles]],
+        "long_mantissas": [f"{'-' if i % 3 else ''}{m[0]}.{m[1:]}e{rng.integers(-320, 300)}"
+                           for i, m in enumerate(mantissas)],
+        "subnormals": ["2.4703282292062328e-324", "-2.4703282292062327e-324",
+                       "4.9406564584124654e-324", "2.2250738585072011e-308",
+                       "2.2250738585072012e-308", "1e-400", "-1e-330", "3e-320"],
+        "integer_300_digits": ["9" + "1234567890" * 29 + "876543210"],
+        "overflow": ["1e400"],
+        "negative_overflow": ["-1e400"],
+    }
+
+
+def _numbers_text(numbers: list[str]) -> str:
+    """A file in the writer's layout holding ``numbers``, padded with zeros."""
+    qubits = 1
+    while 2 * 4**qubits < len(numbers):
+        qubits += 1
+    padded = numbers + ["0"] * (2 * 4**qubits - len(numbers))
+    pairs = [f"[{re}, {im}]" for re, im in zip(padded[::2], padded[1::2])]
+    return _entries_text(pairs, json.dumps([2] * qubits))
+
+
 def _reader_corpus() -> dict[str, bytes]:
     corpus = {}
     # (2,) * 8 holds more than one read block
@@ -327,6 +384,8 @@ def _reader_corpus() -> dict[str, bytes]:
                                               dims).encode()
     for i, entry in enumerate(ENTRY_TEXTS):
         corpus[f"entry{i}:{entry}"] = _entries_text([entry, "[0, 0]", "[0, 0]", "[1, 0]"]).encode()
+    for name, numbers in _hard_numbers().items():
+        corpus[name] = _numbers_text(numbers).encode()
     good = ["[0.5, 0]", "[0, 0]", "[0, 0]", "[0.5, 0]"]
     corpus["good"] = _entries_text(good).encode()
     corpus["wrong_count"] = _entries_text(good[:3]).encode()
@@ -402,9 +461,11 @@ def test_reader_corpus_takes_both_paths():
     # every other layout the full JSON reader
     flat = {name for name, data in READER_CORPUS.items() if matcore._read_flat(data) is not None}
     assert {"saved_2_2_2", "saved_2_2_2_2_2_2_2_2", "indent1", "tabs", "crlf", "no_spaces",
-            "good", "trailing_whitespace"} <= flat
+            "good", "trailing_whitespace", "halfway", "long_mantissas", "subnormals",
+            "integer_300_digits"} <= flat
+    # numbers that overflow to infinity are read by the full JSON reader
     assert not flat & {"keys_reordered", "extra_key", "string_with_entries", "dims_float",
-                       "entry0_NaN_0", "entry10_1_0", "bom"}
+                       "entry0_NaN_0", "entry10_1_0", "bom", "overflow", "negative_overflow"}
 
 
 @pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]"],
