@@ -137,18 +137,21 @@ def cmd_schur_norm(args) -> int:
         eta, n_raw = args.l_matrix
         if not (n_raw >= 1 and n_raw.is_integer()):
             raise ValueError("--l-matrix size must be a positive integer")
-        b = schurnorm.l_matrix(eta, int(n_raw))
+        n = int(n_raw)
     elif args.file is not None:
         b, _ = _load(args.file)
+        n = b.shape[0]
     else:
         raise ValueError("need a matrix file or --l-matrix ETA N")
 
-    n = b.shape[0]
+    # refused before an --l-matrix matrix is built
     if not args.oracle_only and n > schurnorm.EXACT_SOLVER_CAP:
         raise ValueError(
             f"n = {n} exceeds the exact-solver cap "
             f"{schurnorm.EXACT_SOLVER_CAP}; rerun with --oracle-only"
         )
+    if args.l_matrix is not None:
+        b = schurnorm.l_matrix(eta, n)
     oracle = schurnorm.oracle_two_inf_norm(b, restarts=args.restarts, seed=seed)
     obj = {"n": n, "oracle": oracle}
     lines = [f"oracle: {oracle:{FMT}}"]

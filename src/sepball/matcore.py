@@ -25,13 +25,17 @@ that object, ``WRITE_CHUNK`` entries at a time.  A file laid out that way
 (the dims key first, then the entries key, any JSON whitespace between
 tokens) is checked and parsed in blocks of about ``READ_BLOCK`` bytes, each
 straight into the matrix, so a read holds the file's bytes, the matrix and
-one block.  Those blocks are parsed with ``orjson``, which takes only strict
-JSON and rounds every decimal correctly, so its values are the standard
-library's bit for bit; a block it refuses, such as one holding a number that
-overflows to infinity, sends the whole file to the full parser, stdlib
-``json``, which also reads every other valid JSON layout.  Entries must be
-JSON numbers: booleans and integers beyond float range are rejected as
-malformed.
+one block.  Each block is checked by one rule of its own: with whitespace
+taken out and numbers read as "0", its marks read lead + "[,]" +
+",[,]"·(k - 1), the lead being the array's "[" in the first block and the
+comma before the block's first pair in later ones, and numbers stand only
+inside pairs; the array's closing "]" lies in no block.  The blocks are
+parsed with ``orjson``, which takes only strict JSON and rounds every
+decimal correctly, so its values are the standard library's bit for bit; a
+block it refuses, such as one holding a number that overflows to infinity,
+sends the whole file to the full parser, stdlib ``json``, which also reads
+every other valid JSON layout.  Entries must be JSON numbers: booleans and
+integers beyond float range are rejected as malformed.
 """
 
 from __future__ import annotations
@@ -262,10 +266,11 @@ class State:
     floor: float
 
 
-def _distance_from_scalar(h: np.ndarray, c: float) -> float:
+def distance_from_scalar(h: np.ndarray, c: float) -> float:
     """||H - c·I||_2, bit for bit as frobenius_norm(h - c * np.eye(d)).
 
-    H's diagonal is shifted in place and put back: no d×d temporary.
+    H's diagonal is shifted by -c in place, the norm taken, and the diagonal
+    restored bit for bit from a copy: no d×d temporary.
     """
     d = h.shape[0]
     diagonal = h.diagonal().copy()
@@ -285,10 +290,10 @@ def measure(a, dims: Sequence[int]) -> State:
         h = hermitian(a)
         checked, d = check_matrix_dims(h, dims)
         trace = float(np.trace(h).real)
-        distance = _distance_from_scalar(h, 1 / d)
+        distance = distance_from_scalar(h, 1 / d)
         # ||H - I/d||_2² = ||H - (t/d)·I||_2² + (t - 1)²/d: the sharper
         # distance is worth a second pass only when t is far from 1
-        spread = distance if abs(trace - 1) <= TRACE_TOL else _distance_from_scalar(h, trace / d)
+        spread = distance if abs(trace - 1) <= TRACE_TOL else distance_from_scalar(h, trace / d)
         a = State(h, checked, trace, distance, psd_floor(trace, spread, d))
     if a.dims != check_dims(dims):
         raise ValueError(f"state has dims {a.dims}, not {tuple(dims)}")
@@ -482,98 +487,68 @@ _FLAT_TAIL = re.compile(_WS + rb"\}" + _WS)
 _NUMBER_BYTES = b"0123456789+-.eE"
 _NUMBERS_TO_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 
-#: Marks 4k to 4k + 3 of "[[,],[,],…,[,]]": the comma between pairs, then a
-#: pair's "[", inner comma and "]".
-_MARK_CYCLE = b",[,]"
-
 #: Byte map that turns brackets into spaces.
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 
 _LEADING_WS = re.compile(_WS)
 
 
-def _check_block(block: bytes, marks: int, last: int) -> int | None:
-    """Number of marks in one block of an entries array, or None.
-
-    ``marks`` marks came before the block, and ``last`` is the index of the
-    array's closing mark.  Only number bytes, JSON whitespace and the marks
-    "[", "]", "," may occur; the marks must go on reading
-    "[[,],[,],…,[,]]"; and number bytes may stand only inside a pair.  With
-    the whitespace taken out, that last rule reads: no number byte follows a
-    "]" or precedes a "[", and none starts the block (a block follows the
-    last one's "]", or starts the array).
-    """
-    tokens = block.translate(_NUMBERS_TO_ZERO, b" \t\n\r")
-    got = tokens.translate(None, b"0")  # the marks, and any refused byte
-    count = len(got)
-    if marks + count - 1 > last:
-        return None
-    # a block that passed ends in a pair's "]", mark 4k - 1, so the next one
-    # starts at a multiple of 4
-    want = (_MARK_CYCLE * (count // 4 + 1))[:count]
-    if marks == 0:
-        want = b"[" + want[1:]
-    if marks + count - 1 == last:
-        want = want[:-1] + b"]"
-    if got != want:
-        return None
-    token = np.frombuffer(tokens, np.uint8)
-    number = token == ord("0")
-    if (number[0] or (number[1:] & (token[:-1] == ord("]"))).any()
-            or (number[:-1] & (token[1:] == ord("["))).any()):
-        return None
-    return count
-
-
 def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
     """(matrix, dims) of a file in ``save_matrix``'s layout, else None.
 
-    The entries array is read in blocks of about ``READ_BLOCK`` bytes, each
-    ending right after a "]" and checked by ``_check_block``, which carries
-    the mark count from block to block; d² pairs must be found in all.  Each
-    block's numbers are then parsed by ``orjson`` as one flat JSON list, its
-    brackets turned into spaces, and written into the matrix.  Whether each
-    number is valid JSON, and finite, is left to the parser.  None leaves the
-    file to ``_read_json``, which decides what else is accepted and which
-    error is raised.
+    The entries array, short of its closing "]", is read in blocks of about
+    ``READ_BLOCK`` bytes, each ending right after a pair's "]".  Only number
+    bytes, JSON whitespace and the marks "[", "]", "," may occur in a block.
+    With the whitespace taken out and every number byte read as "0", its
+    marks must read lead + "[,]" + ",[,]"·(k - 1) for some k >= 1, where the
+    lead is the array's "[" in the first block and the comma before the
+    block's first pair in every later one; no number byte may start the
+    block, follow a "]" or precede a "[", so numbers stand only inside
+    pairs.  The numbers after the lead are then parsed by ``orjson`` as one
+    flat JSON list, brackets turned into spaces, and written into the
+    matrix; the file is taken when exactly 2·d² were parsed.  Whether each
+    number is valid JSON, and finite, is left to the parser.  None leaves
+    the file to ``_read_json``, which decides what else is accepted and
+    which error is raised.
     """
     head = _FLAT_HEAD.match(data)
-    end = data.rfind(b"]") + 1
-    if head is None or end <= head.end() or _FLAT_TAIL.fullmatch(data, end) is None:
+    close = data.rfind(b"]")  # the entries array's closing "]"
+    if head is None or close < head.end() or _FLAT_TAIL.fullmatch(data, close + 1) is None:
         return None
     try:
         dims = check_dims(json.loads(head[1]))
     except ValueError:
         return None
     d = math.prod(dims)
-    last = 4 * d * d  # index of the closing mark
     start = head.end()
     # the shortest array of d² pairs is "[[0,0],…,[0,0]]": 6·d² + 1 bytes
-    if end - start < 6 * d * d + 1:
+    if close - start < 6 * d * d:
         return None
     values = np.empty(2 * d * d, np.float64)
-    marks = filled = 0
-    while start < end:
-        # the array's last byte is its closing "]", so every block ends in one
-        stop = data.find(b"]", start + READ_BLOCK, end) + 1 or end
-        count = _check_block(data[start:stop], marks, last)
-        if count is None:
+    filled, lead = 0, b"["
+    while start < close:
+        stop = data.find(b"]", start + READ_BLOCK, close) + 1 or close
+        tokens = data[start:stop].translate(_NUMBERS_TO_ZERO, b" \t\n\r")
+        marks = tokens.translate(None, b"0")  # and any refused byte
+        if marks != lead + b"[,]" + b",[,]" * (len(marks) // 4 - 1):
             return None
-        # the numbers between the block's first mark ("[" of the array or a
-        # comma between pairs) and its closing "]", as one JSON list
-        first = _LEADING_WS.match(data, start).end()
-        if stop - first > 1:
-            text = b"".join((b"[", data[first + 1:stop - 1].translate(_UNBRACKET), b"]"))
-            try:
-                block = np.array(orjson.loads(text), dtype=np.float64)
-            except orjson.JSONDecodeError:
-                return None
-            if filled + block.size > values.size:
-                return None
-            values[filled:filled + block.size] = block
-            filled += block.size
-        marks, start = marks + count, stop
-    if marks != last + 1 or filled != values.size:
+        token = np.frombuffer(tokens, np.uint8)
+        number = token == ord("0")
+        if (number[0] or (number[1:] & (token[:-1] == ord("]"))).any()
+                or (number[:-1] & (token[1:] == ord("["))).any()):
+            return None
+        first = _LEADING_WS.match(data, start).end()  # the lead mark
+        text = b"".join((b"[", data[first + 1:stop].translate(_UNBRACKET), b"]"))
+        try:
+            block = np.array(orjson.loads(text), dtype=np.float64)
+        except orjson.JSONDecodeError:
+            return None
+        if filled + block.size > values.size:
+            return None
+        values[filled:filled + block.size] = block
+        filled += block.size
+        start, lead = stop, b","
+    if filled != values.size:
         return None
     return values.view(np.complex128).reshape(d, d), dims
 

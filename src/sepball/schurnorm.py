@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import eig_hermitian, hermitian
+from .matcore import check_materializable, eig_hermitian, hermitian
 from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
@@ -177,7 +177,11 @@ def schur_two_inf_norm(b) -> float:
 
 
 def l_matrix(eta: float, n: int) -> np.ndarray:
-    """The matrix with ones on the diagonal and eta off the diagonal."""
+    """The matrix with ones on the diagonal and eta off the diagonal.
+
+    Raises ``MaterializationError`` for n above the materialization cap.
+    """
+    check_materializable(n)
     return eta * np.ones((n, n)) + (1.0 - eta) * np.eye(n)
 
 

@@ -71,20 +71,27 @@ def test_certificates_and_ppt_read_a_state_without_validating(count_calls):
             fn(states[0], (4, 2))
 
 
-def test_certify_normalized_peak_memory():
-    # a 10-qubit state inside the PSD ball, 16 MB as a matrix: the
-    # symmetrized copy and one temporary of hermitian's are all it adds
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "unnormalized"])
+def test_certify_peak_memory(normalized):
+    # a 10-qubit state inside the PSD ball, 16 MB as a matrix, and d times
+    # it for the unnormalized test: the symmetrized copy and one temporary
+    # of hermitian's are all either adds
     d = 1024
     rho = np.eye(d) / d + 0.5 / d * random_traceless_unit_hermitian(rng_from_seed(37), d)
+    x = rho if normalized else d * rho
+    fn = certify.certify_normalized if normalized else certify.certify_unnormalized
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cert = certify.certify_normalized(rho, (2,) * 10)
+        cert = fn(x, (2,) * 10)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert cert.psd_check == "ball"
+    assert cert.psd_check == ("ball" if normalized else "skipped")
     assert peak <= 34e6
+    if not normalized:
+        h = matcore.hermitian(x)
+        assert cert.measured == frobenius_norm(h - np.eye(d))
 
 
 def test_identity_unnormalized():
@@ -285,8 +292,13 @@ def werner(p: float) -> np.ndarray:
 
 @pytest.mark.parametrize("r", [1e-10, 5e-10, 1e-9])
 def test_werner_decisions_match_eigensolve(r):
-    # p = (1 + r)/3: the partial transpose's lowest eigenvalue is -r/4
-    _assert_same_decisions(werner((1.0 + r) / 3.0), (2, 2))
+    # p = (1 + r)/3: the partial transpose's lowest eigenvalue is -r/4, so
+    # the state is entangled and no certificate may call it separable; PPT
+    # sees it only once r/4 exceeds PSD_TOL
+    rho = werner((1.0 + r) / 3.0)
+    _assert_same_decisions(rho, (2, 2))
+    assert certify.certify_normalized(rho, (2, 2)).verdict == certify.INCONCLUSIVE
+    assert certify.ppt_all_cuts(rho, (2, 2)) is (r / 4 <= matcore.PSD_TOL)
 
 
 @pytest.mark.parametrize("m", range(3, 9))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -265,6 +266,28 @@ def test_schur_norm_bad_input_is_a_usage_error(capsys, tmp_path):
         code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", size)
         assert code == 2, size
         assert err == "error: --l-matrix size must be a positive integer\n", size
+
+
+def test_schur_norm_l_matrix_over_cap_is_refused_before_building(capsys):
+    # a 5000 × 5000 matrix would take 200 MB
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", "5000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds the exact-solver cap" in err
+    assert peak < 1e6
+
+
+def test_schur_norm_oracle_only_l_matrix_keeps_the_materialization_cap(capsys, monkeypatch):
+    monkeypatch.setattr(matcore, "MATERIALIZATION_CAP", 64)
+    code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", "65", "--oracle-only")
+    assert code == 2
+    assert "materialization cap 64" in err
+    code, _, _ = run_cli(capsys, "schur-norm", "--l-matrix", "2", "64", "--oracle-only")
+    assert code == 0
 
 
 def test_schur_norm_missing_input(capsys):

@@ -1,7 +1,9 @@
-"""Source layout rules: helpers that other modules use are public, and every
-third-party module the package imports is a declared dependency."""
+"""Source layout rules: helpers that other modules use are public, every
+third-party module the package imports is a declared dependency, and the
+constants the README quotes have the values it gives."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -115,3 +117,18 @@ def test_every_third_party_import_is_a_declared_dependency():
     imported = set().union(*(third_party_imports(path.read_text()) for path in SRC.glob("*.py")))
     assert imported <= declared
     assert {"numpy", "orjson"} <= imported
+
+
+#: A constant quoted in the README with its value: `NAME` (value).
+README_CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]+)` \((\d+)( KiB)?\)")
+UNITS = {"": 1, " KiB": 1 << 10}
+
+
+def test_readme_constants_match_the_code():
+    modules = [importlib.import_module(f"sepball.{name}") for name in sorted(MODULES)]
+    quoted = [(name, int(number) * UNITS[unit])
+              for name, number, unit in README_CONSTANT.findall((ROOT / "README.md").read_text())]
+    assert {"FACE_CHUNK", "RESTART_BLOCK", "SAMPLE_BLOCK", "WRITE_CHUNK", "READ_BLOCK",
+            "CHOLESKY_ROUNDING"} <= {name for name, _ in quoted}
+    for name, value in quoted:
+        assert {vars(mod)[name] for mod in modules if name in vars(mod)} == {value}, name

@@ -302,20 +302,23 @@ ENTRY_TEXTS = ["[NaN, 0]", "[Infinity, -Infinity]", "[1, 0]", "[-0, 0]", "[1e3, 
 
 
 def _block_boundary_defects(saved: bytes) -> dict[str, bytes]:
-    """Defects of a multi-block file placed where its first read block ends.
+    """Defects of a multi-block file placed where a read block ends.
 
     The reader's first block ends right after the first "]" at least
-    ``READ_BLOCK`` bytes into the entries array; each defect keeps that "]"
-    where it is.
+    ``READ_BLOCK`` bytes into the entries array, and its last block right
+    before the array's closing "]"; each defect keeps those brackets where
+    they are.
     """
     start = saved.index(b'"entries": ') + len(b'"entries": ')
     end = saved.index(b"]", start + matcore.READ_BLOCK)  # the block's last byte
     assert saved[end + 1:end + 3] == b", "
     inner = saved.rindex(b",", 0, end)  # the comma inside the pair ending there
+    close = saved.rindex(b"]")
     return {
         "block_number_after_pair": saved[:end + 1] + b" 7" + saved[end + 1:],
         "block_truncated_pair": saved[:inner] + b" " * (end - inner) + saved[end:],
         "block_missing_comma": saved[:end + 1] + saved[end + 2:],
+        "block_comma_before_close": saved[:close] + b", " + saved[close:],
     }
 
 
@@ -402,6 +405,8 @@ def _reader_corpus() -> dict[str, bytes]:
     corpus["number_before_close"] = b'{"dims": [2], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, ] 0]}'
     # as many marks as the writer's layout, in another order
     corpus["comma_before_close"] = b'{"dims": [2], "entries": [[0.5, 0, ][0, 0, ][0, 0, ][0.5, 0]]}'
+    corpus["trailing_comma"] = _entries_text(good + [""]).encode()
+    corpus["leading_comma"] = _entries_text([""] + good).encode()
     corpus["missing_comma"] = b'{"dims": [2], "entries": [[0.5, 0] [0, 0], [0, 0], [0.5, 0]]}'
     corpus["number_before_array"] = b'{"dims": [2], "entries": 1[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}'
     text = _entries_text(good).encode()
