@@ -50,18 +50,20 @@ class Certificate:
     #: ran); None when not recorded.
     psd_check: str | None = field(default=None)
 
+    def to_dict(self) -> dict:
+        """The certificate as the JSON object that ``to_json`` writes."""
+        return {
+            "verdict": self.verdict,
+            "bound": self.bound_used,
+            "measured": self.measured,
+            "margin": self.margin,
+            "dims": list(self.dims),
+            "boundary": self.boundary,
+            "psd_check": self.psd_check,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "bound": self.bound_used,
-                "measured": self.measured,
-                "margin": self.margin,
-                "dims": list(self.dims),
-                "boundary": self.boundary,
-                "psd_check": self.psd_check,
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
@@ -153,6 +155,7 @@ def certify_pseudopure(eps: float, dims: Sequence[int], *, baseline: str = "recu
     """Ball test for a pseudopure state, without materializing it."""
     if not 0 <= eps <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
+    dims = check_dims(dims)
     bound = pseudopure_bound(dims, baseline=baseline)
     return _ball_verdict(eps, bound, dims)
 

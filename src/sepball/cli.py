@@ -107,7 +107,7 @@ def cmd_certify(args) -> int:
     certify_fn = certify.certify_unnormalized if args.unnormalized else certify.certify_normalized
     cert = certify_fn(state, state.dims)
 
-    obj = json.loads(cert.to_json())
+    obj = cert.to_dict()
     lines = [
         f"verdict:  {cert.verdict}",
         f"bound:    {cert.bound_used:{FMT}}",

@@ -32,6 +32,7 @@ from .matcore import (
     apply_map,
     as_matrix,
     block_norm_matrix,
+    check_materializable,
     frobenius_norm,
     hermitian,
     is_psd,
@@ -107,6 +108,7 @@ def build_tau(a: float, d2: int, d1: int = 2, mu_scale: float = 1.0) -> MapOnMat
         raise ValueError("the construction needs d2 >= 4")
     if d1 < 2:
         raise ValueError("need d1 >= 2")
+    check_materializable(d2, d2, d1, d1)
     mu = mu_scale * critical_mu(a, d2)
     # Orthonormal (trace inner product) Hermitian triple spanning the support.
     basis_in = [
@@ -187,15 +189,18 @@ def ball_positivity_check(
     the radius-a Frobenius sphere (the worst case is on the boundary by
     homogeneity), ``SAMPLE_BLOCK`` at a time.  A sound falsifier,
     probabilistic verifier.  ``a`` must lie in (0, 1], the domain of
-    ``critical_mu``, and ``samples`` must be a nonnegative integer.
+    ``critical_mu``, ``samples`` must be a nonnegative integer, and phi must
+    be a stochastic map on M(d2) with d2 >= 2.
     """
     if not (isinstance(samples, numbers.Integral) and samples >= 0):
         raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
-    if not phi.is_stochastic():
-        raise ValueError("phi must be stochastic")
     d2 = phi.in_dim
+    # the probe stacks; each draw stack is refused by random_unit_hermitians
+    check_materializable(2 * PROBE_STEPS, d2, d2)
+    if d2 < 2 or not phi.is_stochastic():
+        raise ValueError("phi must be a stochastic map on M(d2) with d2 >= 2")
     eye = np.eye(d2)
     rng = rng_from_seed(seed)
     # a block is drawn only when the stacks before it have passed

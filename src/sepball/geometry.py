@@ -16,13 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import (
-    MATERIALIZATION_CAP,
-    MaterializationError,
-    check_dims,
-    check_materializable,
-    kron_all,
-)
+from .matcore import check_dims, check_materializable, kron_all
 
 
 @dataclass(frozen=True)
@@ -45,11 +39,7 @@ class ConvexWitness:
         than one matrix at the materialization cap.
         """
         k, d = self.vectors.shape
-        if k * d * d > MATERIALIZATION_CAP**2:
-            raise MaterializationError(
-                f"{k} states of dimension {d} exceed {MATERIALIZATION_CAP}^2 entries; "
-                "use the vectors instead"
-            )
+        check_materializable(k, d, d)
         return self.vectors[:, :, None] * self.vectors[:, None, :].conj()
 
     def reconstruction_error(self) -> float:
@@ -103,7 +93,7 @@ def sep_symmetry_witness(
     dims = check_dims(dims)
     if len(local_vectors) != len(dims):
         raise ValueError("need one local vector per party")
-    check_materializable(math.prod(dims))
+    check_materializable(*dims, *dims)  # pi and the product basis, as tensors
     bases = [complete_local_basis(v) for v in local_vectors]
     if tuple(b.shape[0] for b in bases) != dims:
         raise ValueError("local vector dimension inconsistent with dims")
@@ -141,6 +131,7 @@ def unitary_basis(n: int) -> np.ndarray:
     ``(1/n) sum_i U_i X U_i† = (tr X) I``.
     """
     (n,) = check_dims((n,))
+    check_materializable(n, n, n, n)
     k, i, l = np.ogrid[:n, :n, :n]
     basis = np.zeros((n, n, n, n), dtype=complex)
     basis[k, l, i, (i + l) % n] = np.exp(2j * math.pi * (k * i % n) / n)
@@ -149,6 +140,7 @@ def unitary_basis(n: int) -> np.ndarray:
 
 def maximally_entangled_projector(n: int) -> np.ndarray:
     """|psi><psi| for psi = vec(I)/sqrt(n)."""
+    check_materializable(n * n, n * n)
     psi = np.eye(n, dtype=complex).ravel() / math.sqrt(n)
     return np.outer(psi, psi.conj())
 
@@ -163,6 +155,6 @@ def mes_symmetry_witness(n: int) -> ConvexWitness:
     """
     (n,) = check_dims((n,))
     d = n * n
-    check_materializable(d)
+    check_materializable(d, d)
     vectors = unitary_basis(n)[1:].transpose(0, 2, 1).reshape(d - 1, d) / math.sqrt(n)
     return _reflection_witness(maximally_entangled_projector(n), vectors)

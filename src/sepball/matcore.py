@@ -9,7 +9,12 @@ to certify and records its trace, distance from I/d and floor on lambda_min
 in a ``State``, which the certificates and the PPT scan take in place of the
 matrix without validating again; the CLI's ``certify`` hands them one.
 Every other function here is a kernel that takes trusted ndarrays and never
-re-validates; ``kron`` still enforces the materialization cap.
+re-validates.
+
+Memory has one rule, ``check_materializable(*shape)``: every function that
+builds an array sized from its arguments, and every reader of outside
+input, asks it with the shape it is about to build, and it refuses any
+array of more than ``MATERIALIZATION_CAP``² entries.
 
 ``is_psd`` decides the rule lambda_min(H) >= -tol·max(1, ||H||_inf) with the
 cheapest check that settles it, and says which one did: a lower bound on
@@ -50,7 +55,8 @@ from typing import Iterator, Sequence
 import numpy as np
 import orjson
 
-#: Largest total dimension for which matrices may be materialized (12 qubits).
+#: Largest total dimension for which matrices may be materialized (12 qubits):
+#: no array may hold more than its square of entries.
 MATERIALIZATION_CAP = 4096
 
 #: Default relative PSD tolerance, scaled by max(1, operator norm).
@@ -72,11 +78,12 @@ TRACE_TOL = 1e-10
 
 
 class MaterializationError(ValueError):
-    """Raised when an operation would materialize a matrix above the cap."""
+    """Raised when an operation would materialize an array above the cap."""
 
 
 def as_matrix(a) -> np.ndarray:
     """Validate and convert input to a finite complex square matrix."""
+    check_materializable(*np.shape(a))
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
@@ -129,11 +136,16 @@ def check_matrix_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[tuple[int, ..
     return dims, d
 
 
-def check_materializable(d: int) -> None:
-    if d > MATERIALIZATION_CAP:
+def check_materializable(*shape: int) -> None:
+    """Refuse an array of ``shape`` holding more than ``MATERIALIZATION_CAP``² entries.
+
+    The package's one memory rule, asked before the array is built; a
+    square d×d array passes exactly when d <= ``MATERIALIZATION_CAP``.
+    """
+    if math.prod(map(int, shape)) > MATERIALIZATION_CAP**2:
         raise MaterializationError(
-            f"dimension {d} exceeds the materialization cap {MATERIALIZATION_CAP}; "
-            "use the formula-level operations instead"
+            f"a {'x'.join(map(str, shape))} array exceeds the materialization cap "
+            f"{MATERIALIZATION_CAP} ({MATERIALIZATION_CAP}^2 entries); use formula-level operations"
         )
 
 
@@ -306,8 +318,7 @@ def measure(a, dims: Sequence[int]) -> State:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, refusing outputs above the materialization cap."""
-    check_materializable(a.shape[0] * b.shape[0])
-    check_materializable(a.shape[1] * b.shape[1])
+    check_materializable(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 
@@ -409,6 +420,7 @@ class MapOnMatrices:
 
 
 def identity_map(d: int) -> MapOnMatrices:
+    check_materializable(d, d, d, d)
     # images[i, j, k, l] = 1 exactly when (i, j) == (k, l)
     return MapOnMatrices(d, d, np.eye(d * d, dtype=complex).reshape(d, d, d, d))
 
@@ -419,6 +431,7 @@ def apply_map(phi: MapOnMatrices, x: np.ndarray) -> np.ndarray:
     One matrix product of the flattened inputs with the flattened images.
     """
     d_in, d_out = phi.in_dim, phi.out_dim
+    check_materializable(*x.shape[:-2], d_out, d_out)
     flat = x.reshape(-1, d_in * d_in) @ phi.images.reshape(d_in * d_in, d_out * d_out)
     return flat.reshape(x.shape[:-2] + (d_out, d_out))
 
@@ -509,7 +522,8 @@ def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
     matrix; the file is taken when exactly 2·d² were parsed.  Whether each
     number is valid JSON, and finite, is left to the parser.  None leaves
     the file to ``_read_json``, which decides what else is accepted and
-    which error is raised.
+    which error is raised; dims above the cap, in a file long enough to
+    hold them, are refused here, before the matrix is allocated.
     """
     head = _FLAT_HEAD.match(data)
     close = data.rfind(b"]")  # the entries array's closing "]"
@@ -524,6 +538,7 @@ def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:
     # the shortest array of d² pairs is "[[0,0],…,[0,0]]": 6·d² + 1 bytes
     if close - start < 6 * d * d:
         return None
+    check_materializable(d, d)
     values = np.empty(2 * d * d, np.float64)
     filled, lead = 0, b"["
     while start < close:
@@ -562,6 +577,7 @@ def _read_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
     try:
         dims = check_dims(obj["dims"])
         d = math.prod(dims)
+        check_materializable(d, d)
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, got {len(entries)}")

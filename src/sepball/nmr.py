@@ -49,7 +49,7 @@ class NmrParams:
 
 def thermal_state(p: NmrParams) -> np.ndarray:
     """m-fold tensor power of diag((1+eta)/2, (1-eta)/2)."""
-    check_materializable(2**p.m)
+    check_materializable(2**p.m, 2**p.m)
     single = np.diag([(1.0 + p.eta) / 2.0, (1.0 - p.eta) / 2.0]).astype(complex)
     return kron_all([single] * p.m)
 

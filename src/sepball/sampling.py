@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .matcore import check_materializable
+
 #: Default seed for every sampling-based check (overridable via CLI / env).
 DEFAULT_SEED = 0xB0B5
 
@@ -34,12 +36,16 @@ def random_unit_hermitians(
     imaginary part, per draw), so drawing in blocks of any size gives the
     same draws in the same order.
     """
-    g = rng.standard_normal((k, 2, d, d))
-    a = g[:, 0] + 1j * g[:, 1]
-    h = (a + a.conj().transpose(0, 2, 1)) / 2
+    check_materializable(k, d, d)
+    # worked on in place: besides the stack, one conjugate and one product
+    h = rng.standard_normal((k, 2, d, d))
+    h = h[:, 0] + 1j * h[:, 1]
+    h += h.conj().transpose(0, 2, 1)
+    h /= 2
     if traceless:
         h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / d * np.eye(d)
-    return h / np.linalg.norm(h, axis=(1, 2), keepdims=True)
+    h /= np.linalg.norm(h, axis=(1, 2), keepdims=True)
+    return h
 
 
 def random_traceless_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -181,7 +181,7 @@ def l_matrix(eta: float, n: int) -> np.ndarray:
 
     Raises ``MaterializationError`` for n above the materialization cap.
     """
-    check_materializable(n)
+    check_materializable(n, n)
     return eta * np.ones((n, n)) + (1.0 - eta) * np.eye(n)
 
 

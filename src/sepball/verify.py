@@ -366,15 +366,11 @@ def check_hermitian_ratios_respect_lambda(seed: int, fast: bool) -> None:
     for a, d2 in _TAU_GRID:
         tau = extremal.build_tau(a, d2)
         lam = ballbounds.lambda_bound(a, d2)
-        # the ratios of achieved_ratio, one block of draws at a time
-        for start in range(0, n, extremal.SAMPLE_BLOCK):
-            k = min(extremal.SAMPLE_BLOCK, n - start)
-            h = random_unit_hermitians(rng, k, d2, traceless=True)
-            out = apply_map(tau, h)
-            ratios = np.linalg.norm(out, 2, axis=(1, 2)) / np.linalg.norm(h, axis=(1, 2))
-            assert np.all(ratios <= lam + 1e-9), (
-                "traceless Hermitian ratio exceeded lambda"
-            )
+        # the ratios of achieved_ratio, all n draws in one stack
+        h = random_unit_hermitians(rng, n, d2, traceless=True)
+        out = apply_map(tau, h)
+        ratios = np.linalg.norm(out, 2, axis=(1, 2)) / np.linalg.norm(h, axis=(1, 2))
+        assert np.all(ratios <= lam + 1e-9), "traceless Hermitian ratio exceeded lambda"
 
 
 def check_tilde_ratios_respect_gamma(seed: int, fast: bool) -> None:

@@ -174,6 +174,14 @@ def test_certify_pseudopure_verdicts():
         certify.certify_pseudopure(1.5, dims)
 
 
+@pytest.mark.parametrize("dims", [[np.int64(2), 2.0], [2.0, 2.0], (2, 2)])
+def test_certify_pseudopure_records_checked_dims(dims):
+    cert = certify.certify_pseudopure(0.01, dims)
+    assert cert.dims == (2, 2) and all(type(d) is int for d in cert.dims)
+    assert '"dims": [2, 2]' in cert.to_json()
+    assert json.loads(cert.to_json()) == cert.to_dict()
+
+
 def test_ppt_all_cuts_bell_violation():
     assert not certify.ppt_all_cuts(bell_state(), (2, 2))
     assert certify.ppt_all_cuts(np.eye(4) / 4, (2, 2))

@@ -170,6 +170,12 @@ def test_ball_positivity_rejects_bad_arguments(a, samples):
         extremal.ball_positivity_check(tau, a, samples=samples, seed=5)
 
 
+def test_ball_positivity_rejects_maps_on_scalars():
+    # M(1) has no traceless direction to probe
+    with pytest.raises(ValueError, match="d2 >= 2"):
+        extremal.ball_positivity_check(identity_map(1), 0.5)
+
+
 def _reference_ball_check(phi, a, samples, seed, lambda_min):
     """The per-sample loop the batched check replaced, kept as a reference.
 

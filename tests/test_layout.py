@@ -1,6 +1,7 @@
-"""Source layout rules: helpers that other modules use are public, every
-third-party module the package imports is a declared dependency, and the
-constants the README quotes have the values it gives."""
+"""Source layout rules: helpers that other modules use are public, only
+matcore reads the materialization cap, every third-party module the package
+imports is a declared dependency, and the constants the README quotes have
+the values it gives."""
 
 import ast
 import importlib
@@ -68,6 +69,59 @@ def test_no_module_reads_another_modules_private_names():
         path.name: reads
         for path in sorted(SRC.glob("*.py"))
         if (reads := foreign_private_reads(path.read_text()))
+    }
+    assert found == {}
+
+
+CAP = "MATERIALIZATION_CAP"
+
+
+def cap_reads(source: str) -> list[str]:
+    """Every read of ``MATERIALIZATION_CAP`` in ``source``.
+
+    An import of it, an attribute or a bare name of it, or the string of its
+    name (as ``getattr`` takes it) counts as a read.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"from {'.' * node.level}{node.module} import {CAP}"
+                      for alias in node.names if alias.name == CAP]
+        elif isinstance(node, ast.Attribute) and node.attr == CAP:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == CAP:
+            found.append(CAP)
+        elif isinstance(node, ast.Constant) and node.value == CAP:
+            found.append(repr(CAP))
+    return found
+
+
+def test_scanner_finds_cap_reads():
+    source = (
+        '"""Refuses matrices above ``MATERIALIZATION_CAP``."""\n'
+        "from .matcore import MATERIALIZATION_CAP as cap, check_materializable\n"
+        "from . import matcore\n"
+        "def f(d):\n"
+        "    check_materializable(d, d)\n"
+        "    return matcore.MATERIALIZATION_CAP, getattr(matcore, 'MATERIALIZATION_CAP')\n"
+        "def g():\n"
+        "    return MATERIALIZATION_CAP\n"
+    )
+    assert sorted(cap_reads(source)) == [
+        "'MATERIALIZATION_CAP'",
+        "MATERIALIZATION_CAP",
+        "from .matcore import MATERIALIZATION_CAP",
+        "matcore.MATERIALIZATION_CAP",
+    ]
+
+
+def test_only_matcore_reads_the_materialization_cap():
+    # the memory rule is matcore.check_materializable's alone: other modules
+    # ask it with the shape they are about to build
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "matcore" and (reads := cap_reads(path.read_text()))
     }
     assert found == {}
 
