@@ -64,6 +64,9 @@ def critical_mu(a: float, d2: int) -> float:
 
 def z_pattern(d2: int) -> np.ndarray:
     """Unit-Frobenius diagonal input pattern: diag(1/sqrt2, -1/sqrt2, 0, ...)."""
+    if d2 < 2:
+        raise ValueError("the input pattern needs d2 >= 2")
+    check_materializable(d2, d2)
     z = np.zeros((d2, d2), dtype=complex)
     z[0, 0] = 1.0 / math.sqrt(2.0)
     z[1, 1] = -1.0 / math.sqrt(2.0)
@@ -74,6 +77,7 @@ def x_pattern(d2: int) -> np.ndarray:
     """Unit-Frobenius diagonal input pattern on slots 3 and 4."""
     if d2 < 4:
         raise ValueError("the input pattern needs d2 >= 4")
+    check_materializable(d2, d2)
     x = np.zeros((d2, d2), dtype=complex)
     x[2, 2] = -1.0 / math.sqrt(2.0)
     x[3, 3] = 1.0 / math.sqrt(2.0)
@@ -81,6 +85,9 @@ def x_pattern(d2: int) -> np.ndarray:
 
 
 def padded_sigma_z(d1: int) -> np.ndarray:
+    if d1 < 2:
+        raise ValueError("the padded Pauli matrix needs d1 >= 2")
+    check_materializable(d1, d1)
     s = np.zeros((d1, d1), dtype=complex)
     s[0, 0] = 1.0
     s[1, 1] = -1.0
@@ -88,6 +95,9 @@ def padded_sigma_z(d1: int) -> np.ndarray:
 
 
 def padded_sigma_x(d1: int) -> np.ndarray:
+    if d1 < 2:
+        raise ValueError("the padded Pauli matrix needs d1 >= 2")
+    check_materializable(d1, d1)
     s = np.zeros((d1, d1), dtype=complex)
     s[0, 1] = 1.0
     s[1, 0] = 1.0
@@ -136,6 +146,7 @@ def worst_case_input(a: float, d2: int) -> np.ndarray:
     """
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
+    check_materializable(d2, d2)
     lam = ballbounds.lambda_bound(a, d2)
     alpha = math.sqrt(1.0 / (1.0 + lam * lam * d2))
     beta = math.sqrt(lam * lam * d2 / (1.0 + lam * lam * d2))

@@ -58,6 +58,7 @@ def complete_local_basis(v: np.ndarray) -> np.ndarray:
     """Unitary whose first column is ``v``, via a Householder reflection."""
     v = np.asarray(v, dtype=complex)
     d = v.size
+    check_materializable(d, d)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("local vectors must have unit norm")
     phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0

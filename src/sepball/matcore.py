@@ -25,8 +25,11 @@ first two accept only matrices the eigenvalue rule accepts, so the answer
 never depends on which check ran.
 
 Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
-row-major order.  ``save_matrix`` writes the text of one ``json.dumps`` of
-that object, ``WRITE_CHUNK`` entries at a time.  A file laid out that way
+row-major order.  ``save_matrix`` writes the bytes of one ``json.dumps`` of
+that object, ``WRITE_CHUNK`` entries at a time: ``orjson`` formats each
+chunk's numbers, with the same shortest round-trip digits as
+``float.__repr__``, and a few vectorized byte edits give them
+``json.dumps``' layout, so the bytes are unchanged.  A file laid out that way
 (the dims key first, then the entries key, any JSON whitespace between
 tokens) is checked and parsed in blocks of about ``READ_BLOCK`` bytes, each
 straight into the matrix, so a read holds the file's bytes, the matrix and
@@ -447,7 +450,7 @@ def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:
 # Matrix file format
 # ---------------------------------------------------------------------------
 
-#: Pairs formatted per ``json.dumps`` call by the matrix writer.
+#: Pairs formatted per ``orjson.dumps`` call by the matrix writer.
 WRITE_CHUNK = 1 << 14
 
 #: Bytes of the entries array the matrix reader checks and parses at a time;
@@ -457,31 +460,94 @@ WRITE_CHUNK = 1 << 14
 READ_BLOCK = 1 << 18
 
 
-def _json_pieces(m, dims) -> Iterator[str]:
-    """Validate ``m`` and ``dims`` now; return the pieces of their file text.
+def _is_digit(c: np.ndarray) -> np.ndarray:
+    return (c >= ord("0")) & (c <= ord("9"))
+
+
+def _dumps_text(values: np.ndarray) -> np.ndarray:
+    """``json.dumps``' text of a float array, with ``orjson``'s digits, as bytes.
+
+    orjson and ``float.__repr__`` print each double with the same shortest
+    round-trip digits, so only the layout differs: ``json.dumps`` puts a
+    space after every comma, writes an exponent with its sign and at least
+    two digits, and switches to an exponent below 1e-4 where orjson does
+    below 1e-5.  So orjson's "eD…" becomes "e+D…", its "e-D" "e-0D", and
+    its "0.0000D[…]" (decimal exponent -5) "D[.…]e-05".  Each edited token
+    is marked once, by its "e" or its "0.0000"; besides masks as long as the
+    text, every temporary is sized by the marks, so there are few of them
+    and their sizes repeat from chunk to chunk.
+    """
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
+    a = np.frombuffer(text, np.uint8)
+    # the "0.0000" that starts a token; after a digit it lies inside "10.0000…"
+    lead = np.zeros(len(a), bool)
+    if b"0.0000" in text:
+        zero = a == ord("0")
+        lead[1:-5] = (zero[1:-5] & (a[2:-4] == ord(".")) & zero[3:-3] & zero[4:-2]
+                      & zero[5:-1] & zero[6:] & ~_is_digit(a[:-6]))
+        del zero
+    marks = np.flatnonzero(lead | (a == ord("e")))
+    z = lead[marks]
+    # an exponent's one insertion: "e+D", or "e-0D" when it has one digit
+    negative = a[marks + 1] == ord("-")
+    at = np.where(negative, marks + 2, marks + 1)
+    insert = np.where(negative, ord("0"), ord("+")).astype(np.uint8)
+    wanted = ~negative | ~_is_digit(a[marks + 3])
+    if z.any():
+        # a "0.0000" token's "." after its first digit, if more follow, and
+        # "e-05" at its end; a[0] is "[", so other marks' ends stay at 0
+        end = np.where(z, marks + 7, 0)
+        while (step := _is_digit(a[end])).any():
+            end += step
+        at = np.column_stack((np.where(z, marks + 7, at), end, end, end, end))
+        insert = np.column_stack((np.where(z, ord("."), insert),
+                                  np.tile(np.frombuffer(b"e-05", np.uint8), (len(z), 1))))
+        wanted = np.column_stack((np.where(z, end > marks + 7, wanted), z, z, z, z))
+        # each insertion lands after the six bytes of every "0.0000" up to its own
+        at -= 6 * np.cumsum(z)[:, None]
+        gone = lead.copy()
+        for k in range(1, 6):
+            gone[k:] |= lead[:-k]
+        a = a[~gone]
+    at, insert = at[wanted], insert[wanted]
+    at += np.arange(len(at))
+    out = np.empty(len(a) + len(at), np.uint8)
+    kept = np.ones(len(out), bool)
+    kept[at] = False
+    out[kept] = a
+    out[at] = insert
+    return out
+
+
+def _json_pieces(m, dims) -> Iterator[bytes]:
+    """Validate ``m`` and ``dims`` now; return the pieces of their file's bytes.
 
     The pieces are the head, then the entries ``WRITE_CHUNK`` pairs at a
     time (each after the first led by ", "), then the tail: joined, they are
-    ``json.dumps({"dims": dims, "entries": [[re, im], ...]})``.
+    ``json.dumps({"dims": dims, "entries": [[re, im], ...]})``.  Each chunk
+    is one ``orjson.dumps`` put into that layout by ``_dumps_text``;
+    ``as_matrix`` has refused non-finite entries, which orjson would write
+    as null.
     """
     m = as_matrix(m)
     dims, _ = check_matrix_dims(m, dims)
     pairs = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2)
 
     def pieces():
-        yield '{"dims": ' + json.dumps(list(dims)) + ', "entries": ['
+        yield b'{"dims": [' + ", ".join(map(str, dims)).encode() + b'], "entries": ['
         for start in range(0, len(pairs), WRITE_CHUNK):
-            # dumps of a chunk is "[[re, im], ...]": drop the outer brackets
-            chunk = json.dumps(pairs[start:start + WRITE_CHUNK].tolist())[1:-1]
-            yield ", " + chunk if start else chunk
-        yield "]}"
+            if start:
+                yield b", "
+            # a chunk is "[[re, im], ...]": drop the outer brackets
+            yield _dumps_text(pairs[start:start + WRITE_CHUNK])[1:-1]
+        yield b"]}"
 
     return pieces()
 
 
 def matrix_to_json(m, dims: Sequence[int]) -> str:
     """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format."""
-    return "".join(_json_pieces(m, dims))
+    return b"".join(_json_pieces(m, dims)).decode("ascii")
 
 
 _WS = rb"[ \t\n\r]*"
@@ -605,5 +671,5 @@ def load_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
 def save_matrix(path, m, dims: Sequence[int]) -> None:
     """Write ``matrix_to_json(m, dims)`` to ``path`` one chunk of entries at a time."""
     pieces = _json_pieces(m, dims)
-    with open(path, "w", encoding="ascii") as f:
+    with open(path, "wb") as f:
         f.writelines(pieces)

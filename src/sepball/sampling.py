@@ -15,6 +15,7 @@ def rng_from_seed(seed: int | None = None) -> np.random.Generator:
 
 
 def random_complex_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
+    check_materializable(d, d)
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 

@@ -323,3 +323,13 @@ def test_block_chain_product_perturbation():
     a_mat = np.eye(8) + 0.1 * np.kron(np.diag([1.0, -1.0]), z)
     tau = extremal.build_tau(0.8, 4)
     assert extremal.block_chain_check(tau, a_mat, 0.8)
+
+
+@pytest.mark.parametrize("builder, smallest", [(extremal.z_pattern, 2), (extremal.x_pattern, 4),
+                                               (extremal.padded_sigma_z, 2),
+                                               (extremal.padded_sigma_x, 2)])
+def test_patterns_refuse_too_small_dimensions(builder, smallest):
+    assert builder(smallest).shape == (smallest, smallest)
+    for d in (smallest - 1, 0, -1):
+        with pytest.raises(ValueError, match=f"needs d[12] >= {smallest}"):
+            builder(d)

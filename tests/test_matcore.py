@@ -537,6 +537,55 @@ def test_writer_chunks_match_one_dumps(monkeypatch, tmp_path, d, chunk):
     assert path.read_bytes() == want.encode()
 
 
+def _writer_identity_values() -> np.ndarray:
+    """Doubles at every binary and decimal exponent, and the layout's edge cases."""
+    rng = rng_from_seed(61)
+    mantissas = rng.integers(0, 1 << 52, size=(2047, 4), dtype=np.uint64)
+    exponents = np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)
+    binary = (mantissas | exponents).view(np.float64).ravel()
+    with np.errstate(over="ignore"):
+        decimal = np.array([float(f"{m}e{x}") for x in range(-326, 309)
+                            for m in (1, 5, 12, 25, 125, 9876543, 12345678901234567)])
+    edges = [np.nextafter(x, toward) for x in (1e-5, 1e-4, 1e16) for toward in (0, x, np.inf)]
+    subnormals = [5e-324, 1e-323, 3e-320, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308]
+    integral = [0.0, 1.0, 2.0, 7.0, 10.0, 100.0, 123456789.0, 1e15, 2.0**53, 2.0**53 + 2, 1e16, 1e17]
+    # "0.0000" inside a number, not leading it
+    inner = [10.00001, 1230.000045, 20.000071234]
+    values = np.concatenate([binary, decimal[np.isfinite(decimal)], edges, subnormals, integral,
+                             inner])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_writer_formats_every_exponent_as_json_dumps(monkeypatch, tmp_path, chunk):
+    # orjson's digits in json.dumps' layout: sign and two exponent digits,
+    # the switch to exponents below 1e-4, a space after each comma; chunks
+    # of 5 pairs end on every kind of number
+    if chunk is not None:
+        monkeypatch.setattr(matcore, "WRITE_CHUNK", chunk)
+    values = _writer_identity_values()
+    k = math.isqrt(len(values) // 2 - 1) + 1
+    entries = np.zeros(2 * k * k)
+    entries[:len(values)] = values
+    m = entries.view(np.complex128).reshape(k, k)
+    want = _reference_matrix_to_json(m, (k,))
+    assert matcore.matrix_to_json(m, (k,)) == want
+    path = tmp_path / "m.json"
+    matcore.save_matrix(path, m, (k,))
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_save_refuses_nonfinite_entries_before_writing(tmp_path, entry):
+    # orjson would write a non-finite entry as null
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = entry
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.save_matrix(path, m, (2, 2))
+    assert not path.exists()
+
+
 def test_save_refuses_bad_input_before_writing(tmp_path):
     path = tmp_path / "m.json"
     with pytest.raises(ValueError):

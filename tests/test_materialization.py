@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sepball import extremal, geometry, matcore, nmr, schurnorm
+from sepball import sampling
 from sepball.sampling import random_unit_hermitians, rng_from_seed
 
 
@@ -90,6 +91,15 @@ MATERIALIZERS = {
     "ball_positivity_check": lambda n: partial(
         extremal.ball_positivity_check, extremal.build_tau(0.5, n // 4), 0.5, samples=16
     ),
+    "worst_case_input": lambda n: partial(extremal.worst_case_input, 0.5, n),
+    "z_pattern": lambda n: partial(extremal.z_pattern, n),
+    "x_pattern": lambda n: partial(extremal.x_pattern, n),
+    "padded_sigma_z": lambda n: partial(extremal.padded_sigma_z, n),
+    "padded_sigma_x": lambda n: partial(extremal.padded_sigma_x, n),
+    "complete_local_basis": lambda n: partial(geometry.complete_local_basis, np.full(n, n**-0.5)),
+    "random_complex_matrix": lambda n: partial(sampling.random_complex_matrix, rng_from_seed(0), n),
+    "random_hermitian": lambda n: partial(sampling.random_hermitian, rng_from_seed(0), n),
+    "random_density_matrix": lambda n: partial(sampling.random_density_matrix, rng_from_seed(0), n),
 }
 
 
