@@ -70,6 +70,23 @@ def test_qubit_asymptotic_exponent():
     assert abs(vals[-1] - math.sqrt(3.0)) < 1e-12
 
 
+def test_closed_form_exponent_by_local_dimension():
+    # r_m ~ C·2^(-γ(d0)·m) with γ(d0) = ½·log2((2d0 - 1)/d0): the qubit γ at
+    # d0 = 2, rising toward the earlier exponent ½ as d0 grows
+    m = 400
+
+    def exponent(d0):
+        step = ballbounds.log_closed_form_radius(d0, m + 1) - ballbounds.log_closed_form_radius(d0, m)
+        return -step / math.log(2.0)
+
+    gammas = [exponent(d0) for d0 in range(2, 9)]
+    for d0, g in zip(range(2, 9), gammas):
+        assert abs(g - 0.5 * math.log2((2 * d0 - 1) / d0)) < 1e-9
+    assert gammas[0] == pytest.approx(ballbounds.qubit_asymptotic_exponent(), abs=1e-12)
+    assert all(x < y < 0.5 for x, y in zip(gammas, gammas[1:]))
+    assert 0.5 - 1e-3 < exponent(1000) < 0.5
+
+
 def test_weak_radius_below_recursion():
     for d0 in (2, 3, 4):
         for m in (3, 5, 8):

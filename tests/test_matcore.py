@@ -1,8 +1,10 @@
 """Matrix-core tests: norms, tensor structure, maps, serialization."""
 
+import functools
 import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -322,6 +324,31 @@ def _block_boundary_defects(saved: bytes) -> dict[str, bytes]:
     }
 
 
+def _worker_cut_defects(saved: bytes, workers: int) -> dict[str, bytes]:
+    """Defects of a file placed where the reader's first range ends.
+
+    Cut into ``workers`` ranges, the entries array's first range ends right
+    after the first "]" at least a 1/``workers`` share of the array in; the
+    last range ends right before the array's closing "]".  Each defect keeps
+    the first cut on the same pair.
+    """
+    start = saved.index(b'"entries": ') + len(b'"entries": ')
+    close = saved.rindex(b"]")
+    end = saved.index(b"]", start + (close - start) // workers)  # the range's last byte
+    assert saved[end + 1:end + 3] == b", "
+    inner = saved.rindex(b",", 0, end)
+    defects = {
+        f"cut{workers}_number_after_pair": saved[:end + 1] + b" 7" + saved[end + 1:],
+        f"cut{workers}_truncated_pair": saved[:inner] + b" " * (end - inner) + saved[end:],
+        f"cut{workers}_missing_comma": saved[:end + 1] + saved[end + 2:],
+        f"cut{workers}_comma_before_close": saved[:close] + b"," + saved[close:],
+    }
+    for data in defects.values():
+        at = data.rindex(b"]")
+        assert data.index(b"]", start + (at - start) // workers) == end
+    return defects
+
+
 def _halfway_decimal(x: float) -> str:
     """The exact decimal halfway between x > 0 and the next double up."""
     half = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
@@ -420,6 +447,8 @@ def _reader_corpus() -> dict[str, bytes]:
     corpus["not_json"] = b"not json at all"
     corpus["empty_file"] = b""
     corpus.update(_block_boundary_defects(corpus["saved(2, 2, 2, 2, 2, 2, 2, 2)"]))
+    for workers in (2, 3):
+        corpus.update(_worker_cut_defects(corpus["saved(2, 2, 2, 2, 2, 2)"], workers))
     # test ids of word characters only
     named = {re.sub(r"\W+", "_", name).strip("_"): data for name, data in corpus.items()}
     assert len(named) == len(corpus)
@@ -471,6 +500,107 @@ def test_reader_corpus_takes_both_paths():
     # numbers that overflow to infinity are read by the full JSON reader
     assert not flat & {"keys_reordered", "extra_key", "string_with_entries", "dims_float",
                        "entry0_NaN_0", "entry10_1_0", "bom", "overflow", "negative_overflow"}
+
+
+@functools.cache
+def _reference_read(name: str):
+    return _read(lambda data: _reference_matrix_from_json(data.decode()), READER_CORPUS[name])
+
+
+@pytest.fixture
+def cut_into(monkeypatch):
+    """``cut_into(n)`` makes the reader cut every file into ``n`` ranges, however short."""
+    monkeypatch.setattr(matcore, "PARSE_RANGE_MIN", 1)
+    return lambda n: monkeypatch.setattr(matcore, "_cpus", lambda: n)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", list(READER_CORPUS))
+def test_parallel_reader_matches_reference(tmp_path, cut_into, name, workers):
+    cut_into(workers)
+    data = READER_CORPUS[name]
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    want = _reference_read(name)
+    _assert_same_read(_read(matcore.load_matrix, path), want)
+    if data.isascii():
+        _assert_same_read(_read(matcore.matrix_from_json, data.decode()), want)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_reader_forks_one_child_per_further_range(monkeypatch, cut_into, forks, workers):
+    cut_into(workers)
+    data = READER_CORPUS["saved_2_2_2_2_2_2_2_2"]
+    assert matcore._read_flat(data) is not None
+    assert len(forks) == workers - 1
+    # a file below the range minimum is parsed in this process alone
+    forks.clear()
+    monkeypatch.setattr(matcore, "PARSE_RANGE_MIN", len(data))
+    assert matcore._read_flat(data) is not None
+    assert forks == []
+
+
+@pytest.mark.parametrize("name", ["saved_2_2_2_2_2_2_2_2", "cut3_truncated_pair",
+                                  "cut3_missing_comma", "cut3_comma_before_close"])
+def test_no_child_outlives_a_load(tmp_path, cut_into, forks, name):
+    # a good file, then files refused only in the first, the middle and the
+    # last range; the refused ones go on to the full JSON reader
+    cut_into(3)
+    path = tmp_path / "m.json"
+    path.write_bytes(READER_CORPUS[name])
+    _read(matcore.load_matrix, path)
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+def test_no_child_outlives_an_error_in_the_parent(tmp_path, monkeypatch, cut_into, forks):
+    cut_into(3)
+    parent = os.getpid()
+    parse_range = matcore._parse_range
+
+    def failing_in_parent(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent failed between fork and reap")
+        return parse_range(*args)
+
+    monkeypatch.setattr(matcore, "_parse_range", failing_in_parent)
+    path = tmp_path / "m.json"
+    path.write_bytes(READER_CORPUS["saved_2_2_2_2_2_2_2_2"])
+    with pytest.raises(RuntimeError, match="between fork and reap"):
+        matcore.load_matrix(path)
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+def test_reader_without_fork_parses_serially(tmp_path, monkeypatch, cut_into):
+    cut_into(3)
+    monkeypatch.delattr(os, "fork")
+    path = tmp_path / "m.json"
+    for name in ["saved_2_2_2_2_2_2_2_2", "cut2_number_after_pair", "cut3_truncated_pair", "good"]:
+        path.write_bytes(READER_CORPUS[name])
+        _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
 
 
 @pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]"],
