@@ -62,46 +62,41 @@ def critical_mu(a: float, d2: int) -> float:
     return math.sqrt(1.0 - a * a / d2) / a
 
 
+def _pattern(d: int, smallest: int, message: str, entries: dict) -> np.ndarray:
+    """The d×d complex matrix holding ``entries`` ({(i, j): value}), zero elsewhere.
+
+    Raises ``ValueError(message)`` when d < ``smallest``; the size is asked
+    of ``check_materializable`` before the array is built.
+    """
+    if d < smallest:
+        raise ValueError(message)
+    check_materializable(d, d)
+    out = np.zeros((d, d), dtype=complex)
+    for (i, j), value in entries.items():
+        out[i, j] = value
+    return out
+
+
 def z_pattern(d2: int) -> np.ndarray:
     """Unit-Frobenius diagonal input pattern: diag(1/sqrt2, -1/sqrt2, 0, ...)."""
-    if d2 < 2:
-        raise ValueError("the input pattern needs d2 >= 2")
-    check_materializable(d2, d2)
-    z = np.zeros((d2, d2), dtype=complex)
-    z[0, 0] = 1.0 / math.sqrt(2.0)
-    z[1, 1] = -1.0 / math.sqrt(2.0)
-    return z
+    return _pattern(d2, 2, "the input pattern needs d2 >= 2",
+                    {(0, 0): 1.0 / math.sqrt(2.0), (1, 1): -1.0 / math.sqrt(2.0)})
 
 
 def x_pattern(d2: int) -> np.ndarray:
     """Unit-Frobenius diagonal input pattern on slots 3 and 4."""
-    if d2 < 4:
-        raise ValueError("the input pattern needs d2 >= 4")
-    check_materializable(d2, d2)
-    x = np.zeros((d2, d2), dtype=complex)
-    x[2, 2] = -1.0 / math.sqrt(2.0)
-    x[3, 3] = 1.0 / math.sqrt(2.0)
-    return x
+    return _pattern(d2, 4, "the input pattern needs d2 >= 4",
+                    {(2, 2): -1.0 / math.sqrt(2.0), (3, 3): 1.0 / math.sqrt(2.0)})
 
 
 def padded_sigma_z(d1: int) -> np.ndarray:
-    if d1 < 2:
-        raise ValueError("the padded Pauli matrix needs d1 >= 2")
-    check_materializable(d1, d1)
-    s = np.zeros((d1, d1), dtype=complex)
-    s[0, 0] = 1.0
-    s[1, 1] = -1.0
-    return s
+    """Pauli Z in the top-left 2×2 corner of a d1×d1 zero matrix."""
+    return _pattern(d1, 2, "the padded Pauli matrix needs d1 >= 2", {(0, 0): 1.0, (1, 1): -1.0})
 
 
 def padded_sigma_x(d1: int) -> np.ndarray:
-    if d1 < 2:
-        raise ValueError("the padded Pauli matrix needs d1 >= 2")
-    check_materializable(d1, d1)
-    s = np.zeros((d1, d1), dtype=complex)
-    s[0, 1] = 1.0
-    s[1, 0] = 1.0
-    return s
+    """Pauli X in the top-left 2×2 corner of a d1×d1 zero matrix."""
+    return _pattern(d1, 2, "the padded Pauli matrix needs d1 >= 2", {(0, 1): 1.0, (1, 0): 1.0})
 
 
 def build_tau(a: float, d2: int, d1: int = 2, mu_scale: float = 1.0) -> MapOnMatrices:

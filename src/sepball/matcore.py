@@ -25,37 +25,24 @@ first two accept only matrices the eigenvalue rule accepts, so the answer
 never depends on which check ran.
 
 Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
-row-major order.  ``save_matrix`` writes the bytes of one ``json.dumps`` of
-that object, ``WRITE_CHUNK`` entries at a time: ``orjson`` formats each
-chunk's numbers, with the same shortest round-trip digits as
-``float.__repr__``, and a few vectorized byte edits give them
-``json.dumps``' layout, so the bytes are unchanged.  A file laid out that way
-(the dims key first, then the entries key, any JSON whitespace between
-tokens) is checked and parsed in blocks of about ``READ_BLOCK`` bytes, each
-straight into the matrix, so a read holds the file's bytes, the matrix and
-one block in each process that parses.  Each block is checked by one rule
-of its own: with whitespace taken out and numbers read as "0", its marks
-read lead + "[,]" + ",[,]"·(k - 1), the lead being the array's "[" in the
-first block and the comma before the block's first pair in later ones, and
-numbers stand only inside pairs; the array's closing "]" lies in no block.
-The blocks are parsed with ``orjson``, which takes only strict JSON and
-rounds every decimal correctly, so its values are the standard library's
-bit for bit; a block it refuses, such as one holding a number that
-overflows to infinity, sends the whole file to the full parser, stdlib
-``json``, which also reads every other valid JSON layout.  Entries must be
-JSON numbers: booleans and integers beyond float range are rejected as
-malformed.
-
-The entries array is parsed on every CPU the process may run on
-(``os.sched_getaffinity``): it is cut into one range per CPU, each cut
-right after a pair's "]" just as a block ends, so every range is a run of
-whole blocks and where the cuts fall cannot change whether a file is
-accepted.  The calling process parses the first range and a forked child
-each other one, into a shared buffer at the range's place in the matrix.
-A file whose ranges would be shorter than ``PARSE_RANGE_MIN``, a single
-CPU and a platform without ``os.fork`` leave the whole array to the
-calling process.  The doubles are the same bit for bit however the array
-is cut, and nothing is there to tune.
+row-major order; their bytes are those of one ``json.dumps`` and the
+matrices and errors read from them those of one ``json.loads``, bit for
+bit.  ``save_matrix`` writes ``WRITE_CHUNK`` entries at a time: ``orjson``
+formats each chunk's numbers, with the same shortest round-trip digits as
+``float.__repr__``, and ``_dumps_text`` puts them in ``json.dumps``' layout.
+A file laid out that way (the dims key first, then the entries key, any
+JSON whitespace between tokens) is read by ``_read_flat``:
+``_parse_entries`` cuts the entries array into one range per CPU the
+process may run on, each a run of whole blocks of about ``READ_BLOCK``
+bytes, and ``_parse_range`` checks each block by one rule and parses it
+with ``orjson`` straight into the matrix, so a read holds the file's bytes,
+the matrix and one block in each process that parses.  orjson takes only
+strict JSON and rounds every decimal correctly.  A file the rule or orjson
+refuses, such as one holding a number that overflows to infinity, goes to
+``_read_json``, one stdlib ``json.loads``, which reads every other valid
+layout and alone decides which error is raised.  Entries must be pairs of
+JSON numbers: booleans, integers beyond float range and lists of another
+length are rejected as malformed.  Nothing here is there to tune.
 """
 
 from __future__ import annotations
@@ -657,23 +644,20 @@ def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarra
     """The 2·``pairs`` doubles of the entries data[start:close], else None.
 
     The array is cut into one range per available CPU, as far as each range
-    keeps about ``PARSE_RANGE_MIN`` bytes, each cut right after a pair's "]"
-    as a block ends; where that leaves one range, or ``os.fork`` is
-    missing, the whole array is parsed here.  Otherwise the doubles go to a
-    shared anonymous mmap: this process parses the first range and a forked
-    child each other one, at offset 2 × (the count of "]" before its range).
+    keeps about ``PARSE_RANGE_MIN`` bytes, and into one range without
+    ``os.fork``; each cut falls right after a pair's "]" as a block ends.
+    A range's doubles start at 2 × (the count of "]" before it), which its
+    parse then checks.  This process parses the first range, and a forked
+    child each other one (this process again where no child can be forked),
+    into a shared anonymous mmap; one range is parsed into private memory.
     A child runs only ``_parse_range`` (bytes, numpy and orjson, no BLAS),
     reads the file's bytes copy-on-write and reports by exit status.  Every
     child is reaped before this returns or raises, killed first once the
     answer is known to be None.  Since each range is a run of whole blocks
-    and each block is checked by the same rule, the file is refused here
-    exactly when some range is; a range's count of "]" fixes its share of
-    the doubles, which its parse then checks.
+    and each block is checked by the same rule, where the cuts fall changes
+    neither whether the file is taken nor its doubles.
     """
     n = min(_cpus(), (close - start) // PARSE_RANGE_MIN) if hasattr(os, "fork") else 1
-    if n < 2:
-        values = np.empty(2 * pairs, np.float64)
-        return values if _parse_range(data, start, close, b"[", values) else None
     cuts = sorted({start, close, *(data.find(b"]", start + k * (close - start) // n, close) + 1
                                    or close for k in range(1, n))})
     offsets = [0]
@@ -684,7 +668,8 @@ def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarra
     offsets.append(pairs)
     ranges = [(lo, hi, b"[" if lo == start else b",", slice(2 * a, 2 * b))
               for lo, hi, a, b in zip(cuts, cuts[1:], offsets, offsets[1:])]
-    values = np.frombuffer(mmap.mmap(-1, 16 * pairs), np.float64)
+    values = (np.frombuffer(mmap.mmap(-1, 16 * pairs), np.float64) if len(ranges) > 1
+              else np.empty(2 * pairs, np.float64))
     mine, children, ok = ranges[:1], [], False
     try:
         for lo, hi, lead, part in ranges[1:]:
@@ -752,10 +737,10 @@ def _read_json(text: str) -> tuple[np.ndarray, tuple[int, ...]]:
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-        flat = np.array([complex(x, y) for x, y in entries])
         # complex() takes booleans as 1 and 0
-        if any(type(x) is bool for pair in entries for x in pair):
-            raise TypeError("entries must be JSON numbers, not booleans")
+        if any(len(pair) != 2 or bool in map(type, pair) for pair in entries):
+            raise TypeError("entries must be [re, im] pairs of JSON numbers")
+        flat = np.array([complex(x, y) for x, y in entries])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file: {exc}") from exc
     return flat.reshape(d, d), dims

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -13,6 +14,15 @@ def _package_modules() -> list:
         importlib.import_module(f"sepball.{info.name}")
         for info in pkgutil.iter_modules(sepball.__path__)
     ]
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """After every test, this process has no child left, running or unreaped."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

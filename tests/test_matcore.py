@@ -1,5 +1,6 @@
 """Matrix-core tests: norms, tensor structure, maps, serialization."""
 
+import errno
 import functools
 import itertools
 import json
@@ -603,10 +604,49 @@ def test_reader_without_fork_parses_serially(tmp_path, monkeypatch, cut_into):
         _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
 
 
-@pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]"],
-                         ids=["true_false", "one_true", "false_zero"])
+def test_one_range_is_read_without_counting_or_sharing(monkeypatch, cut_into, forks):
+    cut_into(1)
+
+    def unexpected(*args):
+        raise AssertionError("a one-range read counts no pairs and maps no shared memory")
+
+    monkeypatch.setattr(matcore, "_count_closes", unexpected)
+    monkeypatch.setattr(matcore.mmap, "mmap", unexpected)
+    name = "saved_2_2_2_2_2_2_2_2"
+    _assert_same_read(_read(matcore.matrix_from_json, READER_CORPUS[name].decode()),
+                      _reference_read(name))
+    assert forks == []
+
+
+@pytest.mark.parametrize("name", ["saved_2_2_2_2_2_2_2_2", "cut3_number_after_pair",
+                                  "cut3_comma_before_close"])
+def test_reader_parses_a_range_here_when_fork_fails(tmp_path, monkeypatch, cut_into, forks, name):
+    # the first fork finds no process to spare: its range, the middle one,
+    # is parsed in this process and the last range in a child
+    cut_into(3)
+    fork = os.fork
+    calls = []
+
+    def failing_first():
+        calls.append(None)
+        if len(calls) == 1:
+            raise OSError(errno.EAGAIN, "no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_first)
+    path = tmp_path / "m.json"
+    path.write_bytes(READER_CORPUS[name])
+    _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
+    assert len(calls) == 2 and len(forks) == 1
+
+
+@pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]",
+                                   "[1, 0, 5]", "[1]", "[]"],
+                         ids=["true_false", "one_true", "false_zero",
+                              "three_numbers", "one_number", "empty_pair"])
 @pytest.mark.parametrize("indent", [None, 1])
 def test_reader_rejects_booleans(entry, indent):
+    # booleans, and lists that are not pairs
     text = _entries_text([entry, "[0, 0]", "[0, 0]", "[1, 0]"])
     if indent is not None:
         text = json.dumps(json.loads(text), indent=indent)
