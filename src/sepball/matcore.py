@@ -25,13 +25,14 @@ first two accept only matrices the eigenvalue rule accepts, so the answer
 never depends on which check ran.
 
 Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
-row-major order; their bytes are those of one ``json.dumps`` and the
-matrices and errors read from them those of one ``json.loads``, bit for
-bit.  ``save_matrix`` writes ``WRITE_CHUNK`` entries at a time: ``orjson``
-formats each chunk's numbers, with the same shortest round-trip digits as
-``float.__repr__``, and ``_dumps_text`` puts them in ``json.dumps``' layout.
-A file laid out that way (the dims key first, then the entries key, any
-JSON whitespace between tokens) is read by ``_read_flat``:
+row-major order, and the matrices and errors read from them are those of
+one ``json.loads``, bit for bit.  ``save_matrix`` writes the bytes of one
+compact ``orjson.dumps`` of that object, ``WRITE_CHUNK`` entries at a time;
+orjson prints each double with its shortest round-trip digits, so any
+correctly rounding JSON reader reads the doubles back bit for bit.  A file
+laid out with the dims key first, then the entries key, and any JSON
+whitespace between tokens, as are ``save_matrix``'s files and the
+``json.dumps`` layout of older ones, is read by ``_read_flat``:
 ``_parse_entries`` cuts the entries array into one range per CPU the
 process may run on, each a run of whole blocks of about ``READ_BLOCK``
 bytes, and ``_parse_range`` checks each block by one rule and parses it
@@ -166,11 +167,6 @@ def frobenius_norm(m) -> float:
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(m, 2))
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def eig_hermitian(h: np.ndarray) -> np.ndarray:
@@ -452,7 +448,8 @@ def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:
 # Matrix file format
 # ---------------------------------------------------------------------------
 
-#: Pairs formatted per ``orjson.dumps`` call by the matrix writer.
+#: Pairs formatted per ``orjson.dumps`` call by the matrix writer; the chunks
+#: join into the bytes of one whole-object dump.
 WRITE_CHUNK = 1 << 14
 
 #: Bytes of the entries array the matrix reader checks and parses at a time;
@@ -468,100 +465,46 @@ READ_BLOCK = 1 << 18
 PARSE_RANGE_MIN = 32 * READ_BLOCK
 
 
-def _is_digit(c: np.ndarray) -> np.ndarray:
-    return (c >= ord("0")) & (c <= ord("9"))
-
-
-def _dumps_text(values: np.ndarray) -> np.ndarray:
-    """``json.dumps``' text of a float array, with ``orjson``'s digits, as bytes.
-
-    orjson and ``float.__repr__`` print each double with the same shortest
-    round-trip digits, so only the layout differs: ``json.dumps`` puts a
-    space after every comma, writes an exponent with its sign and at least
-    two digits, and switches to an exponent below 1e-4 where orjson does
-    below 1e-5.  So orjson's "eD…" becomes "e+D…", its "e-D" "e-0D", and
-    its "0.0000D[…]" (decimal exponent -5) "D[.…]e-05".  Each edited token
-    is marked once, by its "e" or its "0.0000"; besides masks as long as the
-    text, every temporary is sized by the marks, so there are few of them
-    and their sizes repeat from chunk to chunk.
-    """
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
-    a = np.frombuffer(text, np.uint8)
-    # the "0.0000" that starts a token; after a digit it lies inside "10.0000…"
-    lead = np.zeros(len(a), bool)
-    if b"0.0000" in text:
-        zero = a == ord("0")
-        lead[1:-5] = (zero[1:-5] & (a[2:-4] == ord(".")) & zero[3:-3] & zero[4:-2]
-                      & zero[5:-1] & zero[6:] & ~_is_digit(a[:-6]))
-        del zero
-    marks = np.flatnonzero(lead | (a == ord("e")))
-    z = lead[marks]
-    # an exponent's one insertion: "e+D", or "e-0D" when it has one digit
-    negative = a[marks + 1] == ord("-")
-    at = np.where(negative, marks + 2, marks + 1)
-    insert = np.where(negative, ord("0"), ord("+")).astype(np.uint8)
-    wanted = ~negative | ~_is_digit(a[marks + 3])
-    if z.any():
-        # a "0.0000" token's "." after its first digit, if more follow, and
-        # "e-05" at its end; a[0] is "[", so other marks' ends stay at 0
-        end = np.where(z, marks + 7, 0)
-        while (step := _is_digit(a[end])).any():
-            end += step
-        at = np.column_stack((np.where(z, marks + 7, at), end, end, end, end))
-        insert = np.column_stack((np.where(z, ord("."), insert),
-                                  np.tile(np.frombuffer(b"e-05", np.uint8), (len(z), 1))))
-        wanted = np.column_stack((np.where(z, end > marks + 7, wanted), z, z, z, z))
-        # each insertion lands after the six bytes of every "0.0000" up to its own
-        at -= 6 * np.cumsum(z)[:, None]
-        gone = lead.copy()
-        for k in range(1, 6):
-            gone[k:] |= lead[:-k]
-        a = a[~gone]
-    at, insert = at[wanted], insert[wanted]
-    at += np.arange(len(at))
-    out = np.empty(len(a) + len(at), np.uint8)
-    kept = np.ones(len(out), bool)
-    kept[at] = False
-    out[kept] = a
-    out[at] = insert
-    return out
-
-
 def _json_pieces(m, dims) -> Iterator[bytes]:
     """Validate ``m`` and ``dims`` now; return the pieces of their file's bytes.
 
     The pieces are the head, then the entries ``WRITE_CHUNK`` pairs at a
-    time (each after the first led by ", "), then the tail: joined, they are
-    ``json.dumps({"dims": dims, "entries": [[re, im], ...]})``.  Each chunk
-    is one ``orjson.dumps`` put into that layout by ``_dumps_text``;
-    ``as_matrix`` has refused non-finite entries, which orjson would write
-    as null.
+    time (each after the first led by ","), then the tail: joined, they are
+    ``orjson.dumps({"dims": dims, "entries": pairs}, option=OPT_SERIALIZE_NUMPY)``
+    for the d²×2 array of (re, im) pairs.  ``as_matrix`` has refused
+    non-finite entries, which orjson would write as null.
     """
     m = as_matrix(m)
     dims, _ = check_matrix_dims(m, dims)
     pairs = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2)
 
     def pieces():
-        yield b'{"dims": [' + ", ".join(map(str, dims)).encode() + b'], "entries": ['
+        yield b'{"dims":' + orjson.dumps(dims) + b',"entries":['
         for start in range(0, len(pairs), WRITE_CHUNK):
             if start:
-                yield b", "
-            # a chunk is "[[re, im], ...]": drop the outer brackets
-            yield _dumps_text(pairs[start:start + WRITE_CHUNK])[1:-1]
+                yield b","
+            # a chunk is "[[re,im],...]": drop the outer brackets
+            yield orjson.dumps(pairs[start:start + WRITE_CHUNK],
+                               option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
         yield b"]}"
 
     return pieces()
 
 
 def matrix_to_json(m, dims: Sequence[int]) -> str:
-    """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format."""
+    """Serialize to the {"dims": [...], "entries": [[re, im], ...]} format.
+
+    The text is one compact ``orjson.dumps`` of that object.
+    """
     return b"".join(_json_pieces(m, dims)).decode("ascii")
 
 
 _WS = rb"[ \t\n\r]*"
 
-#: The head of ``save_matrix``'s layout, up to the entries array: the dims
-#: key first, holding only digits, commas and whitespace, then the entries key.
+#: The head of a flat file, up to the entries array: the dims key first,
+#: holding only digits, commas and whitespace, then the entries key, with any
+#: JSON whitespace between tokens, as in orjson's compact layout and
+#: ``json.dumps``' spaced one.
 _FLAT_HEAD = re.compile(
     _WS + rb"\{" + _WS + rb'"dims"' + _WS + rb":" + _WS + rb"(\[[0-9, \t\n\r]*\])"
     + _WS + rb"," + _WS + rb'"entries"' + _WS + rb":" + _WS
@@ -759,7 +702,10 @@ def load_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def save_matrix(path, m, dims: Sequence[int]) -> None:
-    """Write ``matrix_to_json(m, dims)`` to ``path`` one chunk of entries at a time."""
+    """Write ``matrix_to_json(m, dims)`` to ``path`` one chunk of entries at a time.
+
+    Only one chunk's text is held at once, never the whole file's.
+    """
     pieces = _json_pieces(m, dims)
     with open(path, "wb") as f:
         f.writelines(pieces)

@@ -1,7 +1,8 @@
-"""Source layout rules: helpers that other modules use are public, only
-matcore reads the materialization cap, every third-party module the package
-imports is a declared dependency, and the constants the README quotes have
-the values it gives."""
+"""Source layout rules: helpers that other modules use are public, every
+private name is read in its own module, only matcore reads the
+materialization cap, every third-party module the package imports is a
+declared dependency, and the constants the README quotes have the values it
+gives."""
 
 import ast
 import importlib
@@ -69,6 +70,57 @@ def test_no_module_reads_another_modules_private_names():
         path.name: reads
         for path in sorted(SRC.glob("*.py"))
         if (reads := foreign_private_reads(path.read_text()))
+    }
+    assert found == {}
+
+
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` definitions in ``source`` that no other statement reads."""
+    body = ast.parse(source).body
+    reads = [{node.id for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} for stmt in body]
+    return [name for i, stmt in enumerate(body) for name in _bound_names(stmt)
+            if _private(name) and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_scanner_finds_unused_private_names():
+    source = (
+        "import re as _re\n"
+        "_WS = r'[ ]*'\n"
+        "_HEAD: object = _re.compile(_WS)\n"
+        "_ORPHAN, _USED = 1, 2\n"
+        "def _is_digit(c):\n"
+        "    return _is_digit(c - 1) if c else _USED\n"
+        "def _helper():\n"
+        "    return 0\n"
+        "def public():\n"
+        "    return _helper() + _HEAD.pattern, __name__\n"
+    )
+    assert unused_private_names(source) == ["_ORPHAN", "_is_digit"]
+
+
+def test_every_private_name_is_used_in_its_module():
+    # other modules may not read a private name, so one its own module does
+    # not read beyond its definition is dead code
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unused_private_names(path.read_text()))
     }
     assert found == {}
 

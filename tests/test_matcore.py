@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import orjson
 import pytest
 
 from sepball import matcore
@@ -58,11 +59,10 @@ def test_check_dims():
 
 
 def test_norms_on_known_matrix():
-    # diag(3, -4): Frobenius 5, operator 4, trace norm 7
+    # diag(3, -4): Frobenius 5, operator 4
     m = np.diag([3.0, -4.0])
     assert matcore.frobenius_norm(m) == 5.0
     assert matcore.operator_norm(m) == pytest.approx(4.0, abs=1e-14)
-    assert matcore.trace_norm(m) == pytest.approx(7.0, abs=1e-14)
 
 
 def test_eig_hermitian_sorted_decreasing():
@@ -263,12 +263,23 @@ def test_matrix_json_rejects_wrong_entry_count():
 # Matrix file reader and writer against the per-entry reference versions
 # ---------------------------------------------------------------------------
 
-def _reference_matrix_to_json(m, dims) -> str:
-    """The writer as one comprehension over the entries."""
+def _reference_entries(m, dims) -> tuple[list[int], list[list[float]]]:
+    """Checked dims and the (re, im) pairs of ``m`` as Python floats."""
     m = matcore.as_matrix(m)
     dims, _ = matcore.check_matrix_dims(m, dims)
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
-    return json.dumps({"dims": list(dims), "entries": entries})
+    return list(dims), [[float(z.real), float(z.imag)] for z in m.ravel()]
+
+
+def _reference_matrix_to_json(m, dims) -> str:
+    """A file in the spaced ``json.dumps`` layout that older writers wrote."""
+    dims, entries = _reference_entries(m, dims)
+    return json.dumps({"dims": dims, "entries": entries})
+
+
+def _reference_orjson(m, dims) -> bytes:
+    """The writer's bytes: one whole-object ``orjson.dumps``."""
+    dims, entries = _reference_entries(m, dims)
+    return orjson.dumps({"dims": dims, "entries": entries})
 
 
 def _reference_matrix_from_json(text: str):
@@ -292,7 +303,7 @@ def _random_matrix(seed: int, d: int) -> np.ndarray:
 
 
 def _entries_text(entries: list[str], dims: str = "[2]") -> str:
-    """A file in the writer's layout with the given entry texts."""
+    """A file in the spaced ``json.dumps`` layout with the given entry texts."""
     return '{"dims": ' + dims + ', "entries": [' + ", ".join(entries) + "]}"
 
 
@@ -304,17 +315,22 @@ ENTRY_TEXTS = ["[NaN, 0]", "[Infinity, -Infinity]", "[1, 0]", "[-0, 0]", "[1e3, 
                "[null, 0]", "[[1, 0], 0]", "[1, 0, 0]", "[1]", "[]", "1"]
 
 
+def _entries_start(saved: bytes) -> int:
+    """Where the entries array's "[" stands in a flat file of any layout."""
+    return saved.index(b"[[")
+
+
 def _block_boundary_defects(saved: bytes) -> dict[str, bytes]:
     """Defects of a multi-block file placed where a read block ends.
 
     The reader's first block ends right after the first "]" at least
     ``READ_BLOCK`` bytes into the entries array, and its last block right
     before the array's closing "]"; each defect keeps those brackets where
-    they are.
+    they are.  The pair separator may carry whitespace after its comma.
     """
-    start = saved.index(b'"entries": ') + len(b'"entries": ')
+    start = _entries_start(saved)
     end = saved.index(b"]", start + matcore.READ_BLOCK)  # the block's last byte
-    assert saved[end + 1:end + 3] == b", "
+    assert saved[end + 1:end + 2] == b","
     inner = saved.rindex(b",", 0, end)  # the comma inside the pair ending there
     close = saved.rindex(b"]")
     return {
@@ -333,10 +349,10 @@ def _worker_cut_defects(saved: bytes, workers: int) -> dict[str, bytes]:
     last range ends right before the array's closing "]".  Each defect keeps
     the first cut on the same pair.
     """
-    start = saved.index(b'"entries": ') + len(b'"entries": ')
+    start = _entries_start(saved)
     close = saved.rindex(b"]")
     end = saved.index(b"]", start + (close - start) // workers)  # the range's last byte
-    assert saved[end + 1:end + 3] == b", "
+    assert saved[end + 1:end + 2] == b","
     inner = saved.rindex(b",", 0, end)
     defects = {
         f"cut{workers}_number_after_pair": saved[:end + 1] + b" 7" + saved[end + 1:],
@@ -378,7 +394,7 @@ def _hard_numbers() -> dict[str, list[str]]:
 
 
 def _numbers_text(numbers: list[str]) -> str:
-    """A file in the writer's layout holding ``numbers``, padded with zeros."""
+    """A flat file holding ``numbers``, padded with zeros."""
     qubits = 1
     while 2 * 4**qubits < len(numbers):
         qubits += 1
@@ -389,13 +405,16 @@ def _numbers_text(numbers: list[str]) -> str:
 
 def _reader_corpus() -> dict[str, bytes]:
     corpus = {}
-    # (2,) * 8 holds more than one read block
+    # (2,) * 8 holds more than one read block; the files older writers left
+    # in json.dumps' layout still take the flat parse
     for dims in [(2,), (3,), (2, 2, 2), (2,) * 6, (2,) * 8]:
         d = math.prod(dims)
         m = _random_matrix(d, d)
         m[0, 0] = -0.0
         m[-1, -1] = 3.0
         corpus[f"saved{dims}"] = matcore.matrix_to_json(m, dims).encode()
+        if len(dims) >= 6:
+            corpus[f"legacy{dims}"] = _reference_matrix_to_json(m, dims).encode()
     m = _random_matrix(3, 4)
     obj = json.loads(matcore.matrix_to_json(m, (2, 2)))
     corpus["indent1"] = json.dumps(obj, indent=1).encode()
@@ -447,9 +466,13 @@ def _reader_corpus() -> dict[str, bytes]:
     corpus["invalid_utf8_in_string"] = text[:-1] + b', "note": "\xff"}'
     corpus["not_json"] = b"not json at all"
     corpus["empty_file"] = b""
-    corpus.update(_block_boundary_defects(corpus["saved(2, 2, 2, 2, 2, 2, 2, 2)"]))
-    for workers in (2, 3):
-        corpus.update(_worker_cut_defects(corpus["saved(2, 2, 2, 2, 2, 2)"], workers))
+    # each defect on both layouts
+    for layout in ("saved", "legacy"):
+        defects = _block_boundary_defects(corpus[f"{layout}(2, 2, 2, 2, 2, 2, 2, 2)"])
+        for workers in (2, 3):
+            defects.update(_worker_cut_defects(corpus[f"{layout}(2, 2, 2, 2, 2, 2)"], workers))
+        prefix = "" if layout == "saved" else f"{layout}_"
+        corpus.update({prefix + name: data for name, data in defects.items()})
     # test ids of word characters only
     named = {re.sub(r"\W+", "_", name).strip("_"): data for name, data in corpus.items()}
     assert len(named) == len(corpus)
@@ -492,11 +515,12 @@ def test_reader_matches_reference(tmp_path, name):
 
 
 def test_reader_corpus_takes_both_paths():
-    # the writer's layout and its whitespace variants take the flat parse,
-    # every other layout the full JSON reader
+    # the writer's layout and its whitespace variants, json.dumps' among
+    # them, take the flat parse, every other layout the full JSON reader
     flat = {name for name, data in READER_CORPUS.items() if matcore._read_flat(data) is not None}
-    assert {"saved_2_2_2", "saved_2_2_2_2_2_2_2_2", "indent1", "tabs", "crlf", "no_spaces",
-            "good", "trailing_whitespace", "halfway", "long_mantissas", "subnormals",
+    assert {"saved_2_2_2", "saved_2_2_2_2_2_2_2_2", "legacy_2_2_2_2_2_2",
+            "legacy_2_2_2_2_2_2_2_2", "indent1", "tabs", "crlf", "no_spaces", "good",
+            "trailing_whitespace", "halfway", "long_mantissas", "subnormals",
             "integer_300_digits"} <= flat
     # numbers that overflow to infinity are read by the full JSON reader
     assert not flat & {"keys_reordered", "extra_key", "string_with_entries", "dims_float",
@@ -683,13 +707,28 @@ def _writer_inputs() -> list[np.ndarray]:
     ]
 
 
+def _assert_writes_reference(tmp_path, m, dims):
+    """Both writers give one whole-object orjson.dumps, which reads back as ``m``.
+
+    The doubles are compared bit for bit through the stdlib's ``json.loads``
+    as well as ``load_matrix``.
+    """
+    want = _reference_orjson(m, dims)
+    assert matcore.matrix_to_json(m, dims) == want.decode()
+    path = tmp_path / "m.json"
+    matcore.save_matrix(path, m, dims)
+    assert path.read_bytes() == want
+    bits = np.ascontiguousarray(m, complex).view(np.uint64).ravel()
+    entries = np.array(json.loads(want)["entries"], dtype=np.float64)
+    assert np.array_equal(entries.view(np.uint64).ravel(), bits)
+    back, _ = matcore.load_matrix(path)
+    assert np.array_equal(back.view(np.uint64).ravel(), bits)
+    assert matcore._read_flat(want) is not None  # the writer's files take the flat parse
+
+
 @pytest.mark.parametrize("index", range(len(_writer_inputs())))
-def test_writer_matches_reference(index):
-    m = _writer_inputs()[index]
-    text = matcore.matrix_to_json(m, (2, 2))
-    assert text == _reference_matrix_to_json(m, (2, 2))
-    back, _ = matcore.matrix_from_json(text)
-    assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(m, complex).view(np.uint64))
+def test_writer_matches_reference(tmp_path, index):
+    _assert_writes_reference(tmp_path, _writer_inputs()[index], (2, 2))
 
 
 @pytest.mark.parametrize("d, chunk", [(4, 15), (4, 16), (4, 17), (4, 4), (8, 63), (8, 64),
@@ -699,16 +738,11 @@ def test_writer_chunks_match_one_dumps(monkeypatch, tmp_path, d, chunk):
     if chunk is not None:
         monkeypatch.setattr(matcore, "WRITE_CHUNK", chunk)
     m = _random_matrix(d + 30, d)
-    dims = (2,) * (d.bit_length() - 1)
-    want = _reference_matrix_to_json(m, dims)
-    assert matcore.matrix_to_json(m, dims) == want
-    path = tmp_path / "m.json"
-    matcore.save_matrix(path, m, dims)
-    assert path.read_bytes() == want.encode()
+    _assert_writes_reference(tmp_path, m, (2,) * (d.bit_length() - 1))
 
 
 def _writer_identity_values() -> np.ndarray:
-    """Doubles at every binary and decimal exponent, and the layout's edge cases."""
+    """Doubles at every binary and decimal exponent, and formatting edge cases."""
     rng = rng_from_seed(61)
     mantissas = rng.integers(0, 1 << 52, size=(2047, 4), dtype=np.uint64)
     exponents = np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)
@@ -716,10 +750,11 @@ def _writer_identity_values() -> np.ndarray:
     with np.errstate(over="ignore"):
         decimal = np.array([float(f"{m}e{x}") for x in range(-326, 309)
                             for m in (1, 5, 12, 25, 125, 9876543, 12345678901234567)])
+    # around where formatters switch between positional and exponent notation
     edges = [np.nextafter(x, toward) for x in (1e-5, 1e-4, 1e16) for toward in (0, x, np.inf)]
     subnormals = [5e-324, 1e-323, 3e-320, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308]
     integral = [0.0, 1.0, 2.0, 7.0, 10.0, 100.0, 123456789.0, 1e15, 2.0**53, 2.0**53 + 2, 1e16, 1e17]
-    # "0.0000" inside a number, not leading it
+    # runs of zeros after the point, inside a number
     inner = [10.00001, 1230.000045, 20.000071234]
     values = np.concatenate([binary, decimal[np.isfinite(decimal)], edges, subnormals, integral,
                              inner])
@@ -727,22 +762,15 @@ def _writer_identity_values() -> np.ndarray:
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
-def test_writer_formats_every_exponent_as_json_dumps(monkeypatch, tmp_path, chunk):
-    # orjson's digits in json.dumps' layout: sign and two exponent digits,
-    # the switch to exponents below 1e-4, a space after each comma; chunks
-    # of 5 pairs end on every kind of number
+def test_writer_round_trips_every_exponent(monkeypatch, tmp_path, chunk):
+    # chunks of 5 pairs end on every kind of number
     if chunk is not None:
         monkeypatch.setattr(matcore, "WRITE_CHUNK", chunk)
     values = _writer_identity_values()
     k = math.isqrt(len(values) // 2 - 1) + 1
     entries = np.zeros(2 * k * k)
     entries[:len(values)] = values
-    m = entries.view(np.complex128).reshape(k, k)
-    want = _reference_matrix_to_json(m, (k,))
-    assert matcore.matrix_to_json(m, (k,)) == want
-    path = tmp_path / "m.json"
-    matcore.save_matrix(path, m, (k,))
-    assert path.read_bytes() == want.encode()
+    _assert_writes_reference(tmp_path, entries.view(np.complex128).reshape(k, k), (k,))
 
 
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
