@@ -5,17 +5,18 @@ out) equals ``sqrt(max y^t C y)`` over the probability simplex, with
 ``C_ij = |B_ij|^2``.  The exact simplex maximum is found by support
 enumeration (the general problem is NP-hard, so the exact solver is capped
 at ``EXACT_SOLVER_CAP``): the supports of each size are solved in stacked
-LAPACK calls of at most ``FACE_CHUNK`` faces, each face's value is kept by
-its lexicographic rank (2^n doubles), and the rank-ordered scan keeps ties
-on the lexicographically smallest support.  A seeded multiplicative-ascent
-oracle provides an independent lower bound; its restarts are drawn and
-ascended ``RESTART_BLOCK`` at a time as one batch, so its memory is
-O(RESTART_BLOCK * n) for any number of restarts.
+LAPACK calls of at most ``FACE_CHUNK`` faces, each feasible face's value is
+kept with its support as an n-byte key, and one ``np.lexsort`` of the keys
+orders the scan that keeps ties on the lexicographically smallest support.
+A seeded multiplicative-ascent oracle provides an independent lower bound;
+its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
+batch, so its memory is O(RESTART_BLOCK * n) for any number of restarts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Sequence
@@ -48,37 +49,6 @@ class SimplexQPResult:
     value: float
     maximizer: np.ndarray
     support: tuple[int, ...]
-
-
-def _lex_ranks(n: int, idx: np.ndarray) -> np.ndarray:
-    """Positions of the supports in ``idx`` (sorted rows) in the sorted list of all.
-
-    All nonempty supports of {0..n-1}, sorted as tuples, put a support's
-    proper prefixes before it, and 2^(n-1-t) supports extend each prefix
-    ending in t; summing those counts telescopes to this closed form.
-    """
-    r = idx.shape[1]
-    return (
-        (1 << n) + r - 1
-        - np.left_shift(1, n - idx[:, -1])
-        - np.left_shift(1, n - 1 - idx[:, :-1]).sum(axis=1)
-    )
-
-
-def _lex_support(n: int, rank: int) -> tuple[int, ...]:
-    """The support at ``rank`` in the sorted list of all nonempty supports."""
-    support: list[int] = []
-    t = 0
-    while True:
-        block = 1 << (n - 1 - t)  # supports that continue the prefix with t
-        if rank < block:
-            support.append(t)
-            if rank == 0:
-                return tuple(support)
-            rank -= 1
-        else:
-            rank -= block
-        t += 1
 
 
 def _face_points(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +104,8 @@ def simplex_qp_max(c) -> SimplexQPResult:
     if np.any(c < 0):
         raise ValueError("C must be entrywise nonnegative")
 
-    # values[rank] is the value of the face at that lexicographic rank
-    values = np.full((1 << n) - 1, -np.inf)
+    # each feasible face's value, and its support padded with -1 as its key
+    values, keys = [], []
     for r in range(1, n + 1):
         # the supports of size r in lexicographic order, FACE_CHUNK at a time
         flat = chain.from_iterable(combinations(range(n), r))
@@ -146,19 +116,25 @@ def simplex_qp_max(c) -> SimplexQPResult:
             np.put_along_axis(y, idx, ys, axis=1)
             y = y[feasible]
             # y @ c @ y row by row, by the BLAS calls it takes on one row
-            value = y[:, None, :] @ c @ y[:, :, None]
-            values[_lex_ranks(n, idx[feasible])] = value[:, 0, 0]
+            values.append((y[:, None, :] @ c @ y[:, :, None])[:, 0, 0])
+            key = np.full((y.shape[0], n), -1, np.int8)
+            key[:, :r] = idx[feasible]
+            keys.append(key)
 
+    # -1 pads a proper prefix, so it sorts before each support extending it
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])
+    values = np.concatenate(values)[order]
     tol = 1e-12 * max(1.0, float(np.max(c)))
     best, incumbent = -1, -math.inf
-    for rank, value in enumerate(values.tolist()):
+    for i, value in enumerate(values.tolist()):
         if value > incumbent + tol:
-            best, incumbent = rank, value
+            best, incumbent = i, value
     if best < 0:  # C = 0: every face is singular with a zero solution
         support = (0,)
         y = np.eye(n)[0]
     else:
-        support = _lex_support(n, best)
+        support = tuple(t for t in keys[order[best]].tolist() if t >= 0)
         ys, _ = _face_points(c, np.array([support], dtype=np.intp))
         y = np.zeros(n)
         y[list(support)] = ys[0]
@@ -251,10 +227,10 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     vertex at its largest entry counts too.  Restarts are drawn and ascended
     ``RESTART_BLOCK`` at a time, so memory is O(RESTART_BLOCK * n) for any
     number of restarts; neither the draws nor any restart's result depend
-    on the block size.
+    on the block size.  ``restarts`` must be a positive integer.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    if not (isinstance(restarts, numbers.Integral) and restarts >= 1):
+        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
     b = hermitian(b)
     n = b.shape[0]
     c = np.abs(b) ** 2

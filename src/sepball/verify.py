@@ -73,10 +73,14 @@ def check_partial_transpose_involution(seed: int, fast: bool) -> None:
 def check_matrix_json_roundtrip(seed: int, fast: bool) -> None:
     rng = rng_from_seed(seed)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    # signed zeros, which compare equal to 0.0 but must survive the trip
+    m[0, 1], m[2, 3] = complex(-0.0, -0.0), complex(0.0, -0.0)
     text = matrix_to_json(m, (2, 3))
     back, dims = matrix_from_json(text)
     assert dims == (2, 3)
-    assert np.array_equal(back, m), "matrix JSON round-trip is not bit-exact"
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64)), (
+        "matrix JSON round-trip is not bit-exact"
+    )
 
 
 def check_tilde_apply_identity(seed: int, fast: bool) -> None:

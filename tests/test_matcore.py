@@ -243,11 +243,13 @@ def test_tilde_apply_blockwise():
 def test_matrix_json_roundtrip_bitexact(tmp_path):
     rng = rng_from_seed(13)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # signed zeros, which compare equal to 0.0 but must survive the trip
+    m[0, 1], m[2, 3] = complex(-0.0, -0.0), complex(0.0, -0.0)
     path = tmp_path / "m.json"
     matcore.save_matrix(path, m, (2, 2))
     back, dims = matcore.load_matrix(path)
     assert dims == (2, 2)
-    assert np.array_equal(back, m)
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
 
 
 def test_matrix_json_rejects_wrong_entry_count():

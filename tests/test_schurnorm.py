@@ -93,7 +93,10 @@ def _clique_number(adj):
     )
 
 
-def test_simplex_qp_matches_reference_loop():
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_simplex_qp_matches_reference_loop(monkeypatch, chunk):
+    # chunks of 1 and 7 split every size class across several stacked calls
+    monkeypatch.setattr(schurnorm, "FACE_CHUNK", chunk)
     rng = rng_from_seed(61)
     corpus = []
     for n in range(1, 11):
@@ -106,6 +109,10 @@ def test_simplex_qp_matches_reference_loop():
     corpus += [np.ones((4, 4)), np.eye(5), np.ones((7, 7)), np.eye(9)]
     tie = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.5], [0.0, 1.5, 0.5]])
     corpus.append(tie)  # vertex (0,) and the later face (1, 2) both reach 1
+    # the singular face (0, 1, 2) sorts before its sub-face (0, 2) and ties
+    # it at 1/2 = 1 - 1/omega
+    singular = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    corpus.append(singular)
     for c in corpus:
         if not c.any():
             continue  # the loop has no feasible face on C = 0
@@ -114,6 +121,10 @@ def test_simplex_qp_matches_reference_loop():
         assert got.support == want_support
         assert abs(got.value - want_value) <= 1e-12 * max(1.0, float(np.max(c)))
     assert schurnorm.simplex_qp_max(tie).support == (0,)
+    res = schurnorm.simplex_qp_max(singular)
+    assert res.support == (0, 1, 2)
+    assert res.maximizer.tolist() == [0.5, 0.0, 0.5]
+    assert res.value == 0.5
 
 
 def test_simplex_qp_zero_matrix_is_vertex():
@@ -196,6 +207,12 @@ def test_oracle_known_values():
     assert schurnorm.oracle_two_inf_norm(np.eye(4), seed=1) == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("restarts", [0, -3, 2.5, float("nan")])
+def test_oracle_rejects_bad_restarts(restarts):
+    with pytest.raises(ValueError, match="restarts must be a positive integer"):
+        schurnorm.oracle_two_inf_norm(np.eye(2), restarts=restarts, seed=1)
 
 
 def _reference_oracle(b, restarts, seed):
