@@ -4,8 +4,8 @@ Each command builds its result once, as a JSON object and as human lines,
 and ``_emit`` prints the one ``--format`` asks for.  ``main`` is the only
 place that turns bad input into an exit code: a ``ValueError`` from a command
 or the library (bad dims, an unreadable matrix file, eta outside the
-threshold scan, a ``SEPBALL_SEED`` that is not an integer) prints
-``error: <message>`` to stderr and exits 2.
+threshold scan, a ``SEPBALL_SEED`` that is not an integer, a negative seed)
+prints ``error: <message>`` to stderr and exits 2.
 
 Exit codes: 0 success/separable, 1 verification failure, 2 usage or parse
 error, 3 inconclusive certificate, 4 state not PSD or not normalized.
@@ -57,10 +57,15 @@ def _load(path):
 
 
 def _resolve_seed(args) -> int:
+    """The seed from ``--seed``, else ``SEPBALL_SEED``, else the default; refused if negative."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SEPBALL_SEED")
-    return DEFAULT_SEED if env is None else int(env, 0)
+        seed = args.seed
+    else:
+        env = os.environ.get("SEPBALL_SEED")
+        seed = DEFAULT_SEED if env is None else int(env, 0)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def cmd_bound(args) -> int:
@@ -196,6 +201,7 @@ def cmd_verify(args) -> int:
     obj = {
         "suite": args.suite,
         "seed": seed,
+        "workers": verify.workers(),
         "passed": passed,
         "failed": failed,
         "checks": [asdict(r) for r in results],

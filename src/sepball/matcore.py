@@ -567,7 +567,7 @@ def _parse_range(data: bytes, lo: int, hi: int, lead: bytes, out: np.ndarray) ->
     return filled == out.size
 
 
-def _cpus() -> int:
+def cpus() -> int:
     """How many CPUs this process may run on; 1 where that cannot be read."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -600,7 +600,7 @@ def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarra
     and each block is checked by the same rule, where the cuts fall changes
     neither whether the file is taken nor its doubles.
     """
-    n = min(_cpus(), (close - start) // PARSE_RANGE_MIN) if hasattr(os, "fork") else 1
+    n = min(cpus(), (close - start) // PARSE_RANGE_MIN) if hasattr(os, "fork") else 1
     cuts = sorted({start, close, *(data.find(b"]", start + k * (close - start) // n, close) + 1
                                    or close for k in range(1, n))})
     offsets = [0]

@@ -126,10 +126,13 @@ def simplex_qp_max(c) -> SimplexQPResult:
     order = np.lexsort(keys.T[::-1])
     values = np.concatenate(values)[order]
     tol = 1e-12 * max(1.0, float(np.max(c)))
+    # incumbent + tol is at least every value scanned before, so only a
+    # strict prefix maximum can replace the incumbent: scan those alone
+    earlier = np.fmax.accumulate(np.concatenate(([-math.inf], values[:-1])))
     best, incumbent = -1, -math.inf
-    for i, value in enumerate(values.tolist()):
-        if value > incumbent + tol:
-            best, incumbent = i, value
+    for i in np.flatnonzero(values > earlier).tolist():
+        if values[i] > incumbent + tol:
+            best, incumbent = i, float(values[i])
     if best < 0:  # C = 0: every face is singular with a zero solution
         support = (0,)
         y = np.eye(n)[0]

@@ -4,12 +4,28 @@ Each check is a named function raising ``AssertionError`` on failure; the
 ``fast`` suite trims sample counts, the ``all`` suite runs the full budgets.
 Results are deterministic for a fixed seed, and verdicts must not depend on
 the seed (only the concrete sample draws do).
+
+The checks do not depend on each other, so ``run_suite`` runs them on every
+CPU the process may run on: the calling process and ``workers() - 1``
+children forked for the suite each take the next check from one shared
+queue (on Linux only; elsewhere the caller runs them all).  A check that
+raises anything but an ``AssertionError``, or warns, is run again in the
+caller after the others, so its exception or warning reaches the caller as
+it would in a serial run.  Results come back in ``CHECKS`` order whichever
+process ran them, and each check's ``seconds`` is its own wall time in the
+process that ran it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import sys
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -19,6 +35,7 @@ import numpy as np
 from . import ballbounds, certify, extremal, geometry, nmr, schurnorm
 from .matcore import (
     apply_map,
+    cpus,
     frobenius_norm,
     identity_map,
     is_psd,
@@ -532,19 +549,114 @@ CHECKS: list[tuple[str, Callable[[int, bool], None]]] = [
 ]
 
 
+def workers() -> int:
+    """How many processes ``run_suite`` runs the checks in.
+
+    One per CPU this process may run on, at most one per check; 1 where the
+    suite does not fork: without ``os.fork``, and on platforms other than
+    Linux, where the children's BLAS may not survive a fork.
+    """
+    if not (hasattr(os, "fork") and sys.platform == "linux"):
+        return 1
+    return min(cpus(), len(CHECKS))
+
+
+def _run_check(index: int, seed: int | None, fast: bool) -> CheckResult:
+    """Run ``CHECKS[index]``; an ``AssertionError`` fails it, anything else is raised."""
+    name, fn = CHECKS[index]
+    start = time.perf_counter()
+    try:
+        fn(seed, fast)
+        passed, detail = True, "ok"
+    except AssertionError as exc:
+        passed, detail = False, str(exc) or "assertion failed"
+    return CheckResult(name, passed, detail, time.perf_counter() - start)
+
+
+def _pull(queue: int, seed: int | None, fast: bool,
+          report: Callable[[int, CheckResult], None]) -> None:
+    """Run the checks whose indices this process reads from ``queue``, until it is empty.
+
+    Each finished check goes to ``report(index, result)``.  Warnings are
+    errors here, and the first check that raises anything but an
+    ``AssertionError`` ends the loop unreported, for ``run_suite`` to run
+    again in the caller.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # four bytes per index, all written before the first read: a read
+        # takes a whole index, or nothing once the queue is empty
+        while index := os.read(queue, 4):
+            index = int.from_bytes(index, "little")
+            try:
+                result = _run_check(index, seed, fast)
+            except Exception:  # any other error is raised by the rerun in the caller
+                return
+            report(index, result)
+
+
 def run_suite(suite: str = "all", seed: int | None = None) -> list[CheckResult]:
-    """Run the named invariant checks; ``fast`` trims sampling budgets."""
+    """Run the named invariant checks; ``fast`` trims sampling budgets.
+
+    The calling process and ``workers() - 1`` forked children take the
+    checks from one pipe, filled up front with every index in ``CHECKS``
+    order.  Each child sends back, through its own pipe, a pickled
+    ``(index, CheckResult)`` for each check it finishes; a child that cannot
+    be forked leaves its share to the others.  A check no process reported
+    (it raised something else or warned, or its child died) is then run
+    here, in ``CHECKS`` order, so its exception reaches the caller.  Every
+    child is reaped before this returns or raises, killed first if this
+    process raises.
+    """
     if suite not in ("all", "fast"):
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or 'fast'")
     fast = suite == "fast"
     # a seed of None reaches rng_from_seed, the one home of the default seed
-    results = []
-    for name, fn in CHECKS:
-        start = time.perf_counter()
-        try:
-            fn(seed, fast)
-            passed, detail = True, "ok"
-        except AssertionError as exc:
-            passed, detail = False, str(exc) or "assertion failed"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-    return results
+    done: dict[int, CheckResult] = {}
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(CHECKS))))
+    finally:
+        os.close(feed)
+    children: list[tuple[int, int]] = []  # each child's pid and its results pipe
+    finished = False
+    try:
+        for _ in range(workers() - 1):
+            results, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others take its share
+                os.close(results)
+                os.close(out)
+                continue
+            if pid == 0:
+                try:
+                    os.close(results)
+                    with open(out, "wb") as sink:
+                        def send(index: int, result: CheckResult) -> None:
+                            pickle.dump((index, result), sink)
+                            sink.flush()
+
+                        _pull(queue, seed, fast, send)
+                finally:
+                    os._exit(0)
+            os.close(out)
+            children.append((pid, results))
+        _pull(queue, seed, fast, done.__setitem__)
+        for _, results in children:
+            # read to the end, or to a record cut short by a child that died
+            with open(results, "rb", closefd=False) as source, \
+                    contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    index, result = pickle.load(source)
+                    done[index] = result
+        finished = True
+    finally:
+        os.close(queue)
+        for pid, results in children:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.close(results)
+            os.waitpid(pid, 0)
+    return [done[index] if index in done else _run_check(index, seed, fast)
+            for index in range(len(CHECKS))]

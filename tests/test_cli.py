@@ -2,13 +2,14 @@
 
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, matcore
+from sepball import ballbounds, cli, matcore, verify
 from sepball.matcore import save_matrix
 
 
@@ -342,6 +343,7 @@ def test_seed_env_override(capsys, monkeypatch):
     assert code == 0
     obj = json.loads(out)
     assert obj["seed"] == 0x1234
+    assert obj["workers"] == verify.workers()
     assert all(check["seconds"] >= 0.0 for check in obj["checks"])
 
 
@@ -351,6 +353,20 @@ def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "'zz'" in err
+
+
+@pytest.mark.parametrize("argv", [("verify", "fast"), ("schur-norm", "--l-matrix", "2", "3")])
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, count_calls, argv):
+    # refused before the suite forks or the oracle samples
+    forks = count_calls(os, "fork")
+    for env, flag in (("-1", ()), (None, ("--seed", "-1"))):
+        if env is None:
+            monkeypatch.delenv("SEPBALL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SEPBALL_SEED", env)
+        code, out, err = run_cli(capsys, *flag, *argv)
+        assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
+    assert forks == []
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -538,7 +538,7 @@ def _reference_read(name: str):
 def cut_into(monkeypatch):
     """``cut_into(n)`` makes the reader cut every file into ``n`` ranges, however short."""
     monkeypatch.setattr(matcore, "PARSE_RANGE_MIN", 1)
-    return lambda n: monkeypatch.setattr(matcore, "_cpus", lambda: n)
+    return lambda n: monkeypatch.setattr(matcore, "cpus", lambda: n)
 
 
 @pytest.fixture

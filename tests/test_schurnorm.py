@@ -113,6 +113,10 @@ def test_simplex_qp_matches_reference_loop(monkeypatch, chunk):
     # it at 1/2 = 1 - 1/omega
     singular = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     corpus.append(singular)
+    # each vertex is a new running maximum, but (1,) gains less than the
+    # tolerance over (0,), and only (2,) gains more than it over the incumbent
+    creeping = np.diag([1.0, 1.0 + 5e-13, 1.0 + 1.2e-12])
+    corpus.append(creeping)
     for c in corpus:
         if not c.any():
             continue  # the loop has no feasible face on C = 0
@@ -121,6 +125,7 @@ def test_simplex_qp_matches_reference_loop(monkeypatch, chunk):
         assert got.support == want_support
         assert abs(got.value - want_value) <= 1e-12 * max(1.0, float(np.max(c)))
     assert schurnorm.simplex_qp_max(tie).support == (0,)
+    assert schurnorm.simplex_qp_max(creeping).support == (2,)
     res = schurnorm.simplex_qp_max(singular)
     assert res.support == (0, 1, 2)
     assert res.maximizer.tolist() == [0.5, 0.0, 0.5]
