@@ -72,6 +72,8 @@ def cmd_bound(args) -> int:
     if args.qubits is not None:
         if args.dims:
             raise ValueError("give either dims or --qubits, not both")
+        if args.qubits < 1:
+            raise ValueError(f"--qubits must be a positive integer, got {args.qubits}")
         dims = [2] * args.qubits
     elif args.dims:
         dims = args.dims

@@ -33,30 +33,43 @@ correctly rounding JSON reader reads the doubles back bit for bit.  A file
 laid out with the dims key first, then the entries key, and any JSON
 whitespace between tokens, as are ``save_matrix``'s files and the
 ``json.dumps`` layout of older ones, is read by ``_read_flat``:
-``_parse_entries`` cuts the entries array into one range per CPU the
-process may run on, each a run of whole blocks of about ``READ_BLOCK``
-bytes, and ``_parse_range`` checks each block by one rule and parses it
-with ``orjson`` straight into the matrix, so a read holds the file's bytes,
-the matrix and one block in each process that parses.  orjson takes only
-strict JSON and rounds every decimal correctly.  A file the rule or orjson
-refuses, such as one holding a number that overflows to infinity, goes to
-``_read_json``, one stdlib ``json.loads``, which reads every other valid
-layout and alone decides which error is raised.  Entries must be pairs of
-JSON numbers: booleans, integers beyond float range and lists of another
-length are rejected as malformed.  Nothing here is there to tune.
+``_parse_entries`` cuts the entries array into one range per process
+``workers`` grants, each a run of whole blocks of about ``READ_BLOCK``
+bytes, and ``fork_map`` has ``_parse_range`` check each block by one rule
+and parse it with ``orjson`` straight into the matrix, so a read holds the
+file's bytes, the matrix and one block in each process that parses.  The
+file is taken once every range has reported; one refused range sends it on
+only after the others are done.  orjson takes only strict JSON and rounds
+every decimal correctly.  A file the rule or orjson refuses, such as one
+holding a number that overflows to infinity, goes to ``_read_json``, one
+stdlib ``json.loads``, which reads every other valid layout and alone
+decides which error is raised.  Entries must be pairs of JSON numbers:
+booleans, integers beyond float range and lists of another length are
+rejected as malformed.  Nothing here is there to tune.
+
+Processes have one home, ``fork_map``: the package's only fork, pipe and
+kill-and-reap code, which runs numbered jobs in this process and forked
+children that share one queue of indices.  ``workers`` is its one platform
+rule: one process per CPU this process may run on, at most one per job, on
+Linux where ``os.fork`` exists, and one process everywhere else.  The
+matrix reader and ``verify.run_suite`` both run on it, so off Linux a file
+is parsed serially.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
 import os
+import pickle
 import re
 import signal
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -445,6 +458,96 @@ def tilde_apply(phi: MapOnMatrices, x: np.ndarray, d1: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Processes
+# ---------------------------------------------------------------------------
+
+def cpus() -> int:
+    """How many CPUs this process may run on; 1 where that cannot be read."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def workers(jobs: int) -> int:
+    """How many processes ``fork_map`` runs ``jobs`` jobs in: the package's one platform rule.
+
+    One per CPU this process may run on, at most one per job and at least
+    one, on Linux where ``os.fork`` exists; 1 everywhere else, where a
+    forked child's BLAS may not survive the fork.
+    """
+    if not (hasattr(os, "fork") and sys.platform == "linux"):
+        return 1
+    return max(1, min(cpus(), jobs))
+
+
+def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
+    """{index: run(index)} for each job index below ``jobs``, on ``workers(jobs)`` processes.
+
+    This process and one forked child per further worker take indices from
+    one pipe, filled up front, until it is empty; a child that cannot be
+    forked leaves its share to the others.  Each child pickles
+    ``(index, result)`` back through its own pipe as each job ends.  A job
+    that raised in a child, or whose child died, is missing from the
+    answer, and that child takes no further job; an exception in this
+    process is raised only after every child has been killed and reaped.
+    Every child is reaped before this returns.  An index takes four bytes
+    of the pipe, whose buffer (64 KiB on Linux) must hold them all: the
+    callers have one job per check or per CPU.
+    """
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(jobs)))
+    finally:
+        os.close(feed)
+
+    def indices() -> Iterator[int]:
+        # every index was written before the first read: a read takes a
+        # whole index, or nothing once the queue is empty
+        while index := os.read(queue, 4):
+            yield int.from_bytes(index, "little")
+
+    done: dict[int, object] = {}
+    children: list[tuple[int, int]] = []  # each child's pid and its results pipe
+    finished = False
+    try:
+        for _ in range(workers(jobs) - 1):
+            results, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others take its share
+                os.close(results)
+                os.close(out)
+                continue
+            if pid == 0:
+                try:
+                    os.close(results)
+                    with open(out, "wb") as sink:
+                        for index in indices():
+                            pickle.dump((index, run(index)), sink)
+                            sink.flush()
+                finally:
+                    os._exit(0)
+            os.close(out)
+            children.append((pid, results))
+        for index in indices():
+            done[index] = run(index)
+        for _, results in children:
+            # read to the end, or to a record cut short by a child that died
+            with open(results, "rb", closefd=False) as source, \
+                    contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    index, result = pickle.load(source)
+                    done[index] = result
+        finished = True
+    finally:
+        os.close(queue)
+        for pid, results in children:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.close(results)
+            os.waitpid(pid, 0)
+    return done
+
+
+# ---------------------------------------------------------------------------
 # Matrix file format
 # ---------------------------------------------------------------------------
 
@@ -567,11 +670,6 @@ def _parse_range(data: bytes, lo: int, hi: int, lead: bytes, out: np.ndarray) ->
     return filled == out.size
 
 
-def cpus() -> int:
-    """How many CPUs this process may run on; 1 where that cannot be read."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _count_closes(data: bytes, lo: int, hi: int) -> int:
     """How many "]" data[lo:hi] holds.
 
@@ -586,21 +684,19 @@ def _count_closes(data: bytes, lo: int, hi: int) -> int:
 def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarray | None:
     """The 2·``pairs`` doubles of the entries data[start:close], else None.
 
-    The array is cut into one range per available CPU, as far as each range
-    keeps about ``PARSE_RANGE_MIN`` bytes, and into one range without
-    ``os.fork``; each cut falls right after a pair's "]" as a block ends.
-    A range's doubles start at 2 × (the count of "]" before it), which its
-    parse then checks.  This process parses the first range, and a forked
-    child each other one (this process again where no child can be forked),
-    into a shared anonymous mmap; one range is parsed into private memory.
-    A child runs only ``_parse_range`` (bytes, numpy and orjson, no BLAS),
-    reads the file's bytes copy-on-write and reports by exit status.  Every
-    child is reaped before this returns or raises, killed first once the
-    answer is known to be None.  Since each range is a run of whole blocks
-    and each block is checked by the same rule, where the cuts fall changes
-    neither whether the file is taken nor its doubles.
+    The array is cut into one range per process ``workers`` grants for
+    jobs of ``PARSE_RANGE_MIN`` bytes, so into one range off Linux; each
+    cut falls right after a pair's "]" as a block ends.  A range's doubles
+    start at 2 × (the count of "]" before it), which its parse then checks.
+    ``fork_map`` parses the ranges, in forked children too, into a shared
+    anonymous mmap; one range is parsed here into private memory.  A child
+    runs only ``_parse_range`` (bytes, numpy and orjson, no BLAS) and reads
+    the file's bytes copy-on-write.  The file is taken when every range
+    reports True.  Since each range is a run of whole blocks and each block
+    is checked by the same rule, where the cuts fall changes neither whether
+    the file is taken nor its doubles.
     """
-    n = min(cpus(), (close - start) // PARSE_RANGE_MIN) if hasattr(os, "fork") else 1
+    n = workers((close - start) // PARSE_RANGE_MIN)
     cuts = sorted({start, close, *(data.find(b"]", start + k * (close - start) // n, close) + 1
                                    or close for k in range(1, n))})
     offsets = [0]
@@ -609,32 +705,12 @@ def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarra
     if offsets[-1] > pairs:
         return None
     offsets.append(pairs)
-    ranges = [(lo, hi, b"[" if lo == start else b",", slice(2 * a, 2 * b))
-              for lo, hi, a, b in zip(cuts, cuts[1:], offsets, offsets[1:])]
-    values = (np.frombuffer(mmap.mmap(-1, 16 * pairs), np.float64) if len(ranges) > 1
+    values = (np.frombuffer(mmap.mmap(-1, 16 * pairs), np.float64) if len(cuts) > 2
               else np.empty(2 * pairs, np.float64))
-    mine, children, ok = ranges[:1], [], False
-    try:
-        for lo, hi, lead, part in ranges[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: parse the range here
-                mine.append((lo, hi, lead, part))
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    status = 0 if _parse_range(data, lo, hi, lead, values[part]) else 1
-                finally:
-                    os._exit(status)
-            children.append(pid)
-        ok = all(_parse_range(data, lo, hi, lead, values[part]) for lo, hi, lead, part in mine)
-    finally:
-        for pid in children:
-            if not ok:
-                os.kill(pid, signal.SIGKILL)
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return values if ok else None
+    ranges = [(lo, hi, b"[" if lo == start else b",", values[2 * a:2 * b])
+              for lo, hi, a, b in zip(cuts, cuts[1:], offsets, offsets[1:])]
+    done = fork_map(len(ranges), lambda i: _parse_range(data, *ranges[i]))
+    return values if all(map(done.get, range(len(ranges)))) else None
 
 
 def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:

@@ -5,25 +5,20 @@ Each check is a named function raising ``AssertionError`` on failure; the
 Results are deterministic for a fixed seed, and verdicts must not depend on
 the seed (only the concrete sample draws do).
 
-The checks do not depend on each other, so ``run_suite`` runs them on every
-CPU the process may run on: the calling process and ``workers() - 1``
-children forked for the suite each take the next check from one shared
-queue (on Linux only; elsewhere the caller runs them all).  A check that
-raises anything but an ``AssertionError``, or warns, is run again in the
-caller after the others, so its exception or warning reaches the caller as
-it would in a serial run.  Results come back in ``CHECKS`` order whichever
+The checks do not depend on each other, so ``run_suite`` runs them on
+``matcore.fork_map``, the package's one process pool: on Linux the calling
+process and one forked child per further CPU each take the next check from
+one shared queue; elsewhere the caller runs them all.  A check that raises
+anything but an ``AssertionError``, or warns, is run again in the caller
+after the others, so its exception or warning reaches the caller as it
+would in a serial run.  Results come back in ``CHECKS`` order whichever
 process ran them, and each check's ``seconds`` is its own wall time in the
 process that ran it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
-import signal
-import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -32,10 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import ballbounds, certify, extremal, geometry, nmr, schurnorm
+from . import ballbounds, certify, extremal, geometry, matcore, nmr, schurnorm
 from .matcore import (
     apply_map,
-    cpus,
     frobenius_norm,
     identity_map,
     is_psd,
@@ -148,6 +142,39 @@ def check_qubit_normalized_identity(seed: int, fast: bool) -> None:
         lhs = ballbounds.qubit_normalized_radius(m)
         rhs = ballbounds.closed_form_radius(2, m) / 2**m
         assert abs(lhs - rhs) <= 1e-12 * rhs, f"normalized identity fails at m={m}"
+
+
+def check_kappa_limit(seed: int, fast: bool) -> None:
+    # r_m·2^(γm) = √3/√(1 + 3^(1-m)) exactly, so it tends to κ = √3
+    g = ballbounds.qubit_asymptotic_exponent()
+    for m in range(2, 41):
+        scaled = math.exp(ballbounds.log_closed_form_radius(2, m) + g * m * math.log(2.0))
+        want = math.sqrt(3.0) / math.sqrt(1.0 + 3.0 ** (1 - m))
+        assert abs(scaled - want) <= 1e-12 * want, f"rescaled radius off sqrt(3) form at m={m}"
+
+
+def check_previous_normalized_bound(seed: int, fast: bool) -> None:
+    # the earlier bound over d = 2^m is the abstract's 2·2^(-3m/2); the log
+    # domain leaves at most a few ulps (4.4e-16 measured)
+    for m in range(2, 41):
+        got = ballbounds.gb03_baseline(m) / 2**m
+        want = 2.0 * 2.0 ** (-1.5 * m)
+        assert abs(got - want) <= 1e-14 * want, f"previous normalized bound off at m={m}"
+
+
+def check_exponent_by_local_dimension(seed: int, fast: bool) -> None:
+    # r_m ~ C·2^(-γ(d0)·m) with γ(d0) = ½·log2((2d0 - 1)/d0): the qubit γ at
+    # d0 = 2, rising toward the earlier exponent ½ as d0 grows
+    m = 400
+    gammas = [(ballbounds.log_closed_form_radius(d0, m)
+               - ballbounds.log_closed_form_radius(d0, m + 1)) / math.log(2.0)
+              for d0 in range(2, 9)]
+    for d0, g in zip(range(2, 9), gammas):
+        assert abs(g - 0.5 * math.log2((2 * d0 - 1) / d0)) < 1e-9, f"exponent off at d0={d0}"
+    assert _close(gammas[0], ballbounds.qubit_asymptotic_exponent(), 1e-12), "qubit exponent"
+    assert all(x < y < 0.5 for x, y in zip(gammas, gammas[1:])), (
+        "exponent must rise with d0 and stay below 1/2"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +525,10 @@ def check_nmr_thresholds(seed: int, fast: bool) -> None:
     assert nmr.pseudopure_threshold(eta, baseline="gb03") == 22
     assert nmr.thermal_threshold(eta) == 16
     assert nmr.thermal_threshold(eta, baseline="gb03") == 13
+    # the abstract's "36 (23)": the first pseudopure counts not certified
+    for baseline, until in (("recursion", 36), ("gb03", 23)):
+        measured, bound = nmr.measured_and_bound(eta, until, "pseudopure", baseline)
+        assert measured > bound, f"{until} pseudopure qubits certified by {baseline}"
 
 
 def check_thermal_margin(seed: int, fast: bool) -> None:
@@ -520,6 +551,9 @@ CHECKS: list[tuple[str, Callable[[int, bool], None]]] = [
     ("ballbounds.closed_form_solves_recursion", check_closed_form_solves_recursion),
     ("ballbounds.qubit_exponent_limit", check_qubit_exponent_limit),
     ("ballbounds.qubit_normalized_identity", check_qubit_normalized_identity),
+    ("ballbounds.kappa_limit", check_kappa_limit),
+    ("ballbounds.previous_normalized_bound", check_previous_normalized_bound),
+    ("ballbounds.exponent_by_local_dimension", check_exponent_by_local_dimension),
     ("certify.maximally_mixed_certified", check_maximally_mixed_certified),
     ("certify.ball_boundary_ppt", check_ball_boundary_ppt),
     ("certify.entangled_not_certified", check_entangled_not_certified),
@@ -550,15 +584,8 @@ CHECKS: list[tuple[str, Callable[[int, bool], None]]] = [
 
 
 def workers() -> int:
-    """How many processes ``run_suite`` runs the checks in.
-
-    One per CPU this process may run on, at most one per check; 1 where the
-    suite does not fork: without ``os.fork``, and on platforms other than
-    Linux, where the children's BLAS may not survive a fork.
-    """
-    if not (hasattr(os, "fork") and sys.platform == "linux"):
-        return 1
-    return min(cpus(), len(CHECKS))
+    """How many processes ``run_suite`` runs in: ``matcore.workers`` of one job per check."""
+    return matcore.workers(len(CHECKS))
 
 
 def _run_check(index: int, seed: int | None, fast: bool) -> CheckResult:
@@ -573,90 +600,27 @@ def _run_check(index: int, seed: int | None, fast: bool) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
-def _pull(queue: int, seed: int | None, fast: bool,
-          report: Callable[[int, CheckResult], None]) -> None:
-    """Run the checks whose indices this process reads from ``queue``, until it is empty.
-
-    Each finished check goes to ``report(index, result)``.  Warnings are
-    errors here, and the first check that raises anything but an
-    ``AssertionError`` ends the loop unreported, for ``run_suite`` to run
-    again in the caller.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # four bytes per index, all written before the first read: a read
-        # takes a whole index, or nothing once the queue is empty
-        while index := os.read(queue, 4):
-            index = int.from_bytes(index, "little")
-            try:
-                result = _run_check(index, seed, fast)
-            except Exception:  # any other error is raised by the rerun in the caller
-                return
-            report(index, result)
-
-
 def run_suite(suite: str = "all", seed: int | None = None) -> list[CheckResult]:
     """Run the named invariant checks; ``fast`` trims sampling budgets.
 
-    The calling process and ``workers() - 1`` forked children take the
-    checks from one pipe, filled up front with every index in ``CHECKS``
-    order.  Each child sends back, through its own pipe, a pickled
-    ``(index, CheckResult)`` for each check it finishes; a child that cannot
-    be forked leaves its share to the others.  A check no process reported
-    (it raised something else or warned, or its child died) is then run
-    here, in ``CHECKS`` order, so its exception reaches the caller.  Every
-    child is reaped before this returns or raises, killed first if this
-    process raises.
+    ``matcore.fork_map`` runs the checks, one job per check, with warnings
+    as errors; a check that raises anything but an ``AssertionError`` gives
+    None there.  A check missing from its answer (its child died) or None
+    is then run again here, in ``CHECKS`` order, so its exception or
+    warning reaches the caller as it would in a serial run.
     """
     if suite not in ("all", "fast"):
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or 'fast'")
     fast = suite == "fast"
-    # a seed of None reaches rng_from_seed, the one home of the default seed
-    done: dict[int, CheckResult] = {}
-    queue, feed = os.pipe()
-    try:
-        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(CHECKS))))
-    finally:
-        os.close(feed)
-    children: list[tuple[int, int]] = []  # each child's pid and its results pipe
-    finished = False
-    try:
-        for _ in range(workers() - 1):
-            results, out = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the others take its share
-                os.close(results)
-                os.close(out)
-                continue
-            if pid == 0:
-                try:
-                    os.close(results)
-                    with open(out, "wb") as sink:
-                        def send(index: int, result: CheckResult) -> None:
-                            pickle.dump((index, result), sink)
-                            sink.flush()
 
-                        _pull(queue, seed, fast, send)
-                finally:
-                    os._exit(0)
-            os.close(out)
-            children.append((pid, results))
-        _pull(queue, seed, fast, done.__setitem__)
-        for _, results in children:
-            # read to the end, or to a record cut short by a child that died
-            with open(results, "rb", closefd=False) as source, \
-                    contextlib.suppress(EOFError, pickle.UnpicklingError):
-                while True:
-                    index, result = pickle.load(source)
-                    done[index] = result
-        finished = True
-    finally:
-        os.close(queue)
-        for pid, results in children:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.close(results)
-            os.waitpid(pid, 0)
-    return [done[index] if index in done else _run_check(index, seed, fast)
-            for index in range(len(CHECKS))]
+    def run(index: int) -> CheckResult | None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return _run_check(index, seed, fast)
+            except Exception:  # raised again by the rerun below
+                return None
+
+    # a seed of None reaches rng_from_seed, the one home of the default seed
+    done = matcore.fork_map(len(CHECKS), run)
+    return [done.get(index) or _run_check(index, seed, fast) for index in range(len(CHECKS))]

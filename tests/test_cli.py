@@ -50,6 +50,13 @@ def test_bound_bad_dims(capsys):
         assert err.startswith("error: "), dims
 
 
+@pytest.mark.parametrize("qubits", ["0", "-2"])
+def test_bound_refuses_fewer_than_one_qubit(capsys, qubits):
+    code, out, err = run_cli(capsys, "bound", "--qubits", qubits)
+    assert (code, out) == (2, "")
+    assert err == f"error: --qubits must be a positive integer, got {qubits}\n"
+
+
 def test_bound_600_qubits_normalized_radius(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "bound", "--qubits", "600")
     assert code == 0

@@ -1,8 +1,8 @@
 """Source layout rules: helpers that other modules use are public, every
 private name is read in its own module, only matcore reads the
-materialization cap, every third-party module the package imports is a
-declared dependency, and the constants the README quotes have the values it
-gives."""
+materialization cap and only ``matcore.fork_map`` forks, every third-party
+module the package imports is a declared dependency, and the constants and
+``verify`` checks the README quotes are the code's."""
 
 import ast
 import importlib
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sepball
+from sepball import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sepball"
@@ -178,6 +179,70 @@ def test_only_matcore_reads_the_materialization_cap():
     assert found == {}
 
 
+#: The ``os`` calls that fork, wait for, signal or leave a process.
+PROCESS_CALLS = {"fork", "waitpid", "kill", "_exit"}
+
+
+def process_calls(source: str, outside: str | None = None) -> list[str]:
+    """Every use of ``os.fork``, ``os.waitpid``, ``os.kill`` or ``os._exit`` in ``source``.
+
+    An attribute of ``os``, or of any name ``os`` is imported as, an import
+    of one of them from ``os``, or a ``getattr`` of one counts.  The body of
+    the top-level function named ``outside`` is not searched.
+    """
+    body = [stmt for stmt in ast.parse(source).body
+            if not (isinstance(stmt, ast.FunctionDef) and stmt.name == outside)]
+    nodes = [node for stmt in body for node in ast.walk(stmt)]
+    aliases = {"os"} | {alias.asname for node in nodes if isinstance(node, ast.Import)
+                        for alias in node.names if alias.name == "os" and alias.asname}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"from os import {alias.name}"
+                      for alias in node.names if alias.name in PROCESS_CALLS]
+        elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in aliases
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in PROCESS_CALLS):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_scanner_finds_process_calls():
+    source = (
+        '"""Forks children with ``os.fork``."""\n'
+        "import os as system\n"
+        "from os import kill, getpid\n"
+        "def f():\n"
+        "    if hasattr(system, 'fork'):\n"
+        "        return system.fork(), getattr(system, '_exit'), getpid(), os.waitpid\n"
+        "def fork_map():\n"
+        "    system.kill(0, 9)\n"
+    )
+    assert sorted(process_calls(source, outside="fork_map")) == [
+        "from os import kill",
+        "getattr(system, '_exit')",
+        "os.waitpid",
+        "system.fork",
+    ]
+    assert "system.kill" in process_calls(source)
+
+
+def test_only_matcore_forks():
+    # processes have one home, matcore.fork_map: no other code forks, reaps,
+    # kills or leaves a process
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := process_calls(path.read_text(),
+                                   outside="fork_map" if path.stem == "matcore" else None))
+    }
+    assert found == {}
+
+
 def test_all_matches_the_public_imports():
     # the validate-once contract covers the names in __all__, which is kept
     # by hand next to the imports it must list
@@ -238,3 +303,16 @@ def test_readme_constants_match_the_code():
             "CHOLESKY_ROUNDING"} <= {name for name, _ in quoted}
     for name, value in quoted:
         assert {vars(mod)[name] for mod in modules if name in vars(mod)} == {value}, name
+
+
+def test_readme_claims_name_verify_checks():
+    # each claim of the abstract has a row naming the verify check that computes it
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("## The abstract, claim by claim"):]
+    table = table[:table.index("\n## ")]
+    named = re.findall(r"\| `([a-z]+\.[a-z_]+)` \|", table)
+    assert len(named) == len(set(named))
+    assert {"ballbounds.qubit_exponent_limit", "ballbounds.kappa_limit",
+            "ballbounds.qubit_normalized_identity", "ballbounds.previous_normalized_bound",
+            "ballbounds.exponent_by_local_dimension", "nmr.thresholds"} <= set(named)
+    assert set(named) <= {name for name, _ in verify.CHECKS}

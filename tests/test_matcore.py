@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import numpy as np
 import orjson
 import pytest
 
-from sepball import matcore
+from sepball import matcore, verify
 from sepball.sampling import random_density_matrix, random_hermitian, rng_from_seed
 
 
@@ -628,6 +629,22 @@ def test_reader_without_fork_parses_serially(tmp_path, monkeypatch, cut_into):
     for name in ["saved_2_2_2_2_2_2_2_2", "cut2_number_after_pair", "cut3_truncated_pair", "good"]:
         path.write_bytes(READER_CORPUS[name])
         _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
+
+
+def test_off_linux_nothing_forks(tmp_path, monkeypatch, cut_into, forks):
+    # matcore.workers is the one platform rule, for the reader and the suite
+    cut_into(1)
+    serial = [(r.name, r.passed, r.detail) for r in verify.run_suite("fast", 1)]
+    monkeypatch.setattr(sys, "platform", "darwin")
+    cut_into(3)
+    name = "saved_2_2_2_2_2_2_2_2"
+    path = tmp_path / "m.json"
+    path.write_bytes(READER_CORPUS[name])
+    _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
+    assert forks == []
+    assert matcore.workers(8) == 1
+    assert [(r.name, r.passed, r.detail) for r in verify.run_suite("fast", 1)] == serial
+    assert forks == []
 
 
 def test_one_range_is_read_without_counting_or_sharing(monkeypatch, cut_into, forks):

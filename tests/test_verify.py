@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from sepball import verify
+from sepball import matcore, verify
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def processes(monkeypatch):
     """``processes(n)`` makes ``run_suite`` run in ``n`` processes."""
 
     def force(n):
-        monkeypatch.setattr(verify, "cpus", lambda: n)
+        monkeypatch.setattr(matcore, "cpus", lambda: n)
         assert verify.workers() == n
 
     return force
