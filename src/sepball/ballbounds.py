@@ -79,8 +79,10 @@ def log_weak_radius(d0: int, m: int) -> float:
 
 
 def gb03_baseline(m: int) -> float:
-    """Prior-work comparison baseline ``(1/2)^(m/2 - 1)``."""
-    return _exp(log_gb03_baseline(m))
+    """Prior-work comparison baseline ``(1/2)^(m/2 - 1)``, correctly rounded."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    return math.ldexp(math.sqrt(0.5) if m % 2 else 1.0, 1 - m // 2)
 
 
 def log_gb03_baseline(m: int) -> float:

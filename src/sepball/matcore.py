@@ -53,12 +53,19 @@ children that share one queue of indices.  ``workers`` is its one platform
 rule: one process per CPU this process may run on, at most one per job, on
 Linux where ``os.fork`` exists, and one process everywhere else.  The
 matrix reader and ``verify.run_suite`` both run on it, so off Linux a file
-is parsed serially.
+is parsed serially.  The pool shares the CPUs between its processes and
+their BLAS threads: while it runs in W > 1 processes, each loaded OpenBLAS
+(found through ``ctypes``) runs at most cpus() // W threads, at least one,
+and its own count is restored when the pool returns or raises.  The share
+never raises a count, so ``OPENBLAS_NUM_THREADS`` stays an upper bound, and
+there is no setting.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import json
 import math
 import mmap
@@ -478,6 +485,38 @@ def workers(jobs: int) -> int:
     return max(1, min(cpus(), jobs))
 
 
+@functools.cache
+def _openblas() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The thread-count getter and setter of every OpenBLAS this process has loaded.
+
+    The libraries are the mapped files named like OpenBLAS in
+    ``/proc/self/maps``; each gives the first pair it exports of numpy 2's
+    ``scipy_openblas_*64_`` names, the 64-bit ``openblas_*64_`` ones and the
+    plain ``openblas_*`` ones.  Empty for another BLAS or build, or where
+    there is no ``/proc``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
 def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
     """{index: run(index)} for each job index below ``jobs``, on ``workers(jobs)`` processes.
 
@@ -491,7 +530,15 @@ def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
     Every child is reaped before this returns.  An index takes four bytes
     of the pipe, whose buffer (64 KiB on Linux) must hold them all: the
     callers have one job per check or per CPU.
+
+    With W > 1 processes, the CPUs are shared between them and their BLAS
+    threads: before the first fork each loaded OpenBLAS is capped at
+    min(its count, max(1, cpus() // W)) threads, which the children
+    inherit, and its count is set back once every child is reaped.  The cap
+    never raises a count, so ``OPENBLAS_NUM_THREADS`` stays an upper bound.
     """
+    n = workers(jobs)
+    blas = [(set_threads, get()) for get, set_threads in (_openblas() if n > 1 else ())]
     queue, feed = os.pipe()
     try:
         os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(jobs)))
@@ -508,7 +555,9 @@ def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
     children: list[tuple[int, int]] = []  # each child's pid and its results pipe
     finished = False
     try:
-        for _ in range(workers(jobs) - 1):
+        for set_threads, count in blas:
+            set_threads(min(count, max(1, cpus() // n)))
+        for _ in range(n - 1):
             results, out = os.pipe()
             try:
                 pid = os.fork()
@@ -544,6 +593,8 @@ def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
                 os.kill(pid, signal.SIGKILL)
             os.close(results)
             os.waitpid(pid, 0)
+        for set_threads, count in blas:
+            set_threads(count)
     return done
 
 

@@ -154,12 +154,11 @@ def check_kappa_limit(seed: int, fast: bool) -> None:
 
 
 def check_previous_normalized_bound(seed: int, fast: bool) -> None:
-    # the earlier bound over d = 2^m is the abstract's 2·2^(-3m/2); the log
-    # domain leaves at most a few ulps (4.4e-16 measured)
+    # the earlier bound over d = 2^m is the abstract's 2·2^(-3m/2), exactly:
+    # both sides are a power of two, or sqrt(1/2) times one, correctly rounded
     for m in range(2, 41):
         got = ballbounds.gb03_baseline(m) / 2**m
-        want = 2.0 * 2.0 ** (-1.5 * m)
-        assert abs(got - want) <= 1e-14 * want, f"previous normalized bound off at m={m}"
+        assert got == 2.0 * 2.0 ** (-1.5 * m), f"previous normalized bound off at m={m}"
 
 
 def check_exponent_by_local_dimension(seed: int, fast: bool) -> None:

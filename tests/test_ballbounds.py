@@ -1,6 +1,7 @@
 """Radius-formula tests: recursion, closed form, corollaries, conversions."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +102,22 @@ def test_gb03_baseline():
     # the newer bound beats the baseline strictly for m >= 3 qubits
     for m in range(3, 12):
         assert ballbounds.closed_form_radius(2, m) > ballbounds.gb03_baseline(m)
+
+
+def test_gb03_baseline_is_correctly_rounded():
+    # 2^(1 - m/2) is irrational at odd m, where the log domain missed it by
+    # up to 2 ulps: the value must lie nearer to it than either neighbour,
+    # which the exact squares of the midpoints to the neighbours decide
+    for m in range(2, 80):
+        v = Fraction(ballbounds.gb03_baseline(m))
+        low = (Fraction(math.nextafter(float(v), 0.0)) + v) / 2
+        high = (Fraction(math.nextafter(float(v), math.inf)) + v) / 2
+        assert low**2 < Fraction(2) ** (2 - m) < high**2, m
+    # so the abstract's 2·2^(-3m/2) over d = 2^m holds exactly at odd m too
+    for m in range(3, 41, 2):
+        assert ballbounds.gb03_baseline(m) / 2**m == 2.0 * 2.0 ** (-1.5 * m), m
+    with pytest.raises(ValueError):
+        ballbounds.gb03_baseline(1)
 
 
 def test_normalized_radius():

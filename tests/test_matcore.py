@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -681,6 +682,72 @@ def test_reader_parses_a_range_here_when_fork_fails(tmp_path, monkeypatch, cut_i
     path.write_bytes(READER_CORPUS[name])
     _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
     assert len(calls) == 2 and len(forks) == 1
+
+
+def test_openblas_lookup_finds_the_loaded_count(blas_threads):
+    get, set_threads = blas_threads
+    set_threads(3)
+    assert matcore._openblas()[0][0]() == 3
+
+
+@pytest.mark.parametrize("cpus, start, share", [(2, 4, 1), (3, 4, 1), (4, 3, 2), (4, 1, 1)])
+def test_fork_map_shares_the_cpus_with_blas(monkeypatch, blas_threads, forks, cpus, start, share):
+    # two jobs in two processes: each runs min(start, cpus // 2) BLAS
+    # threads, at least one and never more than before
+    get, set_threads = blas_threads
+    set_threads(start)
+    assert get() == start
+    monkeypatch.setattr(matcore, "cpus", lambda: cpus)
+
+    def job(index):
+        time.sleep(0.2)  # long enough for the forked child to take the other job
+        return os.getpid(), get()
+
+    done = matcore.fork_map(2, job)
+    assert sorted(pid for pid, _ in done.values()) == sorted([os.getpid(), *forks])
+    assert [threads for _, threads in done.values()] == [share, share]
+    assert get() == start
+
+
+def test_fork_map_restores_blas_threads_when_a_job_here_raises(monkeypatch, blas_threads, forks):
+    get, set_threads = blas_threads
+    set_threads(3)
+    monkeypatch.setattr(matcore, "cpus", lambda: 2)
+    parent = os.getpid()
+
+    def job(index):
+        if os.getpid() == parent:
+            raise RuntimeError(f"failed at {get()} BLAS threads")
+        time.sleep(0.2)  # leaves the other job to this process
+        return index
+
+    with pytest.raises(RuntimeError, match="failed at 1 BLAS threads"):
+        matcore.fork_map(2, job)
+    assert len(forks) == 1
+    assert get() == 3
+
+
+@pytest.mark.parametrize("cpus, jobs", [(1, 4), (4, 1), (4, 0), (3, 3)])
+def test_fork_map_sets_blas_threads_only_when_it_forks(monkeypatch, forks, cpus, jobs):
+    # a stand-in library at 2 threads records every count it is set to
+    calls = []
+
+    def lookup():
+        calls.append("lookup")
+        return ((lambda: 2, calls.append),)
+
+    monkeypatch.setattr(matcore, "_openblas", lookup)
+    monkeypatch.setattr(matcore, "cpus", lambda: cpus)
+    assert matcore.fork_map(jobs, lambda i: i * i) == {i: i * i for i in range(jobs)}
+    assert calls == ([] if matcore.workers(jobs) == 1 else ["lookup", 1, 2])
+    assert len(forks) == matcore.workers(jobs) - 1
+
+
+def test_fork_map_runs_where_no_openblas_is_found(monkeypatch, forks):
+    monkeypatch.setattr(matcore, "_openblas", lambda: ())
+    monkeypatch.setattr(matcore, "cpus", lambda: 2)
+    assert matcore.fork_map(3, lambda i: i * i) == {0: 0, 1: 1, 2: 4}
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]",

@@ -264,6 +264,33 @@ def test_oracle_matches_per_restart_loop():
         assert abs(got - want) <= 1e-12 * want
 
 
+def test_oracle_counts_every_vertex():
+    # x = e_i attains |b_ii|, which the ascent from random starts can miss
+    # on large B; the value never falls below the per-restart loop's, which
+    # counted only each restart's peak among the vertices
+    rng = rng_from_seed(91)
+    above = []
+    for n in (2, 3, 5, 8, 13, 21, 50, 100, 300):
+        b = random_hermitian(rng, n)
+        seed = int(rng.integers(2**31))
+        got = schurnorm.oracle_two_inf_norm(b, restarts=4, seed=seed)
+        loop = _reference_oracle(b, 4, seed)
+        assert got >= np.abs(np.diagonal(b)).max()
+        assert got >= loop * (1 - 1e-12)
+        above.append(got > loop * (1 + 1e-12))
+    assert any(above)
+
+
+def test_oracle_vertices_stay_below_the_exact_norm():
+    # a heavy diagonal makes vertices decide the value more often
+    rng = rng_from_seed(93)
+    for n in range(2, 13):
+        b = random_hermitian(rng, n)
+        b[np.diag_indices(n)] *= 3
+        oracle = schurnorm.oracle_two_inf_norm(b, restarts=8, seed=int(rng.integers(2**31)))
+        assert np.abs(np.diagonal(b)).max() <= oracle <= schurnorm.schur_two_inf_norm(b) + 1e-9
+
+
 class _DrawRecorder:
     """Stands in for the oracle's generator and records every draw's shape."""
 

@@ -4,7 +4,9 @@
 These tests pin that the result list does not depend on how many processes
 ran it, that an error other than a failed assertion reaches the caller as
 it would from a serial run, and that a child that cannot be forked or dies
-costs only time.  The conftest fixture checks that no child outlives a test.
+costs only time.  The conftest fixtures check that no child outlives a
+test and that every test leaves the BLAS thread count as it found it, also
+where the suite raises.
 """
 
 import errno
@@ -73,6 +75,17 @@ def test_suite_matches_each_check_run_alone_in_any_number_of_processes(processes
     for n in (1, 2, 3):
         processes(n)
         assert _triples(verify.run_suite("fast", seed)) == want, n
+
+
+@pytest.mark.parametrize("suite", ["fast", "all"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_suite_results_do_not_depend_on_blas_threads(processes, suite, seed):
+    # in two processes each runs one BLAS thread per CPU it is shared out;
+    # in one, the process keeps all of its BLAS threads
+    processes(1)
+    serial = _triples(verify.run_suite(suite, seed))
+    processes(2)
+    assert _triples(verify.run_suite(suite, seed)) == serial
 
 
 def test_one_process_runs_each_check_once(processes, count_calls):
