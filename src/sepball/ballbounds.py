@@ -3,7 +3,10 @@
 Everything here is closed-form arithmetic: the party-by-party recursion, its
 exact solution for equal local dimensions, the weaker corollary bounds, the
 baseline from earlier work, and normalized-ball conversions.  Large party
-counts are handled in the log domain.
+counts are handled in the log domain.  Every bound leaves it once, through
+``math.exp`` of its log, except the gb03 row of ``radius_report``, which is
+``gb03_baseline``'s exact closed form.  Human output is the same as in earlier
+versions; JSON values can differ from theirs in the last digits.
 """
 
 from __future__ import annotations
@@ -13,16 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .matcore import check_dims
-
-LOG2 = math.log(2.0)
-
-
-def _exp(log_x: float) -> float:
-    """``exp(log_x)`` with the power of two split off, so that multiples of
-    ln 2 (gb03's radii at even party counts) come out exact."""
-    n = round(log_x / LOG2)
-    return math.ldexp(math.exp(log_x - n * LOG2), n)
-
 
 def recursion_radius(dims: Sequence[int]) -> float:
     """Separable-ball radius (Frobenius, unnormalized) via the recursion.
@@ -69,7 +62,7 @@ def qubit_asymptotic_exponent() -> float:
 
 def weak_radius(d0: int, m: int) -> float:
     """The weaker corollary bound ``(d0 / (2 d0 - 1))^(m/2 - 1)``."""
-    return _exp(log_weak_radius(d0, m))
+    return math.exp(log_weak_radius(d0, m))
 
 
 def log_weak_radius(d0: int, m: int) -> float:
@@ -92,7 +85,8 @@ def log_gb03_baseline(m: int) -> float:
 
 
 def log_radius(dims: tuple[int, ...], method: str = "recursion") -> float:
-    """Log unnormalized radius for checked dims; the one dispatch on method names.
+    """Log unnormalized radius for checked dims; the one dispatch on method
+    names, apart from ``radius_report``'s exact gb03 row.
 
     ``"recursion"`` is its closed form when all local dimensions are equal
     (cheap at any count) and ``recursion_radius`` otherwise;
@@ -134,7 +128,7 @@ def normalized_radius(a: float, d: int) -> float:
     """
     if not 0 < a:
         raise ValueError("radius must be positive")
-    return _exp(log_normalized_radius(math.log(a), math.log(d)))
+    return math.exp(log_normalized_radius(math.log(a), math.log(d)))
 
 
 def log_normalized_radius(log_a: float, log_d: float) -> float:
@@ -211,10 +205,13 @@ class RadiusReport:
 
 
 def radius_report(dims: Sequence[int], method: str = "recursion") -> RadiusReport:
-    """The radius by ``method`` (see ``log_radius``) and its normalized
-    conversion, both evaluated in the log domain: any party count works, and
-    a value below the double range comes out as 0.
+    """The radius by ``method`` (see ``log_radius``; gb03's is
+    ``gb03_baseline``) and its normalized conversion, evaluated in the log
+    domain: any party count works, and a value below the double range comes
+    out as 0.
     """
     dims = check_dims(dims)
     log_a, log_normalized, _ = log_bounds(dims, method)
-    return RadiusReport(dims, _exp(log_a), _exp(log_normalized), method)
+    # gb03's radius is a power of sqrt(2), which exp of its rounded log misses
+    a = gb03_baseline(len(dims)) if method == "gb03" else math.exp(log_a)
+    return RadiusReport(dims, a, math.exp(log_normalized), method)

@@ -63,7 +63,10 @@ def thermal_deviation_norm(p: NmrParams) -> float:
 
 
 def _thermal_norm(eta: float, m: int) -> float:
-    log_num = math.log(math.expm1(m * math.log1p(eta * eta)))
+    # below 1e-150, (1 + eta^2)^m - 1 is m eta^2 to double precision, and
+    # below 1.5e-154 eta^2 itself leaves the normal range
+    log_num = (math.log(math.expm1(m * math.log1p(eta * eta))) if eta >= 1e-150
+               else math.log(m) + 2.0 * math.log(eta))
     return math.exp(0.5 * (log_num - m * math.log(2.0)))
 
 

@@ -1,11 +1,12 @@
 """Radius-formula tests: recursion, closed form, corollaries, conversions."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from sepball import ballbounds, certify
+from sepball import ballbounds, certify, nmr
 
 
 def test_bipartite_base_case():
@@ -215,3 +216,48 @@ def test_log_radius_matches_references():
     with pytest.raises(ValueError):
         ballbounds.log_radius((2, 2), "gb03_baseline")
 
+
+
+def test_radius_report_gb03_row_is_the_closed_form():
+    # exp of the rounded log (m/2 - 1)·ln ½ misses 2^(1 - m/2) at odd m
+    for m in range(2, 3001):
+        rep = ballbounds.radius_report((2,) * m, "gb03")
+        assert rep.unnormalized_radius == ballbounds.gb03_baseline(m), m
+
+
+@pytest.mark.parametrize("d0", [2, 3, 5])
+def test_every_home_of_a_bound_gives_the_same_double(d0):
+    eta = nmr.ETA_DEFAULT
+    for m in range(2, 801):
+        dims = (d0,) * m
+        closed = ballbounds.radius_report(dims, "closed_form").unnormalized_radius
+        assert closed == ballbounds.closed_form_radius(d0, m), m
+        weak = ballbounds.radius_report(dims, "weak_corollary").unnormalized_radius
+        assert weak == ballbounds.weak_radius(d0, m), m
+        if d0 == 2:
+            thermal = nmr.measured_and_bound(eta, m, "thermal", "recursion")[1]
+            assert ballbounds.radius_report(dims).normalized_radius == thermal, m
+            pseudopure = nmr.measured_and_bound(eta, m, "pseudopure", "recursion")[1]
+            assert certify.pseudopure_bound(dims) == pseudopure, m
+
+
+def _within_one_ulp_of_exp(value, log_value):
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return abs(Decimal(value) - Decimal(log_value).exp()) <= Decimal(math.ulp(value))
+
+
+@pytest.mark.parametrize(
+    "d0, methods",
+    [(2, ["recursion", "closed_form", "weak_corollary", "gb03"]), (3, ["weak_corollary"])],
+)
+def test_radius_report_leaves_the_log_domain_correctly_rounded(d0, methods):
+    # up to m = 780 every radius is a normal double, so 1 ulp is relative
+    for m in range(2, 781):
+        dims = (d0,) * m
+        for method in methods:
+            rep = ballbounds.radius_report(dims, method)
+            log_a, log_normalized, _ = ballbounds.log_bounds(dims, method)
+            assert _within_one_ulp_of_exp(rep.normalized_radius, log_normalized), (m, method)
+            if method != "gb03":
+                assert _within_one_ulp_of_exp(rep.unnormalized_radius, log_a), (m, method)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, matcore, verify
+from sepball import ballbounds, cli, matcore, nmr, verify
 from sepball.matcore import save_matrix
 
 
@@ -81,6 +81,21 @@ def test_bound_below_double_range_prints_zero(capsys, qubits):
         assert all(row[1] == "0" for row in rows)
     else:
         assert all(float(row[1]) > 0.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "qubits, row",
+    [
+        (28, "gb03_baseline    0.000122070312 4.54747351e-13"),
+        (30, "gb03_baseline    6.10351562e-05 5.68434189e-14"),
+    ],
+)
+def test_bound_gb03_row_prints_halfway_cases_exactly(capsys, qubits, row):
+    # 2^-13 and 2^-14 lie halfway between two 9-digit roundings and print
+    # rounded to even; one ulp above them prints ...313 and ...563
+    code, out, err = run_cli(capsys, "bound", "--qubits", str(qubits))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5] == row
 
 
 def test_bound_no_dims(capsys):
@@ -322,6 +337,13 @@ def test_nmr_thermal_gb03(capsys):
     code, out, _ = run_cli(capsys, "nmr", "--mode", "thermal", "--baseline", "gb03")
     assert code == 0
     assert "threshold: 13" in out
+
+
+@pytest.mark.parametrize("mode", ["thermal", "pseudopure"])
+def test_nmr_tiny_eta_reaches_the_scan_cap(capsys, mode):
+    code, out, err = run_cli(capsys, "nmr", "--mode", mode, "--eta", "1e-200")
+    assert (code, out) == (2, "")
+    assert err == f"error: threshold scan reached the cap of {nmr.SCAN_CAP} qubits\n"
 
 
 def test_nmr_eta_out_of_range(capsys):

@@ -1,6 +1,8 @@
 """NMR tests: thermal states, deviation norms, separability thresholds."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -60,6 +62,37 @@ def test_thermal_deviation_norm_large_m():
     # log-domain evaluation stays finite and positive far past the cap
     val = nmr.thermal_deviation_norm(nmr.NmrParams(3.746e-5, 300))
     assert 0.0 < val < 1.0
+
+
+def _exact_thermal_norm(eta, m):
+    # sqrt(sum_k C(m, k) eta^2k / 2^m), summed until the terms stop counting
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, total, term = Decimal(eta) ** 2, Decimal(0), Decimal(1)
+        for k in range(1, m + 1):
+            term *= x * (m - k + 1) / k
+            total += term
+            if term < total * Decimal("1e-45"):
+                break
+        return (total / 2**m).sqrt()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 36, 500])
+def test_thermal_deviation_norm_over_the_whole_eta_range(m):
+    # eta^2 leaves the normal doubles below eta = 1.5e-154, the norm far later
+    for j in range(2, 620):
+        eta = 10.0 ** (-j / 2) * 0.99
+        want = _exact_thermal_norm(eta, m)
+        if want < Decimal(sys.float_info.min):
+            continue
+        got = nmr.thermal_deviation_norm(nmr.NmrParams(eta, m))
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want, (eta, m)
+
+
+@pytest.mark.parametrize("eta", [1e-160, 1e-200, 1e-300])
+def test_thermal_deviation_norm_below_the_normal_range(eta):
+    got = nmr.thermal_deviation_norm(nmr.NmrParams(eta, 5))
+    assert got == pytest.approx(eta * math.sqrt(5 / 32), rel=1e-12, abs=0.0)
 
 
 def test_pseudopure_epsilon():
