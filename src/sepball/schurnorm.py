@@ -10,7 +10,12 @@ kept with its support as an n-byte key, and one ``np.lexsort`` of the keys
 orders the scan that keeps ties on the lexicographically smallest support.
 A seeded multiplicative-ascent oracle provides an independent lower bound;
 its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
-batch, so its memory is O(RESTART_BLOCK * n) for any number of restarts.
+batch.  Every ``FACE_CHECK_STEPS`` steps, a row whose support has settled
+is finished by one solve of its face with the exact solver's kernel, and
+leaves the batch if that face's point passes the KKT test.  The faces are
+solved in stacks of at most max(RESTART_BLOCK * n, r^2) doubles for support
+size r, so the oracle's memory is O(RESTART_BLOCK * n + r^2) for any number
+of restarts.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ RESTART_BLOCK = 64
 
 #: Iteration cap of each restart's multiplicative ascent.
 ASCENT_STEPS = 5000
+
+#: Steps between the ascent's checks for rows whose support has settled.
+FACE_CHECK_STEPS = 32
 
 #: Slack on the totals and prefix sums compared by ``majorizes``.
 MAJORIZATION_TOL = 1e-9
@@ -177,24 +185,66 @@ def l_matrix_norm(eta: float, n: int) -> float:
     return math.sqrt((eta * eta * (n - 1) + 1.0) / n)
 
 
+def _face_exit_values(
+    c: np.ndarray, support: np.ndarray, value: np.ndarray, tol: float
+) -> np.ndarray:
+    """Values at which rows on the faces ``support`` (boolean rows) may stop.
+
+    Solves each face with ``_face_points``, grouped by support size r in
+    stacks of at most max(1, RESTART_BLOCK * n // r^2) faces, so a stack
+    holds at most max(RESTART_BLOCK * n, r^2) doubles.  A face's point
+    counts when it is feasible, passes the KKT test (Cy)_i <= y^t C y + tol
+    on every i, and its value is at least the row's ``value`` - tol.  Returns
+    each row's face value, or -inf where the point does not count.
+    """
+    n = c.shape[0]
+    out = np.full(len(support), -np.inf)
+    sizes = support.sum(axis=1)
+    for r in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == r)
+        stack = max(1, RESTART_BLOCK * n // (r * r))
+        for part in np.split(rows, range(stack, rows.size, stack)):
+            idx = np.nonzero(support[part])[1].reshape(-1, r)
+            ys, feasible = _face_points(c, idx)
+            y = np.zeros((part.size, n))
+            np.put_along_axis(y, idx, ys, axis=1)
+            g = (y[:, None, :] @ c)[:, 0, :]
+            face_value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+            ok = (
+                feasible
+                & np.all(g <= face_value[:, None] + tol, axis=1)
+                & (face_value >= value[part] - tol)
+            )
+            out[part[ok]] = face_value[ok]
+    return out
+
+
 def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Multiplicative ascent y <- y o (Cy) / y^t C y on every row of ``y``.
 
-    Each row stops on its own: when its value is not positive, when the
-    update leaves the simplex, when it gains at most 1e-16, or after
-    ``ASCENT_STEPS`` steps.  Rows that stop leave the batch.  Every row goes
-    through the same BLAS calls whatever the batch holds (one ``y C`` per
-    step, which also gives the next step's gradient, since C is symmetric),
-    so a row's result does not depend on the rows beside it.  Returns each
-    row's final value.
+    Every ``FACE_CHECK_STEPS`` steps each running row's support is taken as
+    {i : y_i > 1e-4 * max y}; a row whose support is the same as at its
+    previous check has settled, and its face is solved once
+    (``_face_exit_values``).  Each row stops on its own: when its value is
+    not positive, when the update leaves the simplex, when it gains at most
+    1e-16, when its settled face's point passes the KKT test (it then keeps
+    the larger of its value and the face's), or after ``ASCENT_STEPS``
+    steps.  Rows that stop leave the batch.  Every row goes through the same
+    BLAS and LAPACK calls whatever the batch holds (one ``y C`` per step,
+    which also gives the next step's gradient, since C is symmetric, and
+    one solve per face), so a row's result does not depend on the rows
+    beside it.  Returns each row's final value.
     """
     k = y.shape[0]
+    tol = 1e-12 * max(1.0, float(np.max(c)))
     final_value = np.empty(k)
     rows = np.arange(k)
+    last_support = np.zeros(y.shape, dtype=bool)
+    tried = np.zeros(k, dtype=bool)
     g = (y[:, None, :] @ c)[:, 0, :]
     value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(ASCENT_STEPS):
+        for step in range(1, ASCENT_STEPS + 1):
             y_new = y * g / value[:, None]
             s = y_new.sum(axis=1)
             y_new /= s[:, None]
@@ -202,13 +252,29 @@ def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
             new_value = (g_new[:, None, :] @ y_new[:, :, None])[:, 0, 0]
             stuck = (value <= 0) | (s <= 0)
             done = stuck | (new_value <= value + 1e-16)
+            if step % FACE_CHECK_STEPS == 0:
+                support = y_new > 1e-4 * y_new.max(axis=1, keepdims=True)
+                same = np.all(support == last_support, axis=1)
+                # a face's point depends on its support alone, and a running
+                # row's value only grows: a face that failed once fails again
+                settled = ~done & same & ~tried
+                tried = same & (tried | settled)
+                last_support = support
+                if settled.any():
+                    face_value = np.full(rows.size, -np.inf)
+                    face_value[settled] = _face_exit_values(
+                        c, support[settled], new_value[settled], tol
+                    )
+                    new_value = np.maximum(new_value, face_value)
+                    done |= face_value > -np.inf
             if done.any():
-                # a stuck row keeps its value; a converged one takes the step's
+                # a stuck row keeps its value; any other takes its largest
                 new_value = np.where(stuck, value, np.maximum(value, new_value))
                 final_value[rows[done]] = new_value[done]
                 going = ~done
-                rows, y_new, g_new, new_value = (
-                    rows[going], y_new[going], g_new[going], new_value[going]
+                rows, y_new, g_new, new_value, last_support, tried = (
+                    rows[going], y_new[going], g_new[going], new_value[going],
+                    last_support[going], tried[going],
                 )
             y, g, value = y_new, g_new, new_value
             if not rows.size:

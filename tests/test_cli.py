@@ -64,7 +64,7 @@ def test_bound_600_qubits_normalized_radius(capsys):
     log_a = ballbounds.log_closed_form_radius(2, 600)
     want = math.exp(ballbounds.log_normalized_radius(log_a, 600 * math.log(2.0)))
     assert got > 0.0
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("qubits", [1024, 1100, 5000])

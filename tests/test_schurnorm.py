@@ -291,6 +291,91 @@ def test_oracle_vertices_stay_below_the_exact_norm():
         assert np.abs(np.diagonal(b)).max() <= oracle <= schurnorm.schur_two_inf_norm(b) + 1e-9
 
 
+def _count_faces(monkeypatch):
+    """Record every stack of faces ``_face_points`` solves, one support a row."""
+    stacks = []
+    face_points = schurnorm._face_points
+
+    def counting(c, idx):
+        stacks.append(idx.copy())
+        return face_points(c, idx)
+
+    monkeypatch.setattr(schurnorm, "_face_points", counting)
+    return stacks
+
+
+def test_oracle_face_exits_keep_the_bounds(monkeypatch):
+    # graphs and zero-diagonal B settle on faces the vertices do not decide
+    stacks = _count_faces(monkeypatch)
+    rng = rng_from_seed(97)
+    solved = 0
+    for n in (2, 3, 5, 8, 12, 16, 30, 100, 300):
+        hollow = random_hermitian(rng, n)
+        np.fill_diagonal(hollow, 0.0)
+        corpus = [random_hermitian(rng, n), hollow, _adjacency(rng, n, 0.5)]
+        if n > 30:
+            corpus = corpus[1:]
+        for b in corpus:
+            seed = int(rng.integers(2**31))
+            before = len(stacks)
+            got = schurnorm.oracle_two_inf_norm(b, restarts=4, seed=seed)
+            solved += len(stacks) - before
+            assert got >= np.abs(np.diagonal(b)).max()
+            assert got >= _reference_oracle(b, 4, seed) * (1 - 1e-12)
+            if n <= schurnorm.EXACT_SOLVER_CAP:
+                assert got <= schurnorm.schur_two_inf_norm(b) + 1e-9
+    assert solved
+
+
+@pytest.mark.parametrize("steps", [3 * schurnorm.FACE_CHECK_STEPS, schurnorm.ASCENT_STEPS])
+def test_oracle_finishes_on_the_face(monkeypatch, steps):
+    # the uniform face holds the maximizer; the ascent alone ends 2.4e-14
+    # short of it after ASCENT_STEPS, and 1.2e-3 short after three checks
+    monkeypatch.setattr(schurnorm, "ASCENT_STEPS", steps)
+    stacks = _count_faces(monkeypatch)
+    want = schurnorm.l_matrix_norm(2.0, 100)
+    got = schurnorm.oracle_two_inf_norm(schurnorm.l_matrix(2.0, 100))
+    assert abs(got - want) <= 4 * math.ulp(want)
+    assert stacks and all(idx.shape == (1, 100) for idx in stacks)
+
+
+@pytest.mark.parametrize("c, y", [
+    # y_2 starts below the support threshold, so the support {0, 1} settles
+    # near that face's point (1/2, 1/2), worth 3/2, where (Cy)_2 = 1.6
+    ([[1.0, 2.0, 1.6], [2.0, 1.0, 1.6], [1.6, 1.6, 1.0]], [0.6, 0.4 - 1e-13, 1e-13]),
+    # C - 0.8 J is positive definite: the whole simplex's face point is its
+    # minimum, which passes the KKT test but is worth less than the row
+    (0.8 + 0.2 * np.eye(3), [1 / 3 + 2e-3, 1 / 3 - 1e-3, 1 / 3 - 1e-3]),
+])
+def test_ascent_goes_on_past_a_face_point_that_fails(monkeypatch, c, y):
+    c = np.asarray(c)
+    want = schurnorm.simplex_qp_max(c).value
+    stacks = _count_faces(monkeypatch)
+    assert schurnorm._ascend(c, np.array([y]))[0] == pytest.approx(want, abs=1e-12)
+    # the row stays on the failing face for several checks but solves it once
+    supports = [tuple(idx[0]) for idx in stacks]
+    assert supports and len(set(supports)) == len(supports)
+
+
+def test_oracle_face_stacks_stay_within_the_restart_block(monkeypatch):
+    # every row settles on the L-block's face: r^2 of it fits RESTART_BLOCK * n
+    # a few times over at r = 20 and 40, and not once at r = 100
+    stacks = _count_faces(monkeypatch)
+    shared = []
+    for n, r in ((100, 20), (100, 100), (300, 40)):
+        b = np.eye(n)
+        b[:r, :r] = schurnorm.l_matrix(2.0, r)
+        before = len(stacks)
+        got = schurnorm.oracle_two_inf_norm(b, seed=3)
+        assert abs(got - schurnorm.l_matrix_norm(2.0, r)) <= 4 * math.ulp(got)
+        assert stacks[before:]
+        for faces, size in (idx.shape for idx in stacks[before:]):
+            assert size == r
+            assert faces * r * r <= max(schurnorm.RESTART_BLOCK * n, r * r)
+            shared.append(faces > 1)
+    assert any(shared)
+
+
 class _DrawRecorder:
     """Stands in for the oracle's generator and records every draw's shape."""
 
