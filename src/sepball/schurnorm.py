@@ -11,8 +11,11 @@ orders the scan that keeps ties on the lexicographically smallest support.
 A seeded multiplicative-ascent oracle provides an independent lower bound;
 its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
 batch.  Every ``FACE_CHECK_STEPS`` steps, a row whose support has settled
-is finished by one solve of its face with the exact solver's kernel, and
-leaves the batch if that face's point passes the KKT test.  The faces are
+gets one solve of its face with the exact solver's kernel, and leaves the
+batch: it is done if that face's point passes the KKT test, and otherwise
+(near a saddle, where the ascent crawls) it is finished by
+infection-immunization pivots, one O(n) exact line search a step, stacked
+with the other rows of its batch that failed their face.  The faces are
 solved in stacks of at most max(RESTART_BLOCK * n, r^2) doubles for support
 size r, so the oracle's memory is O(RESTART_BLOCK * n + r^2) for any number
 of restarts.
@@ -163,11 +166,21 @@ def schur_two_inf_norm(b) -> float:
     return math.sqrt(simplex_qp_max(c).value)
 
 
+def _check_l_args(eta: float, n: int) -> None:
+    """Refuse a non-finite eta and a size that is not a positive integer."""
+    if not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
+        raise ValueError(f"eta must be a finite number, got {eta!r}")
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def l_matrix(eta: float, n: int) -> np.ndarray:
     """The matrix with ones on the diagonal and eta off the diagonal.
 
-    Raises ``MaterializationError`` for n above the materialization cap.
+    Raises ``ValueError`` for a non-finite eta or an n that is not a positive
+    integer, and ``MaterializationError`` for n above the materialization cap.
     """
+    _check_l_args(eta, n)
     check_materializable(n, n)
     return eta * np.ones((n, n)) + (1.0 - eta) * np.eye(n)
 
@@ -176,12 +189,12 @@ def l_matrix_norm(eta: float, n: int) -> float:
     """Closed-form norm for the constant-diagonal/offdiagonal matrix:
 
     ``sqrt((eta^2 (n-1) + 1) / n)``, maximizer uniform.  Valid for eta >= 1;
-    below that the maximum moves off the uniform point.
+    below that the maximum moves off the uniform point.  Raises
+    ``ValueError`` on the arguments ``l_matrix`` refuses, and for eta < 1.
     """
+    _check_l_args(eta, n)
     if eta < 1.0:
         raise ValueError("closed form requires eta >= 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
     return math.sqrt((eta * eta * (n - 1) + 1.0) / n)
 
 
@@ -219,6 +232,66 @@ def _face_exit_values(
     return out
 
 
+def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.ndarray:
+    """Infection-immunization pivots on every row of ``y``; returns the final points.
+
+    With g = Cy and v = y^t C y, each pivot takes a row's largest violation:
+    the index j with the largest g_j - v (infection, along e_j - y) or the
+    index i with 0 < y_i < 1 and the smallest g_i - v (immunization, along
+    (y_i / (1 - y_i)) (y - e_i)), and moves to the exact maximizer of the
+    quadratic on that segment, t in [0, 1].  At t = 1 an immunized y_i is set
+    to exactly 0.  g and v follow by the rank-one update, O(n) a row.  A row
+    stops when its largest violation is at most ``tol``, when a pivot that
+    zeroes no coordinate would gain at most 1e-16, or after ``budget`` (one
+    count per row) pivots.  Only elementwise operations and per-row
+    reductions touch a row, so its result does not depend on the rows
+    beside it.  (Rota Bulo, Pelillo & Bomze, CVIU 115 (2011) 984.)
+    """
+    y = y.copy()
+    out = np.empty_like(y)
+    rows = np.arange(y.shape[0])
+    diag = c.diagonal()
+    g = (y[:, None, :] @ c)[:, 0, :]
+    v = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+    step = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            here = np.arange(rows.size)
+            gap = g - v[:, None]
+            j = gap.argmax(axis=1)
+            inner = np.where((y > 0) & (y < 1), gap, np.inf)
+            i = inner.argmin(axis=1)
+            up, down = gap[here, j], -inner[here, i]
+            infect = up >= down
+            p = np.where(infect, j, i)
+            b = np.where(infect, up, down)
+            yp = y[here, p]
+            # along y + s (e_p - y) the value is v + 2 s (g_p - v) + s^2 a,
+            # for s in [0, 1] (infection) or [-y_p / (1 - y_p), 0]
+            a = diag[p] - 2.0 * g[here, p] + v
+            reach = np.where(infect, 1.0, yp / (1.0 - yp))
+            t = np.where(a < 0, np.minimum(reach, b / -a), reach)
+            gain = t * (2.0 * b + t * a)
+            zeroes = ~infect & (t == reach)
+            s = np.where(infect, t, -t)
+            stop = (b <= tol) | ((gain <= 1e-16) & ~zeroes) | (step >= budget[rows])
+            if stop.any():
+                out[rows[stop]] = y[stop]
+                going = ~stop
+                rows, y, g, v, p, s, gain, zeroes = (
+                    rows[going], y[going], g[going], v[going], p[going],
+                    s[going], gain[going], zeroes[going],
+                )
+                here = np.arange(rows.size)
+            y *= (1.0 - s)[:, None]
+            y[here, p] += s
+            y[here[zeroes], p[zeroes]] = 0.0
+            g += s[:, None] * (c[p] - g)
+            v += gain
+            step += 1
+    return out
+
+
 def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Multiplicative ascent y <- y o (Cy) / y^t C y on every row of ``y``.
 
@@ -229,18 +302,27 @@ def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     not positive, when the update leaves the simplex, when it gains at most
     1e-16, when its settled face's point passes the KKT test (it then keeps
     the larger of its value and the face's), or after ``ASCENT_STEPS``
-    steps.  Rows that stop leave the batch.  Every row goes through the same
-    BLAS and LAPACK calls whatever the batch holds (one ``y C`` per step,
-    which also gives the next step's gradient, since C is symmetric, and
-    one solve per face), so a row's result does not depend on the rows
-    beside it.  Returns each row's final value.
+    steps.  Rows that stop leave the batch.
+
+    A settled row whose face fails sits near a saddle or a non-strict
+    maximum, where the ascent only crawls: it also leaves the batch, and all
+    such rows are finished together by ``_pivot`` with the steps each has
+    left.  A finished row's value is y^t C y of its final point, renormalized,
+    by the ascent's products, or its final face's value where its support
+    moved and that face passes; it keeps the larger of that and its value
+    at handoff.  Every row goes through the same BLAS and LAPACK calls
+    whatever the batch holds (one ``y C`` per step, which also gives the
+    next step's gradient, since C is symmetric, and one solve per face), so
+    a row's result does not depend on the rows beside it.  Returns each
+    row's final value.
     """
     k = y.shape[0]
     tol = 1e-12 * max(1.0, float(np.max(c)))
     final_value = np.empty(k)
     rows = np.arange(k)
     last_support = np.zeros(y.shape, dtype=bool)
-    tried = np.zeros(k, dtype=bool)
+    # rows handed to the pivots: their indices, points, supports and budgets
+    handed = []
     g = (y[:, None, :] @ c)[:, 0, :]
     value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,11 +336,7 @@ def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
             done = stuck | (new_value <= value + 1e-16)
             if step % FACE_CHECK_STEPS == 0:
                 support = y_new > 1e-4 * y_new.max(axis=1, keepdims=True)
-                same = np.all(support == last_support, axis=1)
-                # a face's point depends on its support alone, and a running
-                # row's value only grows: a face that failed once fails again
-                settled = ~done & same & ~tried
-                tried = same & (tried | settled)
+                settled = ~done & np.all(support == last_support, axis=1)
                 last_support = support
                 if settled.any():
                     face_value = np.full(rows.size, -np.inf)
@@ -266,20 +344,38 @@ def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
                         c, support[settled], new_value[settled], tol
                     )
                     new_value = np.maximum(new_value, face_value)
-                    done |= face_value > -np.inf
+                    failed = settled & (face_value == -np.inf)
+                    if failed.any():
+                        handed.append((rows[failed], y_new[failed], support[failed],
+                                       np.full(failed.sum(), ASCENT_STEPS - step)))
+                    done |= settled
             if done.any():
                 # a stuck row keeps its value; any other takes its largest
                 new_value = np.where(stuck, value, np.maximum(value, new_value))
                 final_value[rows[done]] = new_value[done]
                 going = ~done
-                rows, y_new, g_new, new_value, last_support, tried = (
+                rows, y_new, g_new, new_value, last_support = (
                     rows[going], y_new[going], g_new[going], new_value[going],
-                    last_support[going], tried[going],
+                    last_support[going],
                 )
             y, g, value = y_new, g_new, new_value
             if not rows.size:
                 break
     final_value[rows] = value
+    if handed:
+        rows, y, support, budget = (np.concatenate(part) for part in zip(*handed))
+        y = _pivot(c, y, budget, tol)
+        y /= y.sum(axis=1, keepdims=True)
+        g = (y[:, None, :] @ c)[:, 0, :]
+        value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+        # a face that failed at handoff fails again: solve only moved supports
+        new_support = y > 1e-4 * y.max(axis=1, keepdims=True)
+        moved = np.any(new_support != support, axis=1)
+        if moved.any():
+            value[moved] = np.maximum(value[moved], _face_exit_values(
+                c, new_support[moved], value[moved], tol
+            ))
+        final_value[rows] = np.maximum(final_value[rows], value)
     return final_value
 
 
@@ -294,7 +390,9 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     number of restarts; neither the draws nor any restart's result depend
     on the block size.  ``restarts`` must be a positive integer.
     """
-    if not (isinstance(restarts, numbers.Integral) and restarts >= 1):
+    if isinstance(restarts, bool) or not (
+        isinstance(restarts, numbers.Integral) and restarts >= 1
+    ):
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
     b = hermitian(b)
     n = b.shape[0]
@@ -323,10 +421,12 @@ def majorizes(u, v) -> bool:
     """True iff u majorizes v: prefix sums of sorted-decreasing u dominate v's.
 
     Vectors are zero-padded to a common length; totals must agree within
-    ``MAJORIZATION_TOL``.
+    ``MAJORIZATION_TOL``.  Non-finite entries raise ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("majorization needs finite vectors")
     n = max(u.size, v.size)
     u = np.pad(u, (0, n - u.size))
     v = np.pad(v, (0, n - v.size))

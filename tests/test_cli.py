@@ -267,6 +267,26 @@ def test_schur_norm_all_ones_file(capsys, tmp_path):
     assert abs(obj["gap"]) <= 1e-6
 
 
+def test_schur_norm_gap_is_never_below_rounding(capsys, tmp_path):
+    # the oracle's lower bound may sit an ulp or so above the exact value
+    # ("gap: -2.22044605e-16" for --l-matrix 2 3), never further
+    runs = [("--l-matrix", repr(eta), str(n)) for eta in (-2.0, 0.5, 2.0) for n in (1, 2, 3, 7, 16)]
+    rng = np.random.default_rng(17)
+    for n, p, k in ((6, 0.3, 3), (10, 0.4, 4), (12, 0.6, 6), (16, 0.5, 7)):
+        adj = np.triu(rng.random((n, n)) < p, 1)
+        members = rng.choice(n, size=k, replace=False)
+        adj[np.ix_(members, members)] = True
+        adj = np.triu(adj, 1)
+        path = tmp_path / f"graph{n}.json"
+        save_matrix(path, (adj | adj.T).astype(float), (n,))
+        runs.append((str(path),))
+    for argv in runs:
+        code, out, _ = run_cli(capsys, "--format", "json", "schur-norm", *argv)
+        assert code == 0, argv
+        obj = json.loads(out)
+        assert obj["gap"] >= -1e-12 * obj["exact"], argv
+
+
 def test_schur_norm_over_cap_requires_oracle_only(capsys, tmp_path):
     path = tmp_path / "big.json"
     save_matrix(path, np.eye(17), (17,))

@@ -191,6 +191,10 @@ def test_l_matrix_norm_eta_one_and_validation():
         assert schurnorm.l_matrix_norm(1.0, n) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         schurnorm.l_matrix_norm(0.5, 3)
+    for eta, n in ((math.nan, 3), (math.inf, 3), (2.0, 0), (2.0, 2.5), (2.0, True)):
+        for build in (schurnorm.l_matrix, schurnorm.l_matrix_norm):
+            with pytest.raises(ValueError):
+                build(eta, n)
 
 
 def test_oracle_matches_exact_small():
@@ -214,7 +218,7 @@ def test_oracle_known_values():
     )
 
 
-@pytest.mark.parametrize("restarts", [0, -3, 2.5, float("nan")])
+@pytest.mark.parametrize("restarts", [0, -3, 2.5, float("nan"), True, False])
 def test_oracle_rejects_bad_restarts(restarts):
     with pytest.raises(ValueError, match="restarts must be a positive integer"):
         schurnorm.oracle_two_inf_norm(np.eye(2), restarts=restarts, seed=1)
@@ -411,6 +415,110 @@ def test_oracle_independent_of_restart_block(monkeypatch, steps):
         assert results[1] == results[7] == results[64]
 
 
+def _planted_clique_graph(rng, n, p, k):
+    """G(n, p) with a clique on k random vertices, built as the benchmark builds it."""
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    members = rng.choice(n, size=k, replace=False)
+    adj[np.ix_(members, members)] = True
+    adj = np.triu(adj, 1)
+    return (adj | adj.T).astype(float)
+
+
+def _clique_number_by_search(adj):
+    """Largest clique, by branch and bound over cliques in increasing order."""
+    nbrs = [frozenset(np.flatnonzero(row).tolist()) for row in adj]
+    best = 0
+
+    def grow(size, candidates):
+        nonlocal best
+        best = max(best, size)
+        if size + len(candidates) > best:
+            for v in sorted(candidates):
+                grow(size + 1, frozenset(u for u in candidates & nbrs[v] if u > v))
+
+    grow(0, frozenset(range(len(nbrs))))
+    return best
+
+
+def _record_calls(monkeypatch, name):
+    """Record the arguments and result of every call of schurnorm.<name>."""
+    calls = []
+    func = getattr(schurnorm, name)
+
+    def recording(*args):
+        out = func(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(schurnorm, name, recording)
+    return calls
+
+
+def test_oracle_escapes_the_saddle_of_a_motzkin_straus_graph(monkeypatch):
+    # the schur benchmark's oracle_graph300 graph: at the default seed one
+    # restart settles near the non-clique support {75, 107, 251, 259}, worth
+    # about 1/2, whose faces all fail the KKT test
+    adj = _planted_clique_graph(np.random.default_rng([0x5EBA11, 300]), 300, 0.03, 10)
+    want = math.sqrt(1.0 - 1.0 / _clique_number_by_search(adj))
+    ascents = _record_calls(monkeypatch, "_ascend")
+    rows = []
+    for steps in (schurnorm.ASCENT_STEPS, schurnorm.ASCENT_STEPS + 1):
+        monkeypatch.setattr(schurnorm, "ASCENT_STEPS", steps)
+        ascents.clear()
+        got = schurnorm.oracle_two_inf_norm(adj)
+        assert abs(got - want) <= 4 * math.ulp(want)
+        rows.append([out.tolist() for _, out in ascents])
+    # a row that ran out of steps would move on with one step more
+    assert rows[0] == rows[1]
+
+
+def _values(c, y):
+    """y^t C y of every row of y, renormalized, by the ascent's products."""
+    y = y / y.sum(axis=1, keepdims=True)
+    g = (y[:, None, :] @ c)[:, 0, :]
+    return (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def test_pivots_never_lower_a_row_value():
+    rng = rng_from_seed(79)
+    for n in (2, 3, 5, 8, 13, 30):
+        hollow = random_hermitian(rng, n)
+        np.fill_diagonal(hollow, 0.0)
+        for b in (random_hermitian(rng, n), hollow, _adjacency(rng, n, 0.4)):
+            c = np.abs(b) ** 2
+            tol = 1e-12 * max(1.0, float(np.max(c)))
+            # interior points, and points with entries far below the others
+            y = rng.random((6, n)) ** rng.choice([1, 40], size=(6, 1))
+            y /= y.sum(axis=1, keepdims=True)
+            assert schurnorm._pivot(c, y, np.zeros(6, np.intp), tol).tolist() == y.tolist()
+            last = _values(c, y)
+            for budget in range(1, 3 * n + 3):
+                now = _values(c, schurnorm._pivot(c, y, np.full(6, budget), tol))
+                assert np.all(now >= last - 1e-14 * max(1.0, float(np.max(c))))
+                last = now
+
+
+def test_pivot_rows_independent_of_restart_block(monkeypatch):
+    # each input hands rows of one restart block to the pivots together
+    hollow = random_hermitian(rng_from_seed(71), 24)
+    np.fill_diagonal(hollow, 0.0)
+    graph = _planted_clique_graph(rng_from_seed(83), 60, 0.15, 5)
+    ascents = _record_calls(monkeypatch, "_ascend")
+    pivots = _record_calls(monkeypatch, "_pivot")
+    for b in (hollow, graph):
+        results = {}
+        for block in (1, 7, 64):
+            monkeypatch.setattr(schurnorm, "RESTART_BLOCK", block)
+            ascents.clear()
+            pivots.clear()
+            value = schurnorm.oracle_two_inf_norm(b, restarts=70, seed=5)
+            stacks = [args[1].shape[0] for args, _ in pivots]
+            assert stacks and max(stacks) <= block
+            results[block] = (value, np.concatenate([out for _, out in ascents]).tolist())
+        assert max(stacks) > 1
+        assert results[1] == results[7] == results[64]
+
+
 def test_duality_sampled_never_exceeds_norm():
     rng = rng_from_seed(43)
     for _ in range(10):
@@ -440,6 +548,16 @@ def test_majorizes_basic():
     assert schurnorm.majorizes([0.4, 0.6], [0.6, 0.4])  # order-insensitive
     with pytest.raises(ValueError):
         schurnorm.majorizes([1.0], [2.0])
+
+
+@pytest.mark.parametrize("u, v", [
+    ([math.nan, 1.0], [1.0, 0.0]),
+    ([1.0, 0.0], [0.5, math.nan]),
+    ([math.inf, 1.0], [math.inf, 1.0]),
+])
+def test_majorizes_rejects_non_finite(u, v):
+    with pytest.raises(ValueError, match="finite"):
+        schurnorm.majorizes(u, v)
 
 
 def test_nielsen_kempe_single_pair_and_ensembles():
