@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .matcore import check_dims
+from .matcore import check_count, check_dims
 
 def recursion_radius(dims: Sequence[int]) -> float:
     """Separable-ball radius (Frobenius, unnormalized) via the recursion.
@@ -46,8 +46,7 @@ def closed_form_radius(d0: int, m: int) -> float:
 
 def log_closed_form_radius(d0: int, m: int) -> float:
     """Natural log of ``closed_form_radius``; safe for very large m."""
-    if d0 < 2 or m < 2:
-        raise ValueError("need d0 >= 2 and m >= 2")
+    d0, m = check_count(d0, "d0", 2), check_count(m, "m", 2)
     # log denominator with (2 d0 - 1)^(m-2) factored out: for large m the
     # leftover 1/(2 d0 - 1)^(m-2) underflows harmlessly, and m = 2 gives 0
     log_q = (m - 2) * math.log(2 * d0 - 1)
@@ -66,21 +65,18 @@ def weak_radius(d0: int, m: int) -> float:
 
 
 def log_weak_radius(d0: int, m: int) -> float:
-    if d0 < 2 or m < 2:
-        raise ValueError("need d0 >= 2 and m >= 2")
+    d0, m = check_count(d0, "d0", 2), check_count(m, "m", 2)
     return (m / 2.0 - 1.0) * math.log(d0 / (2.0 * d0 - 1.0))
 
 
 def gb03_baseline(m: int) -> float:
     """Prior-work comparison baseline ``(1/2)^(m/2 - 1)``, correctly rounded."""
-    if m < 2:
-        raise ValueError("need m >= 2")
+    m = check_count(m, "m", 2)
     return math.ldexp(math.sqrt(0.5) if m % 2 else 1.0, 1 - m // 2)
 
 
 def log_gb03_baseline(m: int) -> float:
-    if m < 2:
-        raise ValueError("need m >= 2")
+    m = check_count(m, "m", 2)
     return (m / 2.0 - 1.0) * math.log(0.5)
 
 
@@ -159,8 +155,7 @@ def qubit_normalized_radius(m: int) -> float:
 
 
 def log_qubit_normalized_radius(m: int) -> float:
-    if m < 1:
-        raise ValueError("need m >= 1")
+    m = check_count(m, "m", 1)
     log3 = math.log(3.0)
     # log(3^m + 3) = m log 3 + log1p(3^(1-m))
     log_den = m * log3 + math.log1p(3.0 ** (1 - m))

@@ -21,7 +21,7 @@ from dataclasses import asdict
 from typing import Sequence
 
 from . import ballbounds, certify, nmr, schurnorm, verify
-from .matcore import load_matrix, measure
+from .matcore import check_count, load_matrix, measure
 from .sampling import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -72,9 +72,7 @@ def cmd_bound(args) -> int:
     if args.qubits is not None:
         if args.dims:
             raise ValueError("give either dims or --qubits, not both")
-        if args.qubits < 1:
-            raise ValueError(f"--qubits must be a positive integer, got {args.qubits}")
-        dims = [2] * args.qubits
+        dims = [2] * check_count(args.qubits, "--qubits", 1)
     elif args.dims:
         dims = args.dims
     else:

@@ -4,8 +4,11 @@ The map ``tau`` sends I to I, two specific unit-Frobenius Hermitian patterns
 (a diagonal one and an off-diagonal one) to scaled Pauli patterns, and kills
 the rest of matrix space.  With the critical scale
 ``mu = (1/a) sqrt(1 - a^2/d2)`` it is exactly positive on the radius-a ball
-cone, and on a designed input it attains the all-matrices norm bound
-``sqrt(2/a^2 - 1/d2)``.
+cone.  Its 2-to-inf norm is the traceless-input bound lambda, attained on
+(X + iZ)/sqrt2, and no input, ``worst_case_input`` included, reaches the
+all-matrices bound ``sqrt(2/a^2 - 1/d2)`` (the argument, for d1 = 2, is in
+ROADMAP.md, item 2).  At (a, d2) = (0.3, 4) the designed input reaches
+4.634733579, lambda is 4.660710485 and the bound is 4.687453703.
 
 ``ball_positivity_check`` decides its inputs in stacks, not one at a time:
 the directed probes one binding direction (``2 * PROBE_STEPS`` inputs) at a
@@ -20,7 +23,6 @@ O(``SAMPLE_BLOCK`` * d2^2) for any number of samples.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from itertools import chain
 
@@ -32,6 +34,7 @@ from .matcore import (
     apply_map,
     as_matrix,
     block_norm_matrix,
+    check_count,
     check_materializable,
     frobenius_norm,
     hermitian,
@@ -109,10 +112,7 @@ def build_tau(a: float, d2: int, d1: int = 2, mu_scale: float = 1.0) -> MapOnMat
     ``mu_scale`` rescales mu away from the critical value; any value above 1
     breaks ball positivity (the critical mu is extremal).
     """
-    if d2 < 4:
-        raise ValueError("the construction needs d2 >= 4")
-    if d1 < 2:
-        raise ValueError("need d1 >= 2")
+    d2, d1 = check_count(d2, "d2", 4), check_count(d1, "d1", 2)
     check_materializable(d2, d2, d1, d1)
     mu = mu_scale * critical_mu(a, d2)
     # Orthonormal (trace inner product) Hermitian triple spanning the support.
@@ -134,10 +134,14 @@ def build_tau(a: float, d2: int, d1: int = 2, mu_scale: float = 1.0) -> MapOnMat
 
 
 def worst_case_input(a: float, d2: int) -> np.ndarray:
-    """Unit-Frobenius input on which tau attains the all-matrices bound.
+    """Unit-Frobenius input mixing the identity into (X + iZ)/sqrt2.
 
     ``Y = (alpha/sqrt(d2)) I + (beta/sqrt2)(X + iZ)`` with the weights set by
     ``lambda = (1/a) sqrt(2 (1 - a^2/d2))`` (``ballbounds.lambda_bound``).
+    It was designed to attain the all-matrices bound ``sqrt(2/a^2 - 1/d2)``,
+    but tau's ratio on it stays below lambda, since its identity part does
+    not line up with its (X + iZ) part; ROADMAP.md, item 2, shows that no
+    input reaches that bound.
     """
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
@@ -198,8 +202,7 @@ def ball_positivity_check(
     ``critical_mu``, ``samples`` must be a nonnegative integer, and phi must
     be a stochastic map on M(d2) with d2 >= 2.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 0):
-        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
+    samples = check_count(samples, "samples", 0)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
     d2 = phi.in_dim

@@ -11,10 +11,11 @@ matrix without validating again; the CLI's ``certify`` hands them one.
 Every other function here is a kernel that takes trusted ndarrays and never
 re-validates.
 
-Memory has one rule, ``check_materializable(*shape)``: every function that
-builds an array sized from its arguments, and every reader of outside
-input, asks it with the shape it is about to build, and it refuses any
-array of more than ``MATERIALIZATION_CAP``² entries.
+Counts have one rule, ``check_count``: a Python or numpy integer, never a
+bool or a float.  Memory has one rule, ``check_materializable(*shape)``:
+every function that builds an array sized from its arguments, and every
+reader of outside input, asks it with the shape it is about to build, and it
+refuses any array of more than ``MATERIALIZATION_CAP``² entries.
 
 ``is_psd`` decides the rule lambda_min(H) >= -tol·max(1, ||H||_inf) with the
 cheapest check that settles it, and says which one did: a lower bound on
@@ -69,6 +70,7 @@ import functools
 import json
 import math
 import mmap
+import numbers
 import os
 import pickle
 import re
@@ -160,6 +162,19 @@ def check_matrix_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[tuple[int, ..
     if m.shape[0] != d:
         raise ValueError(f"matrix dimension {m.shape[0]} != product of dims {d}")
     return dims, d
+
+
+def check_count(value, name: str, least: int) -> int:
+    """Validate a count: a Python or numpy integer, not a bool, >= ``least``.
+
+    The package's one rule for integer counts and sizes; integral floats such
+    as 3.0 are refused like any other non-integer.  Returns the count as int.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def check_materializable(*shape: int) -> None:

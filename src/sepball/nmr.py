@@ -8,14 +8,13 @@ so qubit counts far beyond the materialization cap are fine.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ballbounds
-from .matcore import check_materializable, kron_all
+from .matcore import check_count, check_materializable, kron_all
 
 #: Single-spin polarization beta*mu*B at T = 300 K, B = 11 T.
 ETA_DEFAULT = 3.746e-5
@@ -37,8 +36,7 @@ class NmrParams:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"polarization must be finite and positive, got {self.eta!r}")
-        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
-            raise ValueError(f"need a whole number of qubits >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", check_count(self.m, "m", 1))
         if self.eta > LINEARIZATION_WARN:
             warnings.warn(
                 f"eta = {self.eta} is large; the thermal-state linearization "

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_materializable, eig_hermitian, hermitian
+from .matcore import check_count, check_materializable, eig_hermitian, hermitian
 from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
@@ -170,8 +170,7 @@ def _check_l_args(eta: float, n: int) -> None:
     """Refuse a non-finite eta and a size that is not a positive integer."""
     if not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
         raise ValueError(f"eta must be a finite number, got {eta!r}")
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_count(n, "n", 1)
 
 
 def l_matrix(eta: float, n: int) -> np.ndarray:
@@ -390,10 +389,7 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     number of restarts; neither the draws nor any restart's result depend
     on the block size.  ``restarts`` must be a positive integer.
     """
-    if isinstance(restarts, bool) or not (
-        isinstance(restarts, numbers.Integral) and restarts >= 1
-    ):
-        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+    restarts = check_count(restarts, "restarts", 1)
     b = hermitian(b)
     n = b.shape[0]
     c = np.abs(b) ** 2

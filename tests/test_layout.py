@@ -1,8 +1,9 @@
 """Source layout rules: helpers that other modules use are public, every
 private name is read in its own module, only matcore reads the
-materialization cap and only ``matcore.fork_map`` forks, every third-party
-module the package imports is a declared dependency, and the constants and
-``verify`` checks the README quotes are the code's."""
+materialization cap or ``numbers.Integral`` and only ``matcore.fork_map``
+forks, every third-party module the package imports is a declared
+dependency, and the constants and ``verify`` checks the README quotes are
+the code's."""
 
 import ast
 import importlib
@@ -239,6 +240,60 @@ def test_only_matcore_forks():
         for path in sorted(SRC.glob("*.py"))
         if (calls := process_calls(path.read_text(),
                                    outside="fork_map" if path.stem == "matcore" else None))
+    }
+    assert found == {}
+
+
+def integral_reads(source: str) -> list[str]:
+    """Every use of ``numbers.Integral`` in ``source``.
+
+    An attribute of ``numbers``, or of any name ``numbers`` is imported as,
+    an import of it from ``numbers``, or a ``getattr`` of it counts.
+    """
+    nodes = list(ast.walk(ast.parse(source)))
+    aliases = {"numbers"} | {alias.asname for node in nodes if isinstance(node, ast.Import)
+                             for alias in node.names if alias.name == "numbers" and alias.asname}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found += [f"from numbers import {alias.name}"
+                      for alias in node.names if alias.name == "Integral"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "Integral"
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in aliases
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "Integral"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_scanner_finds_integral_reads():
+    source = (
+        '"""Counts are ``numbers.Integral``."""\n'
+        "import numbers as num\n"
+        "from numbers import Integral, Real\n"
+        "def f(n):\n"
+        "    return isinstance(n, (num.Integral, num.Real)), getattr(num, 'Integral'), Real\n"
+        "def g(n):\n"
+        "    return numbers.Integral\n"
+    )
+    assert sorted(integral_reads(source)) == [
+        "from numbers import Integral",
+        "getattr(num, 'Integral')",
+        "num.Integral",
+        "numbers.Integral",
+    ]
+
+
+def test_only_matcore_reads_integral():
+    # counts have one rule, matcore.check_count: no other module decides what
+    # an integer is
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "matcore" and (reads := integral_reads(path.read_text()))
     }
     assert found == {}
 
