@@ -23,17 +23,31 @@ def recursion_radius(dims: Sequence[int]) -> float:
     The base case is a bipartite ball of radius one; each further party of
     dimension ``d_n`` multiplies the radius by
     ``sqrt(d_n / (2 (1 - a^2/prod) (d_n - 1) + 1))``.
-    Parties are folded in left to right, exactly in the order given.
+    Parties are folded in left to right, exactly in the order given.  A
+    radius below the double range comes out as 0.
     """
     dims = check_dims(dims)
     if len(dims) < 2:
         raise ValueError("the recursion needs at least 2 parties")
-    a = 1.0
+    return math.ldexp(*_fold(dims))
+
+
+def _fold(dims: tuple[int, ...]) -> tuple[float, int]:
+    """The recursion's radius a as a ``math.frexp`` mantissa and binary exponent.
+
+    In linear doubles a subnormal radius stalls, each step rounding back to
+    the smallest subnormals; the pair keeps every step's relative rounding.
+    Where a is a normal double, ``ldexp`` of the pair is the linear fold's
+    value bit for bit.
+    """
+    mant, exp = 1.0, 0
     prod = float(dims[0]) * float(dims[1])
     for dn in dims[2:]:
-        a *= math.sqrt(dn / (2.0 * (1.0 - a * a / prod) * (dn - 1) + 1.0))
+        ratio = math.ldexp(mant * mant / prod, 2 * exp)
+        mant, shift = math.frexp(mant * math.sqrt(dn / (2.0 * (1.0 - ratio) * (dn - 1) + 1.0)))
+        exp += shift
         prod *= dn
-    return a
+    return mant, exp
 
 
 def closed_form_radius(d0: int, m: int) -> float:
@@ -102,7 +116,8 @@ def log_radius(dims: tuple[int, ...], method: str = "recursion") -> float:
         return log_closed_form_radius(dims[0], m)
     if method != "recursion":
         raise ValueError(f"{method} needs equal local dimensions")
-    return math.log(recursion_radius(dims))
+    mant, exp = _fold(dims)
+    return math.log(mant) + exp * math.log(2.0)
 
 
 def log_bounds(dims: tuple[int, ...], method: str) -> tuple[float, float, float]:

@@ -11,14 +11,15 @@ orders the scan that keeps ties on the lexicographically smallest support.
 A seeded multiplicative-ascent oracle provides an independent lower bound;
 its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
 batch.  Every ``FACE_CHECK_STEPS`` steps, a row whose support has settled
-gets one solve of its face with the exact solver's kernel, and leaves the
-batch: it is done if that face's point passes the KKT test, and otherwise
-(near a saddle, where the ascent crawls) it is finished by
-infection-immunization pivots, one O(n) exact line search a step, stacked
-with the other rows of its batch that failed their face.  The faces are
-solved in stacks of at most max(RESTART_BLOCK * n, r^2) doubles for support
-size r, so the oracle's memory is O(RESTART_BLOCK * n + r^2) for any number
-of restarts.
+gets one solve of its face, and leaves the batch: it is done if that face's
+point passes the KKT test, and otherwise (near a saddle, where the ascent
+crawls) it is finished by infection-immunization pivots, one O(n) exact
+line search a step, stacked with the other rows of its batch that failed
+their face, and its final face is solved once more.  Every face, exact or
+oracle, goes through one kernel, ``_face_points``, and every row's Cy and
+y^t C y through ``_products``.  The oracle's faces are solved in stacks of
+at most max(RESTART_BLOCK * n, r^2) doubles for support size r, so its
+memory is O(RESTART_BLOCK * n + r^2) for any number of restarts.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ def _face_points(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Solves C_S y_S = lam * 1 with sum(y_S) = 1 for every face in one stacked
     call.  Singular faces, where LU meets a zero pivot (``slogdet`` sign 0),
     take the pseudo-inverse solution instead (degenerate faces are otherwise
-    covered by their vertices).  Returns the points on their supports and a
-    mask of the faces whose point stays on the face.
+    covered by their vertices).  Returns the points as full-width (k, n)
+    rows and a mask of the faces whose point stays on the face.  Every face
+    either solver takes is solved here.
     """
     cs = c[idx[:, :, None], idx[:, None, :]]
     ones = np.ones((1, idx.shape[1], 1))
@@ -84,7 +86,31 @@ def _face_points(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray
         feasible = (np.abs(total) >= 1e-14) & ~np.any(ys < -1e-12, axis=1)
         ys = np.clip(ys, 0.0, None)
         ys /= ys.sum(axis=1, keepdims=True)
-    return ys, feasible
+    y = np.zeros((idx.shape[0], c.shape[0]))
+    np.put_along_axis(y, idx, ys, axis=1)
+    return y, feasible
+
+
+def _products(c: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = Cy and v = y^t C y for every row of ``y``.
+
+    Stacked matrix-vector products make the same BLAS calls on a row
+    whatever the batch holds (numpy's gemm would change a row's last bits
+    with the batch size), so a row's products do not depend on the rows
+    beside it.
+    """
+    g = (y[:, None, :] @ c)[:, 0, :]
+    return g, (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _tol(c: np.ndarray) -> float:
+    """Slack of the tie rule and the KKT test: 1e-12 * max(1, max C)."""
+    return 1e-12 * max(1.0, float(np.max(c)))
+
+
+def _support(y: np.ndarray) -> np.ndarray:
+    """Each row's support {i : y_i > 1e-4 * max y}, as a boolean mask."""
+    return y > 1e-4 * y.max(axis=1, keepdims=True)
 
 
 def simplex_qp_max(c) -> SimplexQPResult:
@@ -122,12 +148,9 @@ def simplex_qp_max(c) -> SimplexQPResult:
         flat = chain.from_iterable(combinations(range(n), r))
         while (idx := np.fromiter(islice(flat, FACE_CHUNK * r), np.intp)).size:
             idx = idx.reshape(-1, r)
-            ys, feasible = _face_points(c, idx)
-            y = np.zeros((idx.shape[0], n))
-            np.put_along_axis(y, idx, ys, axis=1)
+            y, feasible = _face_points(c, idx)
             y = y[feasible]
-            # y @ c @ y row by row, by the BLAS calls it takes on one row
-            values.append((y[:, None, :] @ c @ y[:, :, None])[:, 0, 0])
+            values.append(_products(c, y)[1])
             key = np.full((y.shape[0], n), -1, np.int8)
             key[:, :r] = idx[feasible]
             keys.append(key)
@@ -136,7 +159,7 @@ def simplex_qp_max(c) -> SimplexQPResult:
     keys = np.concatenate(keys)
     order = np.lexsort(keys.T[::-1])
     values = np.concatenate(values)[order]
-    tol = 1e-12 * max(1.0, float(np.max(c)))
+    tol = _tol(c)
     # incumbent + tol is at least every value scanned before, so only a
     # strict prefix maximum can replace the incumbent: scan those alone
     earlier = np.fmax.accumulate(np.concatenate(([-math.inf], values[:-1])))
@@ -149,9 +172,7 @@ def simplex_qp_max(c) -> SimplexQPResult:
         y = np.eye(n)[0]
     else:
         support = tuple(t for t in keys[order[best]].tolist() if t >= 0)
-        ys, _ = _face_points(c, np.array([support], dtype=np.intp))
-        y = np.zeros(n)
-        y[list(support)] = ys[0]
+        y = _face_points(c, np.array([support], dtype=np.intp))[0][0]
     return SimplexQPResult(float(y @ c @ y), y, support)
 
 
@@ -216,12 +237,8 @@ def _face_exit_values(
         rows = np.flatnonzero(sizes == r)
         stack = max(1, RESTART_BLOCK * n // (r * r))
         for part in np.split(rows, range(stack, rows.size, stack)):
-            idx = np.nonzero(support[part])[1].reshape(-1, r)
-            ys, feasible = _face_points(c, idx)
-            y = np.zeros((part.size, n))
-            np.put_along_axis(y, idx, ys, axis=1)
-            g = (y[:, None, :] @ c)[:, 0, :]
-            face_value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+            y, feasible = _face_points(c, np.nonzero(support[part])[1].reshape(-1, r))
+            g, face_value = _products(c, y)
             ok = (
                 feasible
                 & np.all(g <= face_value[:, None] + tol, axis=1)
@@ -250,8 +267,7 @@ def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.n
     out = np.empty_like(y)
     rows = np.arange(y.shape[0])
     diag = c.diagonal()
-    g = (y[:, None, :] @ c)[:, 0, :]
-    v = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+    g, v = _products(c, y)
     step = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while rows.size:
@@ -294,47 +310,48 @@ def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.n
 def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Multiplicative ascent y <- y o (Cy) / y^t C y on every row of ``y``.
 
-    Every ``FACE_CHECK_STEPS`` steps each running row's support is taken as
-    {i : y_i > 1e-4 * max y}; a row whose support is the same as at its
-    previous check has settled, and its face is solved once
-    (``_face_exit_values``).  Each row stops on its own: when its value is
-    not positive, when the update leaves the simplex, when it gains at most
-    1e-16, when its settled face's point passes the KKT test (it then keeps
-    the larger of its value and the face's), or after ``ASCENT_STEPS``
-    steps.  Rows that stop leave the batch.
+    Every ``FACE_CHECK_STEPS`` steps each running row's support is taken
+    (``_support``); a row whose support is the same as at its previous check
+    has settled, and its face is solved once (``_face_exit_values``, through
+    ``_face_points`` like every face of the exact solver).  Each row stops
+    on its own: when its value is not positive, when the update leaves the
+    simplex, when it gains at most 1e-16, when its settled face's point
+    passes the KKT test (it then keeps the larger of its value and the
+    face's), or after ``ASCENT_STEPS`` steps.  Rows that stop leave the
+    batch.
 
     A settled row whose face fails sits near a saddle or a non-strict
     maximum, where the ascent only crawls: it also leaves the batch, and all
     such rows are finished together by ``_pivot`` with the steps each has
     left.  A finished row's value is y^t C y of its final point, renormalized,
-    by the ascent's products, or its final face's value where its support
-    moved and that face passes; it keeps the larger of that and its value
-    at handoff.  Every row goes through the same BLAS and LAPACK calls
-    whatever the batch holds (one ``y C`` per step, which also gives the
-    next step's gradient, since C is symmetric, and one solve per face), so
-    a row's result does not depend on the rows beside it.  Returns each
-    row's final value.
+    by the ascent's products, or its final face's value where that face
+    passes; its final face is solved once whether or not its support moved,
+    and it keeps the larger of that and its value at handoff (a face that
+    failed at handoff can pass only below that value).  Every row goes
+    through the same BLAS and LAPACK calls whatever the batch holds
+    (``_products`` once per step, whose g also gives the next step's
+    gradient, since C is symmetric, and one solve per face), so a row's
+    result does not depend on the rows beside it.  Returns each row's final
+    value.
     """
     k = y.shape[0]
-    tol = 1e-12 * max(1.0, float(np.max(c)))
+    tol = _tol(c)
     final_value = np.empty(k)
     rows = np.arange(k)
     last_support = np.zeros(y.shape, dtype=bool)
-    # rows handed to the pivots: their indices, points, supports and budgets
+    # rows handed to the pivots: their indices, points and budgets
     handed = []
-    g = (y[:, None, :] @ c)[:, 0, :]
-    value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
+    g, value = _products(c, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(1, ASCENT_STEPS + 1):
             y_new = y * g / value[:, None]
             s = y_new.sum(axis=1)
             y_new /= s[:, None]
-            g_new = (y_new[:, None, :] @ c)[:, 0, :]
-            new_value = (g_new[:, None, :] @ y_new[:, :, None])[:, 0, 0]
+            g_new, new_value = _products(c, y_new)
             stuck = (value <= 0) | (s <= 0)
             done = stuck | (new_value <= value + 1e-16)
             if step % FACE_CHECK_STEPS == 0:
-                support = y_new > 1e-4 * y_new.max(axis=1, keepdims=True)
+                support = _support(y_new)
                 settled = ~done & np.all(support == last_support, axis=1)
                 last_support = support
                 if settled.any():
@@ -345,7 +362,7 @@ def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
                     new_value = np.maximum(new_value, face_value)
                     failed = settled & (face_value == -np.inf)
                     if failed.any():
-                        handed.append((rows[failed], y_new[failed], support[failed],
+                        handed.append((rows[failed], y_new[failed],
                                        np.full(failed.sum(), ASCENT_STEPS - step)))
                     done |= settled
             if done.any():
@@ -362,18 +379,11 @@ def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
                 break
     final_value[rows] = value
     if handed:
-        rows, y, support, budget = (np.concatenate(part) for part in zip(*handed))
+        rows, y, budget = (np.concatenate(part) for part in zip(*handed))
         y = _pivot(c, y, budget, tol)
         y /= y.sum(axis=1, keepdims=True)
-        g = (y[:, None, :] @ c)[:, 0, :]
-        value = (g[:, None, :] @ y[:, :, None])[:, 0, 0]
-        # a face that failed at handoff fails again: solve only moved supports
-        new_support = y > 1e-4 * y.max(axis=1, keepdims=True)
-        moved = np.any(new_support != support, axis=1)
-        if moved.any():
-            value[moved] = np.maximum(value[moved], _face_exit_values(
-                c, new_support[moved], value[moved], tol
-            ))
+        value = _products(c, y)[1]
+        value = np.maximum(value, _face_exit_values(c, _support(y), value, tol))
         final_value[rows] = np.maximum(final_value[rows], value)
     return final_value
 

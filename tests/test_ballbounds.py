@@ -217,6 +217,28 @@ def test_log_radius_matches_references():
         ballbounds.log_radius((2, 2), "gb03_baseline")
 
 
+def _decimal_log_recursion(dims):
+    """Natural log of the recursion's radius, folded in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, prod = Decimal(1), Decimal(dims[0] * dims[1])
+        for dn in dims[2:]:
+            a *= (Decimal(dn) / (2 * (1 - a * a / prod) * (dn - 1) + 1)).sqrt()
+            prod *= dn
+        return a.ln()
+
+
+@pytest.mark.parametrize("m", [5, 400, 3000, 3400, 6000])
+def test_log_radius_of_unequal_dims_below_the_double_range(m):
+    # the (2, 3, ...) radius goes subnormal near 3100 parties; folded in
+    # linear doubles it stalls at 1e-323, log -743.75, from there on
+    dims = (2, 3) * (m // 2) + (2,) * (m % 2)
+    want = _decimal_log_recursion(dims)
+    got = ballbounds.log_radius(dims)
+    assert abs(Decimal(got) - want) <= Decimal(4e-16) * abs(want)
+    if m >= 3400:
+        assert ballbounds.radius_report(dims).unnormalized_radius == 0.0
+
 
 def test_radius_report_gb03_row_is_the_closed_form():
     # exp of the rounded log (m/2 - 1)·ln ½ misses 2^(1 - m/2) at odd m

@@ -1,9 +1,10 @@
 """Source layout rules: helpers that other modules use are public, every
 private name is read in its own module, only matcore reads the
 materialization cap or ``numbers.Integral`` and only ``matcore.fork_map``
-forks, every third-party module the package imports is a declared
-dependency, and the constants and ``verify`` checks the README quotes are
-the code's."""
+forks, only ``schurnorm._face_points`` scatters or solves a face and one
+``schurnorm`` function holds its tolerance, every third-party module the
+package imports is a declared dependency, and the constants and ``verify``
+checks the README quotes are the code's."""
 
 import ast
 import importlib
@@ -296,6 +297,68 @@ def test_only_matcore_reads_integral():
         if path.stem != "matcore" and (reads := integral_reads(path.read_text()))
     }
     assert found == {}
+
+
+#: The numpy functions that scatter a face's point or solve its system.
+FACE_CALLS = {"put_along_axis", "solve", "pinv"}
+
+
+def homes(source: str, wanted) -> dict[str, list[str]]:
+    """The nodes of ``source`` that ``wanted`` accepts, unparsed, by the
+    top-level function or class they are in (``<module>`` outside any)."""
+    found = {}
+    for stmt in ast.parse(source).body:
+        home = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if wanted(node):
+                found.setdefault(home, []).append(ast.unparse(node))
+    return found
+
+
+def is_face_call(node: ast.AST) -> bool:
+    """A call of ``put_along_axis``, ``solve`` or ``pinv``, as an attribute
+    of any name (``np.linalg.solve``, ``la.pinv``) or imported bare."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in FACE_CALLS
+
+
+def is_schur_tol(node: ast.AST) -> bool:
+    """The expression ``max(1.0, float(np.max(c)))`` of the Schur tolerance."""
+    return isinstance(node, ast.Call) and ast.unparse(node) == "max(1.0, float(np.max(c)))"
+
+
+def test_scanner_finds_face_calls_and_tolerances():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import pinv\n"
+        "SCALE = max(1.0, float(np.max(c)))\n"
+        "def kernel(c, idx, y):\n"
+        "    np.put_along_axis(y, idx, 1.0, axis=1)\n"
+        "    return np.linalg.solve(c, y), pinv(c)\n"
+        "def caller(c):\n"
+        "    return 1e-12 * max(1.0, float(np.max(c))), np.linalg.norm(c), max(1.0, np.max(c))\n"
+        "class Face:\n"
+        "    def points(self, la, c):\n"
+        "        return la.solve(c, c)\n"
+    )
+    assert homes(source, is_face_call) == {
+        "kernel": ["np.put_along_axis(y, idx, 1.0, axis=1)", "np.linalg.solve(c, y)", "pinv(c)"],
+        "Face": ["la.solve(c, c)"],
+    }
+    assert sorted(homes(source, is_schur_tol)) == ["<module>", "caller"]
+
+
+def test_schurnorm_faces_and_tolerance_have_one_home():
+    # the exact solver and the oracle share one face kernel, and the tie and
+    # KKT slack 1e-12 * max(1, max C) is written once
+    source = (SRC / "schurnorm.py").read_text()
+    found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
+             if (found := homes(path.read_text(), is_face_call))}
+    assert found == {"schurnorm.py": ["_face_points"]}
+    assert len(homes(source, is_schur_tol)) == 1
 
 
 def test_all_matches_the_public_imports():
