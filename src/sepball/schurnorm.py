@@ -5,9 +5,13 @@ out) equals ``sqrt(max y^t C y)`` over the probability simplex, with
 ``C_ij = |B_ij|^2``.  The exact simplex maximum is found by support
 enumeration (the general problem is NP-hard, so the exact solver is capped
 at ``EXACT_SOLVER_CAP``): the supports of each size are solved in stacked
-LAPACK calls of at most ``FACE_CHUNK`` faces, each feasible face's value is
-kept with its support as an n-byte key, and one ``np.lexsort`` of the keys
-orders the scan that keeps ties on the lexicographically smallest support.
+LAPACK calls of at most ``FACE_CHUNK`` faces, one LU a face, each feasible
+face's value is kept with its support as an n-byte key, and one
+``np.lexsort`` of the keys orders the scan that keeps ties on the
+lexicographically smallest support.  When each process gets at least
+``FACE_SHARE_MIN`` faces, the chunks are shared among one process per CPU
+by ``matcore.fork_map``; a face's bits depend neither on its chunk nor on
+its process, so the result is bit-identical for any CPU count.
 A seeded multiplicative-ascent oracle provides an independent lower bound;
 its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
 batch.  Every ``FACE_CHECK_STEPS`` steps, a row whose support has settled
@@ -32,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_count, check_materializable, eig_hermitian, hermitian
+from .matcore import check_count, check_materializable, eig_hermitian, fork_map, hermitian, workers
 from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
@@ -40,6 +44,14 @@ EXACT_SOLVER_CAP = 16
 
 #: Supports of one size that ``simplex_qp_max`` solves per stacked call.
 FACE_CHUNK = 512
+
+#: Fewest faces ``simplex_qp_max`` hands one process when it solves them on
+#: several CPUs: a face takes 3-10 us to solve, so 2048 take 6-20 ms, and a
+#: ``fork_map`` over two processes costs about 3 ms (fork, reap and the BLAS
+#: thread counts).  On 2 CPUs it forks from n = 13, where forking measured
+#: faster on both a graph and an L-matrix (at n = 12 it lost on the
+#: L-matrix), and ``verify``'s hundreds of solves at n <= 8 never fork.
+FACE_SHARE_MIN = 2048
 
 #: Restarts that ``oracle_two_inf_norm`` draws and ascends together.
 RESTART_BLOCK = 64
@@ -67,19 +79,25 @@ def _face_points(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Stationary points of y^t C y on the faces whose supports are the rows of idx.
 
     Solves C_S y_S = lam * 1 with sum(y_S) = 1 for every face in one stacked
-    call.  Singular faces, where LU meets a zero pivot (``slogdet`` sign 0),
-    take the pseudo-inverse solution instead (degenerate faces are otherwise
+    LAPACK call, one LU a face.  Singular faces, where LU meets a zero pivot
+    (``slogdet`` sign 0, asked only of the rows the solve left NaN), take
+    the pseudo-inverse solution instead (degenerate faces are otherwise
     covered by their vertices).  Returns the points as full-width (k, n)
     rows and a mask of the faces whose point stays on the face.  Every face
     either solver takes is solved here.
     """
     cs = c[idx[:, :, None], idx[:, None, :]]
     ones = np.ones((1, idx.shape[1], 1))
-    singular = np.linalg.slogdet(cs)[0] == 0
-    z = np.empty(idx.shape)
-    z[~singular] = np.linalg.solve(cs[~singular], ones)[..., 0]
-    if singular.any():
-        z[singular] = (np.linalg.pinv(cs[singular]) @ ones)[..., 0]
+    # np.linalg.solve's own gufunc: where getrf meets a zero pivot it writes
+    # a NaN row, on which np.linalg.solve would raise for the whole stack
+    with np.errstate(all="ignore"):
+        z = np.linalg._umath_linalg.solve(cs, ones, signature="dd->d")[..., 0]
+    failed = np.flatnonzero(np.isnan(z).any(axis=1))
+    if failed.size:
+        # a row whose LU succeeded but whose solve overflowed keeps its NaNs
+        singular = failed[np.linalg.slogdet(cs[failed])[0] == 0]
+        if singular.size:
+            z[singular] = (np.linalg.pinv(cs[singular]) @ ones)[..., 0]
     total = z.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ys = z / total[:, None]
@@ -113,15 +131,46 @@ def _support(y: np.ndarray) -> np.ndarray:
     return y > 1e-4 * y.max(axis=1, keepdims=True)
 
 
+def _feasible_faces(c: np.ndarray, share: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and keys of the feasible faces in every ``jobs``-th chunk from chunk ``share``.
+
+    The supports of each size, in lexicographic order, are cut into chunks
+    of ``FACE_CHUNK``, numbered across sizes.  Every process walks the same
+    lazy stream of supports and steps over the other shares' chunks without
+    gathering them.  A face's key is its support padded with -1 to n bytes.
+    """
+    n = c.shape[0]
+    values, keys = [np.empty(0)], [np.empty((0, n), np.int8)]
+    chunk = -1
+    for r in range(1, n + 1):
+        supports = combinations(range(n), r)
+        for _ in range(-(-math.comb(n, r) // FACE_CHUNK)):
+            chunk += 1
+            if chunk % jobs != share:
+                next(islice(supports, FACE_CHUNK, FACE_CHUNK), None)
+                continue
+            idx = np.fromiter(chain.from_iterable(islice(supports, FACE_CHUNK)), np.intp)
+            idx = idx.reshape(-1, r)
+            y, feasible = _face_points(c, idx)
+            values.append(_products(c, y[feasible])[1])
+            key = np.full((values[-1].size, n), -1, np.int8)
+            key[:, :r] = idx[feasible]
+            keys.append(key)
+    return np.concatenate(values), np.concatenate(keys)
+
+
 def simplex_qp_max(c) -> SimplexQPResult:
     """Global maximum of y^t C y over {y >= 0, sum y = 1}, by enumeration.
 
     Every nonempty support contributes its interior stationary point (when
     feasible); all vertices are included via the singleton supports.  The
-    supports of each size are solved ``FACE_CHUNK`` at a time.  Scanning the
-    supports in lexicographic order, a face replaces the incumbent only when
-    it gains more than 1e-12 * max(1, max C), so ties go to the
-    lexicographically smallest support.
+    supports of each size are solved ``FACE_CHUNK`` at a time, and the
+    chunks are shared by ``fork_map`` among one process per CPU when each
+    process gets at least ``FACE_SHARE_MIN`` faces (``_feasible_faces``); a
+    face's bits do not depend on its chunk or process, so neither does the
+    result.  Scanning the supports in lexicographic order, a face replaces
+    the incumbent only when it gains more than 1e-12 * max(1, max C), so
+    ties go to the lexicographically smallest support.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -141,24 +190,16 @@ def simplex_qp_max(c) -> SimplexQPResult:
     if np.any(c < 0):
         raise ValueError("C must be entrywise nonnegative")
 
-    # each feasible face's value, and its support padded with -1 as its key
-    values, keys = [], []
-    for r in range(1, n + 1):
-        # the supports of size r in lexicographic order, FACE_CHUNK at a time
-        flat = chain.from_iterable(combinations(range(n), r))
-        while (idx := np.fromiter(islice(flat, FACE_CHUNK * r), np.intp)).size:
-            idx = idx.reshape(-1, r)
-            y, feasible = _face_points(c, idx)
-            y = y[feasible]
-            values.append(_products(c, y)[1])
-            key = np.full((y.shape[0], n), -1, np.int8)
-            key[:, :r] = idx[feasible]
-            keys.append(key)
-
-    # -1 pads a proper prefix, so it sorts before each support extending it
-    keys = np.concatenate(keys)
+    jobs = workers((2**n - 1) // FACE_SHARE_MIN)
+    done = fork_map(jobs, lambda share: _feasible_faces(c, share, jobs))
+    # a share whose process failed is solved here
+    parts = [done.get(share) or _feasible_faces(c, share, jobs) for share in range(jobs)]
+    values, keys = (np.concatenate(part) for part in zip(*parts))
+    # the keys are distinct, so the sorted order does not depend on the
+    # shares' order; -1 pads a proper prefix, so it sorts before each
+    # support extending it
     order = np.lexsort(keys.T[::-1])
-    values = np.concatenate(values)[order]
+    values = values[order]
     tol = _tol(c)
     # incumbent + tol is at least every value scanned before, so only a
     # strict prefix maximum can replace the incumbent: scan those alone

@@ -1,10 +1,11 @@
 """Source layout rules: helpers that other modules use are public, every
 private name is read in its own module, only matcore reads the
 materialization cap or ``numbers.Integral`` and only ``matcore.fork_map``
-forks, only ``schurnorm._face_points`` scatters or solves a face and one
-``schurnorm`` function holds its tolerance, every third-party module the
-package imports is a declared dependency, and the constants and ``verify``
-checks the README quotes are the code's."""
+forks, only ``schurnorm._face_points`` scatters or solves a face or reaches
+numpy's LU gufunc and ``slogdet``, and one ``schurnorm`` function holds its
+tolerance, every third-party module the package imports is a declared
+dependency, and the constants and ``verify`` checks the README quotes are
+the code's."""
 
 import ast
 import importlib
@@ -359,6 +360,38 @@ def test_schurnorm_faces_and_tolerance_have_one_home():
              if (found := homes(path.read_text(), is_face_call))}
     assert found == {"schurnorm.py": ["_face_points"]}
     assert len(homes(source, is_schur_tol)) == 1
+
+
+def is_lu_name(node: ast.AST) -> bool:
+    """A use of numpy's ``_umath_linalg`` or ``slogdet``, as a name, an
+    attribute or an import."""
+    names = {"_umath_linalg", "slogdet"}
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1] in names
+    return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in names
+
+
+def test_schurnorm_lu_calls_have_one_home():
+    # the one-LU rule, a solve of every face and slogdet only on the rows it
+    # left NaN, is written once
+    found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
+             if (found := homes(path.read_text(), is_lu_name))}
+    assert found == {"schurnorm.py": ["_face_points"]}
+
+
+def test_scanner_finds_lu_names():
+    source = (
+        "import numpy.linalg._umath_linalg\n"
+        "from numpy.linalg import slogdet as sd\n"
+        "def kernel(np, cs):\n"
+        "    return np.linalg._umath_linalg.solve(cs, cs), np.linalg.slogdet(cs)\n"
+        "def other(la, cs):\n"
+        "    return la.solve(cs, cs), la.det(cs)\n"
+    )
+    assert homes(source, is_lu_name) == {
+        "<module>": ["numpy.linalg._umath_linalg", "slogdet as sd"],
+        "kernel": ["np.linalg.slogdet", "np.linalg._umath_linalg"],
+    }
 
 
 def test_all_matches_the_public_imports():

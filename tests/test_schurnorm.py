@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
-from sepball import schurnorm
+from sepball import matcore, schurnorm
 from sepball.matcore import operator_norm
 from sepball.sampling import (
     random_hermitian,
@@ -93,10 +95,20 @@ def _clique_number(adj):
     )
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 512])
-def test_simplex_qp_matches_reference_loop(monkeypatch, chunk):
-    # chunks of 1 and 7 split every size class across several stacked calls
-    monkeypatch.setattr(schurnorm, "FACE_CHUNK", chunk)
+#: Vertex (0,) and the later face (1, 2) both reach 1.
+TIE = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.5], [0.0, 1.5, 0.5]])
+
+#: The singular face (0, 1, 2) sorts before its sub-face (0, 2) and ties it
+#: at 1/2 = 1 - 1/omega.
+SINGULAR = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+#: Each vertex is a new running maximum, but (1,) gains less than the
+#: tolerance over (0,), and only (2,) gains more than it over the incumbent.
+CREEPING = np.diag([1.0, 1.0 + 5e-13, 1.0 + 1.2e-12])
+
+
+def _reference_corpus():
+    """Random, 0/1 and tie-breaking inputs at n = 1..10."""
     rng = rng_from_seed(61)
     corpus = []
     for n in range(1, 11):
@@ -107,29 +119,148 @@ def test_simplex_qp_matches_reference_loop(monkeypatch, chunk):
         corpus.append(_adjacency(rng, n, 0.7))
     # exact ties across sizes go to the lexicographically smallest support
     corpus += [np.ones((4, 4)), np.eye(5), np.ones((7, 7)), np.eye(9)]
-    tie = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.5], [0.0, 1.5, 0.5]])
-    corpus.append(tie)  # vertex (0,) and the later face (1, 2) both reach 1
-    # the singular face (0, 1, 2) sorts before its sub-face (0, 2) and ties
-    # it at 1/2 = 1 - 1/omega
-    singular = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    corpus.append(singular)
-    # each vertex is a new running maximum, but (1,) gains less than the
-    # tolerance over (0,), and only (2,) gains more than it over the incumbent
-    creeping = np.diag([1.0, 1.0 + 5e-13, 1.0 + 1.2e-12])
-    corpus.append(creeping)
-    for c in corpus:
+    return corpus + [TIE, SINGULAR, CREEPING]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_simplex_qp_matches_reference_loop(monkeypatch, chunk):
+    # chunks of 1 and 7 split every size class across several stacked calls
+    monkeypatch.setattr(schurnorm, "FACE_CHUNK", chunk)
+    for c in _reference_corpus():
         if not c.any():
             continue  # the loop has no feasible face on C = 0
         want_value, want_support = _reference_simplex_qp_max(c)
         got = schurnorm.simplex_qp_max(c)
         assert got.support == want_support
         assert abs(got.value - want_value) <= 1e-12 * max(1.0, float(np.max(c)))
-    assert schurnorm.simplex_qp_max(tie).support == (0,)
-    assert schurnorm.simplex_qp_max(creeping).support == (2,)
-    res = schurnorm.simplex_qp_max(singular)
+    assert schurnorm.simplex_qp_max(TIE).support == (0,)
+    assert schurnorm.simplex_qp_max(CREEPING).support == (2,)
+    res = schurnorm.simplex_qp_max(SINGULAR)
     assert res.support == (0, 1, 2)
     assert res.maximizer.tolist() == [0.5, 0.0, 0.5]
     assert res.value == 0.5
+
+
+def _bits(res):
+    return res.value.hex(), res.support, res.maximizer.tobytes()
+
+
+def test_simplex_qp_same_answer_on_any_cpu_count(monkeypatch):
+    # the faces are shared among processes from FACE_SHARE_MIN faces each;
+    # at a minimum of 1 every input with more than one face forks
+    corpus = _reference_corpus()
+    rng = rng_from_seed(14)
+    graph = _adjacency(rng, 14, 0.6)
+    clique = rng.choice(14, size=7, replace=False)
+    graph[np.ix_(clique, clique)] = 1.0 - np.eye(7)
+    corpus.append(graph)
+    monkeypatch.setattr(matcore, "cpus", lambda: 1)
+    want = [_bits(schurnorm.simplex_qp_max(c)) for c in corpus]
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for least in (schurnorm.FACE_SHARE_MIN, 1):
+        monkeypatch.setattr(schurnorm, "FACE_SHARE_MIN", least)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(matcore, "cpus", lambda: cpus)
+            for c, bits in zip(corpus, want):
+                forks.clear()
+                assert _bits(schurnorm.simplex_qp_max(c)) == bits
+                # one process per CPU, at most one per FACE_SHARE_MIN faces
+                assert len(forks) == max(1, min(cpus, (2 ** c.shape[0] - 1) // least)) - 1
+    monkeypatch.delattr(os, "fork")
+    for c, bits in zip(corpus, want):
+        assert _bits(schurnorm.simplex_qp_max(c)) == bits
+
+
+def test_simplex_qp_solves_a_lost_share_itself(monkeypatch):
+    # a share whose child dies is missing from fork_map's answer
+    c = np.abs(random_hermitian(rng_from_seed(5), 9)) ** 2
+    want = _bits(schurnorm.simplex_qp_max(c))
+    caller = os.getpid()
+    faces = schurnorm._feasible_faces
+    here = []
+
+    def dies_in_a_child(c, share, jobs):
+        if os.getpid() != caller:
+            os._exit(1)
+        time.sleep(0.05)  # time for each child to take a share
+        here.append(share)
+        return faces(c, share, jobs)
+
+    monkeypatch.setattr(schurnorm, "_feasible_faces", dies_in_a_child)
+    monkeypatch.setattr(schurnorm, "FACE_SHARE_MIN", 1)
+    monkeypatch.setattr(matcore, "cpus", lambda: 3)
+    assert _bits(schurnorm.simplex_qp_max(c)) == want
+    assert sorted(here) == [0, 1, 2]
+
+
+def _block_faces(blocks):
+    """C holding the r x r ``blocks`` on its diagonal, and the index rows of each block."""
+    k, r = len(blocks), len(blocks[0])
+    c = np.zeros((k * r, k * r))
+    for j, block in enumerate(blocks):
+        c[j * r:(j + 1) * r, j * r:(j + 1) * r] = block
+    return c, np.arange(k * r).reshape(k, r)
+
+
+def test_face_points_factor_each_face_once(monkeypatch):
+    tiny = 1e-320  # subnormal: its LU succeeds, but 1 / tiny overflows
+    stacks = [
+        [[[0.0]], [[2.0]], [[tiny]], [[0.0]]],
+        [
+            [[2.0, 1.0], [1.0, 3.0]],  # regular
+            [[1.0, 1.0], [1.0, 1.0]],  # exactly singular
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 1.0], [1.0, 1.0 + 2**-52]],  # near-singular
+            [[1.0, 0.0], [0.0, tiny]],  # LU succeeds, the solve gives NaN
+        ],
+        [
+            SINGULAR,
+            TIE,
+            np.ones((3, 3)),
+            np.zeros((3, 3)),
+            [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 4.0]],
+            [[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 5.0]],  # rank 2
+        ],
+    ]
+    seen = {"solve": [], "pinv": []}
+    gufunc, pinv = np.linalg._umath_linalg.solve, np.linalg.pinv
+
+    class Spy:
+        def solve(self, *args, **kwargs):
+            out = gufunc(*args, **kwargs)
+            seen["solve"].append(out[..., 0].copy())
+            return out
+
+    def spied_pinv(a):
+        seen["pinv"].append(a.copy())
+        return pinv(a)
+
+    monkeypatch.setattr(np.linalg, "_umath_linalg", Spy())
+    monkeypatch.setattr(np.linalg, "pinv", spied_pinv)
+    for blocks in stacks:
+        c, idx = _block_faces(np.array(blocks, dtype=float))
+        cs = np.array(blocks, dtype=float)
+        singular = np.linalg.slogdet(cs)[0] == 0
+        seen["solve"].clear()
+        seen["pinv"].clear()
+        schurnorm._face_points(c, idx)
+        # pinv takes exactly the faces slogdet calls singular, all at once
+        assert len(seen["pinv"]) == (1 if singular.any() else 0)
+        assert all(a.tobytes() == cs[singular].tobytes() for a in seen["pinv"])
+        # one solve of the whole stack, bit for bit np.linalg.solve on the rest
+        (z,) = seen["solve"]
+        ones = np.ones((1, cs.shape[1], 1))
+        with np.errstate(all="ignore"):
+            want = np.linalg.solve(cs[~singular], ones)[..., 0]
+        assert z[~singular].tobytes() == want.tobytes()
+        assert np.isnan(z[singular]).all()
 
 
 def test_simplex_qp_zero_matrix_is_vertex():
