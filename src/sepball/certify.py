@@ -16,15 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ballbounds
-from .matcore import (
-    TRACE_TOL,
-    check_dims,
-    distance_from_scalar,
-    hermitian,
-    is_psd,
-    measure,
-    transpose_parties,
-)
+from .matcore import check_dims, distance_from_scalar, is_psd, measure, transpose_parties
 
 #: Relative width of the band around the bound inside which a verdict is
 #: still reported separable, with a "boundary" annotation.  It is kept at
@@ -94,18 +86,18 @@ def mu(rho) -> float:
     """Optimal perturbation size over scalings rho = alpha (I + Delta).
 
     Returns ``sqrt(d - 1/tr(rho^2))``, the smallest achievable ||Delta||_2
-    (attained at alpha = tr rho^2).
+    (attained at alpha = tr rho^2).  ``rho`` is measured as one party of
+    dimension d >= 2 (``matcore.measure``), whose ``State`` decides its
+    normalization and PSD.
     """
-    rho = hermitian(rho)
-    d = rho.shape[0]
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"state is not normalized: tr = {tr}")
-    if not is_psd(rho):
+    state = measure(rho, np.shape(rho)[:1])
+    if not state.normalized:
+        raise ValueError(f"state is not normalized: tr = {state.trace}")
+    if not state.psd:
         raise ValueError("state is not positive semidefinite")
     # tr(rho^2) = ||rho||_2^2 for Hermitian rho, summed without a square root
-    purity = float(np.vdot(rho, rho).real)
-    return math.sqrt(max(d - 1.0 / purity, 0.0))
+    purity = float(np.vdot(state.h, state.h).real)
+    return math.sqrt(max(state.h.shape[0] - 1.0 / purity, 0.0))
 
 
 def certify_unnormalized(x, dims: Sequence[int]) -> Certificate:
@@ -123,18 +115,18 @@ def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
     """Ball test for a normalized state: ||rho - I/d||_2 vs a/sqrt(d(d-a^2)).
 
     ``rho`` is a matrix or a ``matcore.State`` of one (see
-    ``matcore.measure``).  PSD is decided by ``is_psd`` from the trace and
-    the distance already measured (``State.floor``) before any
-    factorization; the certificate's ``psd_check`` names the check that
-    decided.
+    ``matcore.measure``).  Normalization and PSD are the ``State``'s
+    decisions (``State.normalized`` and ``State.psd``, which tries the floor
+    from the trace and distance already measured before any factorization);
+    the certificate's ``psd_check`` names the check that decided.
     """
     state = measure(rho, dims)
     bound = ballbounds.radius_report(state.dims).normalized_radius
     measured, dims = state.distance, state.dims
-    if abs(state.trace - 1.0) > TRACE_TOL:
+    if not state.normalized:
         return Certificate(NOT_NORMALIZED, bound, measured, bound - measured, dims,
                            psd_check="skipped")
-    psd = is_psd(state.h, floor=state.floor)
+    psd = state.psd
     if not psd:
         return Certificate(NOT_PSD, bound, measured, bound - measured, dims,
                            psd_check=psd.method)
@@ -165,13 +157,14 @@ def ppt_all_cuts(rho, dims: Sequence[int]) -> bool:
 
     A necessary condition for separability; used to falsify-test the ball
     certificates (every certified state must pass).  Raises ``ValueError``
-    when the input itself is not PSD.  ``rho`` is a matrix or a
-    ``matcore.State`` of one.  Every partial transpose has the input's trace
-    and distance from (trace/d)·I, so when ``State.floor`` is >= 0 all cuts
-    pass without a factorization, at any trace.
+    when the input itself is not PSD, as ``State.psd`` decides it: a
+    ``State`` a certificate has already read is not checked again.  ``rho``
+    is a matrix or a ``matcore.State`` of one.  Every partial transpose has
+    the input's trace and distance from (trace/d)·I, so when ``State.floor``
+    is >= 0 all cuts pass without a factorization, at any trace.
     """
     state = measure(rho, dims)
-    if not is_psd(state.h, floor=state.floor):
+    if not state.psd:
         raise ValueError("input is not PSD")
     if state.floor >= 0:
         return True

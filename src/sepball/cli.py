@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -54,6 +55,15 @@ def _load(path):
         return load_matrix(path)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read matrix file: {exc}") from exc
+
+
+def number(text: str) -> int | float:
+    """A number argument: an integer literal in float range as an int, any other as a float."""
+    value = float(text)
+    try:
+        return int(text) if math.isfinite(value) else value
+    except ValueError:
+        return value
 
 
 def _resolve_seed(args) -> int:
@@ -122,11 +132,11 @@ def cmd_certify(args) -> int:
     if cert.boundary:
         lines.append("note: within the boundary band of the bound")
     if args.ppt:
-        # the certificate accepted the state (a one-party file stops at its
-        # radius): only non-PSD input is left
-        try:
+        # the certificate accepted the state's dims (a one-party file stops at
+        # its radius), and the state's one PSD decision gates the scan
+        if state.psd:
             ppt = "all cuts positive" if certify.ppt_all_cuts(state, state.dims) else "VIOLATED"
-        except ValueError:
+        else:
             ppt = "skipped (input not PSD)"
         obj["ppt"] = ppt
         lines.append(f"ppt: {ppt}")
@@ -139,10 +149,8 @@ def cmd_schur_norm(args) -> int:
     if args.l_matrix is not None:
         if args.file is not None:
             raise ValueError("give either a file or --l-matrix, not both")
-        eta, n_raw = args.l_matrix
-        if not (n_raw >= 1 and n_raw.is_integer()):
-            raise ValueError("--l-matrix size must be a positive integer")
-        n = int(n_raw)
+        eta, n = args.l_matrix
+        n = check_count(n, "--l-matrix size", 1)
     elif args.file is not None:
         b, _ = _load(args.file)
         n = b.shape[0]
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schur = sub.add_parser("schur-norm",
                              help="2-to-inf norm of a Schur multiplier map")
     p_schur.add_argument("file", nargs="?", default=None)
-    p_schur.add_argument("--l-matrix", nargs=2, type=float, default=None,
+    p_schur.add_argument("--l-matrix", nargs=2, type=number, default=None,
                          metavar=("ETA", "N"),
                          help="use the eta-offdiagonal matrix of size N")
     p_schur.add_argument("--oracle-only", action="store_true",

@@ -6,9 +6,20 @@ the rest of matrix space.  With the critical scale
 ``mu = (1/a) sqrt(1 - a^2/d2)`` it is exactly positive on the radius-a ball
 cone.  Its 2-to-inf norm is the traceless-input bound lambda, attained on
 (X + iZ)/sqrt2, and no input, ``worst_case_input`` included, reaches the
-all-matrices bound ``sqrt(2/a^2 - 1/d2)`` (the argument, for d1 = 2, is in
-ROADMAP.md, item 2).  At (a, d2) = (0.3, 4) the designed input reaches
-4.634733579, lambda is 4.660710485 and the bound is 4.687453703.
+all-matrices bound lambda' = ``sqrt(2/a^2 - 1/d2)``.  At (a, d2) = (0.3, 4)
+the designed input reaches 4.634733579, lambda is 4.660710485 and lambda'
+is 4.687453703.
+
+Why, for d1 = 2: tau(X) = sum_k <u_k, X> v_k with u = (I/sqrt(d2), Z, X)
+the patterns and v = (I/sqrt(d2), mu sigma_z, mu sigma_x).  Its norm is the
+largest ||tau†(x z†)||_2 over unit x, z, and ||tau†(x z†)||_2² = z† M z with
+M = sum_k (v_k x)(v_k x)† = (1/(2 d2))(I + r·sigma) + mu²(I - r_y sigma_y),
+r the Bloch vector of x.  So lambda_max(M) = c + ||b|| with
+c = 1/(2 d2) + mu² and ||b||² = (1 - r_y²)/(4 d2²) + r_y² (mu² - 1/(2 d2))²,
+linear in r_y² and, since mu² >= 1/d2, largest at r_y = ±1, where it is
+2 mu² = lambda².  Meanwhile tr M = 1/d2 + 2 mu² = lambda'² for every unit x,
+so reaching lambda' needs lambda_min(M) = 0; at the maximizer
+lambda_min(M) = 1/d2.
 
 ``ball_positivity_check`` decides its inputs in stacks, not one at a time:
 the directed probes one binding direction (``2 * PROBE_STEPS`` inputs) at a
@@ -140,7 +151,7 @@ def worst_case_input(a: float, d2: int) -> np.ndarray:
     ``lambda = (1/a) sqrt(2 (1 - a^2/d2))`` (``ballbounds.lambda_bound``).
     It was designed to attain the all-matrices bound ``sqrt(2/a^2 - 1/d2)``,
     but tau's ratio on it stays below lambda, since its identity part does
-    not line up with its (X + iZ) part; ROADMAP.md, item 2, shows that no
+    not line up with its (X + iZ) part; the module docstring shows that no
     input reaches that bound.
     """
     if not 0 < a <= 1:

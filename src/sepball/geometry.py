@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_dims, check_materializable, kron_all
+from .matcore import check_count, check_dims, check_materializable, kron_all
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def complete_local_basis(v: np.ndarray) -> np.ndarray:
 
 def sep_symmetry_coefficient(d: int) -> float:
     """Coefficient of symmetry of the separable hull: 1/(d-1)."""
-    (d,) = check_dims((d,))
+    d = check_count(d, "d", 2)
     return 1.0 / (d - 1)
 
 
@@ -112,7 +112,7 @@ def john_ball_figures(d: int) -> dict[str, float]:
     inner_ball_bound = shrink * covering_ball = d^(-3/2), an upper bound on
     what the John route can give (the true covering ellipsoid is not a ball).
     """
-    (d,) = check_dims((d,))
+    d = check_count(d, "d", 2)
     shrink = math.sqrt(1.0 / (d - 1)) / d
     covering = math.sqrt((d - 1) / d)
     return {
@@ -131,7 +131,7 @@ def unitary_basis(n: int) -> np.ndarray:
     elsewhere.  Satisfies the depolarizing identity
     ``(1/n) sum_i U_i X U_i† = (tr X) I``.
     """
-    (n,) = check_dims((n,))
+    n = check_count(n, "n", 2)
     check_materializable(n, n, n, n)
     k, i, l = np.ogrid[:n, :n, :n]
     basis = np.zeros((n, n, n, n), dtype=complex)
@@ -154,7 +154,7 @@ def mes_symmetry_witness(n: int) -> ConvexWitness:
     basis, each maximally entangled itself.  Their vectors
     ``(I ⊗ U_i) vec(I)/sqrt(n)`` are vec(U_i^T)/sqrt(n).
     """
-    (n,) = check_dims((n,))
+    n = check_count(n, "n", 2)
     d = n * n
     check_materializable(d, d)
     vectors = unitary_basis(n)[1:].transpose(0, 2, 1).reshape(d - 1, d) / math.sqrt(n)

@@ -5,17 +5,20 @@ Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Validation happens once, at the public boundary: ``as_matrix`` and
 ``hermitian`` are the only validators, and each function exported by the
 package runs them once per outside argument.  ``measure`` validates a state
-to certify and records its trace, distance from I/d and floor on lambda_min
-in a ``State``, which the certificates and the PPT scan take in place of the
-matrix without validating again; the CLI's ``certify`` hands them one.
-Every other function here is a kernel that takes trusted ndarrays and never
-re-validates.
+to certify and records its trace, distance from I/d, floor on lambda_min
+and normalization in a ``State``, which decides its PSD once, the first
+time ``State.psd`` is read; the certificates and the PPT scan take it in
+place of the matrix and read those decisions without making them again, and
+the CLI's ``certify`` hands them one.  Every other function here is a
+kernel that takes trusted ndarrays and never re-validates.
 
 Counts have one rule, ``check_count``: a Python or numpy integer, never a
-bool or a float.  Memory has one rule, ``check_materializable(*shape)``:
-every function that builds an array sized from its arguments, and every
-reader of outside input, asks it with the shape it is about to build, and it
-refuses any array of more than ``MATERIALIZATION_CAP``² entries.
+bool or a float.  It is the package's only integer rule; ``check_dims``
+applies it to each local dimension.  Memory has one rule,
+``check_materializable(*shape)``: every function that builds an array sized
+from its arguments, and every reader of outside input, asks it with the
+shape it is about to build, and it refuses any array of more than
+``MATERIALIZATION_CAP``² entries.
 
 ``is_psd`` decides the rule lambda_min(H) >= -tol·max(1, ||H||_inf) with the
 cheapest check that settles it, and says which one did: a lower bound on
@@ -142,17 +145,11 @@ def hermitian(a) -> np.ndarray:
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    """Validate a profile of local dimensions: integers (numpy ones too), each >= 2."""
-    dims = tuple(dims)
-    # an infinite entry maps to 0, where int() would raise OverflowError
-    out = tuple(0 if d in (math.inf, -math.inf) else int(d) for d in dims)
-    if out != dims:
-        raise ValueError(f"local dimensions must be integers, got {dims}")
-    if not out:
+    """Validate a nonempty profile of local dimensions, each a ``check_count`` >= 2."""
+    dims = tuple(check_count(d, "local dimension", 2) for d in dims)
+    if not dims:
         raise ValueError("empty dimension profile")
-    if any(d < 2 for d in out):
-        raise ValueError(f"all local dimensions must be >= 2, got {out}")
-    return out
+    return dims
 
 
 def check_matrix_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -298,13 +295,15 @@ def is_psd(h: np.ndarray, tol: float = PSD_TOL, floor: float = -math.inf) -> Psd
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """A validated certify input and the numbers every test of it reads.
+    """A validated certify input and the decisions every test of it reads.
 
     ``h`` is the symmetrized matrix (A + A†)/2, ``dims`` the checked
     profile, ``trace`` is tr H and ``distance`` is ||H - I/d||_2.  ``floor``
     is ``psd_floor`` of H's distance from (trace/d)·I, a lower bound on
-    lambda_min(H) and on every cut's.  States compare by identity: ``h`` is
-    an array.
+    lambda_min(H) and on every cut's.  ``normalized`` is the one test
+    |trace - 1| <= ``TRACE_TOL``, and ``psd`` the one ``is_psd`` of H with
+    that floor, run the first time it is read and kept.  States compare by
+    identity: ``h`` is an array.
     """
 
     h: np.ndarray
@@ -312,6 +311,11 @@ class State:
     trace: float
     distance: float
     floor: float
+    normalized: bool
+
+    @functools.cached_property
+    def psd(self) -> PsdCheck:
+        return is_psd(self.h, floor=self.floor)
 
 
 def distance_from_scalar(h: np.ndarray, c: float) -> float:
@@ -331,18 +335,21 @@ def distance_from_scalar(h: np.ndarray, c: float) -> float:
 def measure(a, dims: Sequence[int]) -> State:
     """Validate a certify input and measure it, once.
 
-    A matrix goes through ``hermitian`` and ``check_matrix_dims``; a
-    ``State`` is returned as it is, once its dims are checked to be ``dims``.
+    A matrix goes through ``hermitian`` and ``check_matrix_dims``, and its
+    trace, distance, floor and normalization are recorded; a ``State`` is
+    returned as it is, once its dims are checked to be ``dims``, so its
+    ``psd`` is decided at most once however many tests read it.
     """
     if not isinstance(a, State):
         h = hermitian(a)
         checked, d = check_matrix_dims(h, dims)
         trace = float(np.trace(h).real)
         distance = distance_from_scalar(h, 1 / d)
+        normalized = abs(trace - 1) <= TRACE_TOL
         # ||H - I/d||_2² = ||H - (t/d)·I||_2² + (t - 1)²/d: the sharper
         # distance is worth a second pass only when t is far from 1
-        spread = distance if abs(trace - 1) <= TRACE_TOL else distance_from_scalar(h, trace / d)
-        a = State(h, checked, trace, distance, psd_floor(trace, spread, d))
+        spread = distance if normalized else distance_from_scalar(h, trace / d)
+        a = State(h, checked, trace, distance, psd_floor(trace, spread, d), normalized)
     if a.dims != check_dims(dims):
         raise ValueError(f"state has dims {a.dims}, not {tuple(dims)}")
     return a

@@ -71,6 +71,40 @@ def test_certificates_and_ppt_read_a_state_without_validating(count_calls):
             fn(states[0], (4, 2))
 
 
+def test_a_state_is_decided_psd_once(monkeypatch):
+    # PSD but outside the PSD ball around I/d: a Cholesky decides, once for
+    # the certificate and the PPT scan together
+    rho = random_density_matrix(rng_from_seed(41), 8)
+    want = (certify.certify_normalized(rho, (2, 4)), certify.ppt_all_cuts(rho, (2, 4)))
+    state = matcore.measure(rho, (2, 4))
+    assert state.floor < 0 and state.normalized
+    is_psd, on_input = matcore.is_psd, []
+
+    def recording(h, *args, **kwargs):
+        on_input.append(h is state.h)
+        return is_psd(h, *args, **kwargs)
+
+    for module in (matcore, certify):
+        monkeypatch.setattr(module, "is_psd", recording)
+    got = (certify.certify_normalized(state, (2, 4)), certify.ppt_all_cuts(state, (2, 4)))
+    assert got == want
+    assert got[0].psd_check == "cholesky"
+    assert on_input.count(True) == 1
+
+
+def test_mu_measures_one_party():
+    # the same doubles as before State decided normalization and PSD
+    pi = np.zeros((4, 4))
+    pi[0, 0] = 1.0
+    rng = rng_from_seed(43)
+    inputs = [np.eye(8) / 8, pi, random_density_matrix(rng, 6), random_density_matrix(rng, 2)]
+    assert [certify.mu(x).hex() for x in inputs] == [
+        "0x0.0p+0", "0x1.bb67ae8584caap+0", "0x1.babc557bc466fp+0", "0x1.cfe4f74d18a67p-1"]
+    # one party of dimension 1 is not a state the ball test knows
+    with pytest.raises(ValueError, match="^local dimension must be an integer >= 2, got 1$"):
+        certify.mu(np.ones((1, 1)))
+
+
 @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "unnormalized"])
 def test_certify_peak_memory(normalized):
     # a 10-qubit state inside the PSD ball, 16 MB as a matrix, and d times
@@ -174,8 +208,16 @@ def test_certify_pseudopure_verdicts():
         certify.certify_pseudopure(1.5, dims)
 
 
-@pytest.mark.parametrize("dims", [[np.int64(2), 2.0], [2.0, 2.0], (2, 2)])
+#: Profiles holding an integral float, refused like any other non-integer count.
+FLOAT_DIMS = [[np.int64(2), 2.0], [2.0, 2.0]]
+
+
+@pytest.mark.parametrize("dims", [*FLOAT_DIMS, (2, 2), [np.int64(2), 2]])
 def test_certify_pseudopure_records_checked_dims(dims):
+    if any(dims is refused for refused in FLOAT_DIMS):
+        with pytest.raises(ValueError, match=r"^local dimension must be an integer >= 2, got 2\.0$"):
+            certify.certify_pseudopure(0.01, dims)
+        return
     cert = certify.certify_pseudopure(0.01, dims)
     assert cert.dims == (2, 2) and all(type(d) is int for d in cert.dims)
     assert '"dims": [2, 2]' in cert.to_json()

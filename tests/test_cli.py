@@ -158,15 +158,30 @@ def test_certify_malformed_json(capsys, tmp_path):
         assert "cannot read matrix file" in err, text
 
 
+def test_certify_refuses_integral_float_dims(capsys, tmp_path):
+    # dims are counts: a file that is valid but for its dims [2.0, 2.0] is
+    # refused, in the compact layout and in an indented one
+    path = tmp_path / "rho.json"
+    save_matrix(path, np.eye(4) / 4, (2, 2))
+    obj = json.loads(path.read_text())
+    obj["dims"] = [2.0, 2.0]
+    for text in (json.dumps(obj), json.dumps(obj, indent=1, sort_keys=True)):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "certify", str(path))
+        assert code == 2, text
+        assert err == ("error: cannot read matrix file: "
+                       "local dimension must be an integer >= 2, got 2.0\n"), text
+
+
 @pytest.mark.parametrize(
     "psd, code, ppt, psd_check, eigensolves, factorizations",
     [
         # inside the PSD ball around I/d: the state and all 7 cuts of 4 qubits
         # are PSD by their distance from I/d alone
         (True, 0, "ppt: all cuts positive", "ball", 0, 0),
-        # the certificate and the PPT input check: a factorization that
-        # fails, then an eigensolve, each
-        (False, 4, "ppt: skipped (input not PSD)", "eig", 2, 2),
+        # the input is decided once, for the certificate and the PPT scan: a
+        # factorization that fails, then an eigensolve
+        (False, 4, "ppt: skipped (input not PSD)", "eig", 1, 1),
     ],
     ids=["psd", "not_psd"],
 )
@@ -305,10 +320,24 @@ def test_schur_norm_bad_input_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", "3", "--restarts", "0")
     assert code == 2
     assert "restart" in err
-    for size in ("3.5", "0", "nan", "inf"):
+    for size, read in (("3.5", "3.5"), ("0", "0"), ("nan", "nan"), ("inf", "inf"),
+                       ("2.0", "2.0"), ("1e1", "10.0")):
         code, _, err = run_cli(capsys, "schur-norm", "--l-matrix", "2", size)
         assert code == 2, size
-        assert err == "error: --l-matrix size must be a positive integer\n", size
+        assert err == f"error: --l-matrix size must be a positive integer, got {read}\n", size
+
+
+def test_l_matrix_values_are_numbers(capsys):
+    # an integer literal stays an int, so a size is a count; argparse names
+    # the kind of a value that is not a number
+    assert [type(cli.number(text)) for text in ("3", "-2", "3.0", "1e1", "nan")] == [
+        int, int, float, float, float]
+    # an integer literal beyond float range reads as inf, as float() reads it
+    assert cli.number("1" + "0" * 400) == math.inf
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["schur-norm", "--l-matrix", "x", "3"])
+    assert exc.value.code == 2
+    assert "argument --l-matrix: invalid number value: 'x'" in capsys.readouterr().err
 
 
 def test_schur_norm_l_matrix_over_cap_is_refused_before_building(capsys):

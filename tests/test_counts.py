@@ -4,13 +4,14 @@ bools, integral floats, None and values below the least count."""
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, extremal, matcore, nmr, schurnorm
+from sepball import ballbounds, cli, extremal, geometry, matcore, nmr, schurnorm
 
 TAU = extremal.build_tau(0.8, 4)
 B = np.add.outer(np.arange(4.0), np.cos(np.arange(4.0)))
@@ -26,6 +27,15 @@ def _bound(qubits):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.cmd_bound(argparse.Namespace(qubits=qubits, dims=[], format="json"))
+    return code, out.getvalue()
+
+
+def _l_matrix_size(n):
+    out = io.StringIO()
+    args = argparse.Namespace(l_matrix=(2, n), file=None, oracle_only=False, restarts=4,
+                              seed=1, format="json")
+    with contextlib.redirect_stdout(out):
+        code = cli.cmd_schur_norm(args)
     return code, out.getvalue()
 
 
@@ -47,6 +57,13 @@ SITES = [
      lambda v: extremal.ball_positivity_check(TAU, 0.8, samples=v, seed=1)),
     ("NmrParams.m", 1, 5, _nmr),
     ("cli.qubits", 1, 5, _bound),
+    ("check_dims", 2, 5, lambda v: ballbounds.radius_report((2, v))),
+    ("sep_symmetry_coefficient", 2, 5, geometry.sep_symmetry_coefficient),
+    ("john_ball_figures", 2, 5, geometry.john_ball_figures),
+    ("unitary_basis", 2, 5, geometry.unitary_basis),
+    ("mes_symmetry_witness", 2, 5,
+     lambda v: dataclasses.astuple(geometry.mes_symmetry_witness(v))),
+    ("cli.l_matrix_size", 1, 5, _l_matrix_size),
 ]
 
 

@@ -3,9 +3,10 @@ private name is read in its own module, only matcore reads the
 materialization cap or ``numbers.Integral`` and only ``matcore.fork_map``
 forks, only ``schurnorm._face_points`` scatters or solves a face or reaches
 numpy's LU gufunc and ``slogdet``, and one ``schurnorm`` function holds its
-tolerance, every third-party module the package imports is a declared
-dependency, and the constants and ``verify`` checks the README quotes are
-the code's."""
+tolerance, only matcore reads ``TRACE_TOL`` or gives ``is_psd`` a floor and
+no module calls ``.is_integer()``, every third-party module the package
+imports is a declared dependency, and the constants and ``verify`` checks
+the README quotes are the code's."""
 
 import ast
 import importlib
@@ -392,6 +393,62 @@ def test_scanner_finds_lu_names():
         "<module>": ["numpy.linalg._umath_linalg", "slogdet as sd"],
         "kernel": ["np.linalg.slogdet", "np.linalg._umath_linalg"],
     }
+
+
+def input_decisions(source: str) -> list[str]:
+    """Every read of ``TRACE_TOL``, every ``is_psd`` call given a floor and
+    every ``is_integer`` call in ``source``.
+
+    An import of ``TRACE_TOL``, an attribute or a bare name of it counts; an
+    ``is_psd`` call counts with a ``floor=`` keyword or a third positional
+    argument; ``is_integer`` counts as an attribute of anything or bare.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"from {'.' * node.level}{node.module} import TRACE_TOL"
+                      for alias in node.names if alias.name == "TRACE_TOL"]
+        elif isinstance(node, ast.Attribute) and node.attr == "TRACE_TOL":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == "TRACE_TOL" and isinstance(node.ctx, ast.Load):
+            found.append("TRACE_TOL")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            floored = len(node.args) > 2 or any(k.arg == "floor" for k in node.keywords)
+            if name == "is_integer" or (name == "is_psd" and floored):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_scanner_finds_input_decisions():
+    source = (
+        "from .matcore import TRACE_TOL as tol, is_psd\n"
+        "from . import matcore\n"
+        "TRACE_TOL = 1e-10\n"
+        "def f(state, n):\n"
+        "    if abs(state.trace - 1) > matcore.TRACE_TOL or TRACE_TOL < 0:\n"
+        "        return is_psd(state.h), matcore.is_psd(state.h, floor=state.floor)\n"
+        "    return is_psd(state.h, 1e-10, state.floor), n.is_integer(), is_integer(n)\n"
+    )
+    assert sorted(input_decisions(source)) == [
+        "TRACE_TOL",
+        "from .matcore import TRACE_TOL",
+        "is_integer(n)",
+        "is_psd(state.h, 1e-10, state.floor)",
+        "matcore.TRACE_TOL",
+        "matcore.is_psd(state.h, floor=state.floor)",
+        "n.is_integer()",
+    ]
+
+
+def test_input_decisions_have_one_home():
+    # a certify input's normalization and PSD are decided once, on
+    # matcore.State, and integers by matcore.check_count alone
+    found = {path.name: calls for path in sorted(SRC.glob("*.py"))
+             if (calls := input_decisions(path.read_text()))}
+    assert set(found) <= {"matcore.py"}
+    assert not [call for call in found.get("matcore.py", []) if "is_integer" in call]
 
 
 def test_all_matches_the_public_imports():

@@ -53,9 +53,11 @@ def test_check_dims():
         matcore.check_dims([2, 1])
     with pytest.raises(ValueError):
         matcore.check_dims([])
-    # entries must equal their int; numpy integers and integral floats pass
-    assert matcore.check_dims([np.int64(2), 3.0]) == (2, 3)
-    for dims in ([2.5, 2.9], [2, 2.2], ["2", 2], [2, float("inf")], [float("nan")]):
+    # each entry is a count (matcore.check_count): numpy integers pass, while
+    # integral floats and bools are refused
+    assert matcore.check_dims([np.int64(2), 3]) == (2, 3)
+    for dims in ([2.5, 2.9], [2, 2.2], ["2", 2], [2, float("inf")], [float("nan")],
+                 [2, 3.0], [np.float64(2.0), 2], [2, True]):
         with pytest.raises(ValueError):
             matcore.check_dims(dims)
 
