@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .matcore import check_count, check_dims
+from .matcore import check_count, check_dims, check_radius
 
 def recursion_radius(dims: Sequence[int]) -> float:
     """Separable-ball radius (Frobenius, unnormalized) via the recursion.
@@ -139,6 +139,7 @@ def normalized_radius(a: float, d: int) -> float:
     """
     if not 0 < a:
         raise ValueError("radius must be positive")
+    d = check_count(d, "d", 2)
     return math.exp(log_normalized_radius(math.log(a), math.log(d)))
 
 
@@ -183,8 +184,7 @@ def gamma_bound(d1: int, d2: int, a: float) -> float:
 
     ``(1/a) sqrt((2 (1 - a^2/d2) (d1 - 1) + 1) / d1)``, valid for a > 1/d2.
     """
-    if not 0 < a <= 1:
-        raise ValueError("need 0 < a <= 1")
+    d1, d2, a = check_count(d1, "d1", 2), check_count(d2, "d2", 2), check_radius(a)
     if a <= 1.0 / d2:
         raise ValueError(f"premise violated: need a > 1/d2 = {1.0 / d2}")
     return math.sqrt((2.0 * (1.0 - a * a / d2) * (d1 - 1) + 1.0) / d1) / a
@@ -192,15 +192,13 @@ def gamma_bound(d1: int, d2: int, a: float) -> float:
 
 def lambda_bound(a: float, d2: int) -> float:
     """2-to-inf norm bound on traceless inputs: ``(1/a) sqrt(2 (1 - a^2/d2))``."""
-    if not 0 < a <= math.sqrt(d2):
-        raise ValueError("need 0 < a <= sqrt(d2)")
+    a, d2 = check_radius(a), check_count(d2, "d2", 2)
     return math.sqrt(2.0 * (1.0 - a * a / d2)) / a
 
 
 def lambdaprime_bound(a: float, d2: int) -> float:
     """2-to-inf norm bound on all inputs: ``sqrt(2/a^2 - 1/d2)``."""
-    if a <= 0:
-        raise ValueError("need a > 0")
+    a, d2 = check_radius(a), check_count(d2, "d2", 2)
     return math.sqrt(2.0 / (a * a) - 1.0 / d2)
 
 

@@ -47,6 +47,7 @@ from .matcore import (
     block_norm_matrix,
     check_count,
     check_materializable,
+    check_radius,
     frobenius_norm,
     hermitian,
     is_psd,
@@ -71,19 +72,17 @@ CHAIN_TOL = 1e-9
 
 def critical_mu(a: float, d2: int) -> float:
     """Largest scale keeping tau positive on the radius-a ball cone."""
-    if not 0 < a <= 1:
-        raise ValueError("need 0 < a <= 1")
+    a, d2 = check_radius(a), check_count(d2, "d2", 2)
     return math.sqrt(1.0 - a * a / d2) / a
 
 
-def _pattern(d: int, smallest: int, message: str, entries: dict) -> np.ndarray:
+def _pattern(d: int, name: str, least: int, entries: dict) -> np.ndarray:
     """The d×d complex matrix holding ``entries`` ({(i, j): value}), zero elsewhere.
 
-    Raises ``ValueError(message)`` when d < ``smallest``; the size is asked
-    of ``check_materializable`` before the array is built.
+    d is the count ``name``, at least ``least``; the size is asked of
+    ``check_materializable`` before the array is built.
     """
-    if d < smallest:
-        raise ValueError(message)
+    d = check_count(d, name, least)
     check_materializable(d, d)
     out = np.zeros((d, d), dtype=complex)
     for (i, j), value in entries.items():
@@ -93,24 +92,22 @@ def _pattern(d: int, smallest: int, message: str, entries: dict) -> np.ndarray:
 
 def z_pattern(d2: int) -> np.ndarray:
     """Unit-Frobenius diagonal input pattern: diag(1/sqrt2, -1/sqrt2, 0, ...)."""
-    return _pattern(d2, 2, "the input pattern needs d2 >= 2",
-                    {(0, 0): 1.0 / math.sqrt(2.0), (1, 1): -1.0 / math.sqrt(2.0)})
+    return _pattern(d2, "d2", 2, {(0, 0): 1.0 / math.sqrt(2.0), (1, 1): -1.0 / math.sqrt(2.0)})
 
 
 def x_pattern(d2: int) -> np.ndarray:
     """Unit-Frobenius diagonal input pattern on slots 3 and 4."""
-    return _pattern(d2, 4, "the input pattern needs d2 >= 4",
-                    {(2, 2): -1.0 / math.sqrt(2.0), (3, 3): 1.0 / math.sqrt(2.0)})
+    return _pattern(d2, "d2", 4, {(2, 2): -1.0 / math.sqrt(2.0), (3, 3): 1.0 / math.sqrt(2.0)})
 
 
 def padded_sigma_z(d1: int) -> np.ndarray:
     """Pauli Z in the top-left 2×2 corner of a d1×d1 zero matrix."""
-    return _pattern(d1, 2, "the padded Pauli matrix needs d1 >= 2", {(0, 0): 1.0, (1, 1): -1.0})
+    return _pattern(d1, "d1", 2, {(0, 0): 1.0, (1, 1): -1.0})
 
 
 def padded_sigma_x(d1: int) -> np.ndarray:
     """Pauli X in the top-left 2×2 corner of a d1×d1 zero matrix."""
-    return _pattern(d1, 2, "the padded Pauli matrix needs d1 >= 2", {(0, 1): 1.0, (1, 0): 1.0})
+    return _pattern(d1, "d1", 2, {(0, 1): 1.0, (1, 0): 1.0})
 
 
 def build_tau(a: float, d2: int, d1: int = 2, mu_scale: float = 1.0) -> MapOnMatrices:
@@ -154,8 +151,7 @@ def worst_case_input(a: float, d2: int) -> np.ndarray:
     not line up with its (X + iZ) part; the module docstring shows that no
     input reaches that bound.
     """
-    if not 0 < a <= 1:
-        raise ValueError("need 0 < a <= 1")
+    d2 = check_count(d2, "d2", 4)
     check_materializable(d2, d2)
     lam = ballbounds.lambda_bound(a, d2)
     alpha = math.sqrt(1.0 / (1.0 + lam * lam * d2))
@@ -213,9 +209,7 @@ def ball_positivity_check(
     ``critical_mu``, ``samples`` must be a nonnegative integer, and phi must
     be a stochastic map on M(d2) with d2 >= 2.
     """
-    samples = check_count(samples, "samples", 0)
-    if not 0 < a <= 1:
-        raise ValueError("need 0 < a <= 1")
+    samples, a = check_count(samples, "samples", 0), check_radius(a)
     d2 = phi.in_dim
     # the probe stacks; each draw stack is refused by random_unit_hermitians
     check_materializable(2 * PROBE_STEPS, d2, d2)

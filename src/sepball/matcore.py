@@ -14,7 +14,9 @@ kernel that takes trusted ndarrays and never re-validates.
 
 Counts have one rule, ``check_count``: a Python or numpy integer, never a
 bool or a float.  It is the package's only integer rule; ``check_dims``
-applies it to each local dimension.  Memory has one rule,
+applies it to each local dimension, and every dimension argument goes
+through it.  The ball radius a has one rule, ``check_radius``: a real
+number in (0, 1], never a bool.  Memory has one rule,
 ``check_materializable(*shape)``: every function that builds an array sized
 from its arguments, and every reader of outside input, asks it with the
 shape it is about to build, and it refuses any array of more than
@@ -42,8 +44,9 @@ whitespace between tokens, as are ``save_matrix``'s files and the
 bytes, and ``fork_map`` has ``_parse_range`` check each block by one rule
 and parse it with ``orjson`` straight into the matrix, so a read holds the
 file's bytes, the matrix and one block in each process that parses.  The
-file is taken once every range has reported; one refused range sends it on
-only after the others are done.  orjson takes only strict JSON and rounds
+file is taken once every range has reported; a range whose process died
+is parsed in this process, and one refused range sends the file on only
+after the others are done.  orjson takes only strict JSON and rounds
 every decimal correctly.  A file the rule or orjson refuses, such as one
 holding a number that overflows to infinity, goes to ``_read_json``, one
 stdlib ``json.loads``, which reads every other valid layout and alone
@@ -53,16 +56,17 @@ rejected as malformed.  Nothing here is there to tune.
 
 Processes have one home, ``fork_map``: the package's only fork, pipe and
 kill-and-reap code, which runs numbered jobs in this process and forked
-children that share one queue of indices.  ``workers`` is its one platform
-rule: one process per CPU this process may run on, at most one per job, on
-Linux where ``os.fork`` exists, and one process everywhere else.  The
-matrix reader and ``verify.run_suite`` both run on it, so off Linux a file
-is parsed serially.  The pool shares the CPUs between its processes and
-their BLAS threads: while it runs in W > 1 processes, each loaded OpenBLAS
-(found through ``ctypes``) runs at most cpus() // W threads, at least one,
-and its own count is restored when the pool returns or raises.  The share
-never raises a count, so ``OPENBLAS_NUM_THREADS`` stays an upper bound, and
-there is no setting.
+children that share one queue of indices, then runs here each job whose
+child raised or died.  ``workers`` is its one platform rule: one process
+per CPU this process may run on, at most one per job, on Linux where
+``os.fork`` exists, and one process everywhere else.  The matrix reader
+and ``verify.run_suite`` both run on it, so off Linux a file is parsed
+serially.  The pool shares the CPUs between its processes and their BLAS
+threads: while it runs in W > 1 processes, each loaded OpenBLAS (found
+through ``ctypes``) runs at most cpus() // W threads, at least one, and its
+own count is restored when the pool returns or raises.  The share never
+raises a count, so ``OPENBLAS_NUM_THREADS`` stays an upper bound, and there
+is no setting.
 """
 
 from __future__ import annotations
@@ -172,6 +176,17 @@ def check_count(value, name: str, least: int) -> int:
             least, f"an integer >= {least}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+def check_radius(a) -> float:
+    """Validate a ball radius: a real number, not a bool, in (0, 1].
+
+    The package's one rule for the radius a of the ball around I on which
+    the paper's maps are positive.  Returns the radius as float.
+    """
+    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a <= 1:
+        raise ValueError(f"need 0 < a <= 1, got {a!r}")
+    return float(a)
 
 
 def check_materializable(*shape: int) -> None:
@@ -546,12 +561,15 @@ def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
     one pipe, filled up front, until it is empty; a child that cannot be
     forked leaves its share to the others.  Each child pickles
     ``(index, result)`` back through its own pipe as each job ends.  A job
-    that raised in a child, or whose child died, is missing from the
-    answer, and that child takes no further job; an exception in this
-    process is raised only after every child has been killed and reaped.
-    Every child is reaped before this returns.  An index takes four bytes
-    of the pipe, whose buffer (64 KiB on Linux) must hold them all: the
-    callers have one job per check or per CPU.
+    that raised in a child, or whose child died, sends nothing back, and
+    that child takes no further job.  Once every child is reaped and the
+    BLAS counts are restored, this process runs each job left without a
+    result, in index order, so the answer holds every index and such a
+    job's exception is raised as in a serial run.  An exception in this
+    process's own share is raised only after every child has been killed
+    and reaped.  An index takes four bytes of the pipe, whose buffer
+    (64 KiB on Linux) must hold them all: the callers have one job per
+    check or per CPU.
 
     This process reads the children's results only once it has finished
     its own share, so a child whose pickled results fill its pipe (64 KiB
@@ -625,6 +643,9 @@ def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
             os.waitpid(pid, 0)
         for set_threads, count in blas:
             set_threads(count)
+    for index in range(jobs):
+        if index not in done:  # its child raised or died: run it here, as in a serial run
+            done[index] = run(index)
     return done
 
 
@@ -772,10 +793,11 @@ def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarra
     ``fork_map`` parses the ranges, in forked children too, into a shared
     anonymous mmap; one range is parsed here into private memory.  A child
     runs only ``_parse_range`` (bytes, numpy and orjson, no BLAS) and reads
-    the file's bytes copy-on-write.  The file is taken when every range
-    reports True.  Since each range is a run of whole blocks and each block
-    is checked by the same rule, where the cuts fall changes neither whether
-    the file is taken nor its doubles.
+    the file's bytes copy-on-write; a range whose child died is parsed
+    here.  The file is taken when every range reports True.  Since each
+    range is a run of whole blocks and each block is checked by the same
+    rule, where the cuts fall changes neither whether the file is taken nor
+    its doubles.
     """
     n = workers((close - start) // PARSE_RANGE_MIN)
     cuts = sorted({start, close, *(data.find(b"]", start + k * (close - start) // n, close) + 1
@@ -791,7 +813,7 @@ def _parse_entries(data: bytes, start: int, close: int, pairs: int) -> np.ndarra
     ranges = [(lo, hi, b"[" if lo == start else b",", values[2 * a:2 * b])
               for lo, hi, a, b in zip(cuts, cuts[1:], offsets, offsets[1:])]
     done = fork_map(len(ranges), lambda i: _parse_range(data, *ranges[i]))
-    return values if all(map(done.get, range(len(ranges)))) else None
+    return values if all(done.values()) else None
 
 
 def _read_flat(data: bytes) -> tuple[np.ndarray, tuple[int, ...]] | None:

@@ -192,9 +192,7 @@ def simplex_qp_max(c) -> SimplexQPResult:
 
     jobs = workers((2**n - 1) // FACE_SHARE_MIN)
     done = fork_map(jobs, lambda share: _feasible_faces(c, share, jobs))
-    # a share whose process failed is solved here
-    parts = [done.get(share) or _feasible_faces(c, share, jobs) for share in range(jobs)]
-    values, keys = (np.concatenate(part) for part in zip(*parts))
+    values, keys = (np.concatenate(part) for part in zip(*done.values()))
     # the keys are distinct, so the sorted order does not depend on the
     # shares' order; -1 pads a proper prefix, so it sorts before each
     # support extending it

@@ -8,7 +8,8 @@ the seed (only the concrete sample draws do).
 The checks do not depend on each other, so ``run_suite`` runs them on
 ``matcore.fork_map``, the package's one process pool: on Linux the calling
 process and one forked child per further CPU each take the next check from
-one shared queue; elsewhere the caller runs them all.  A check that raises
+one shared queue; elsewhere the caller runs them all.  A check whose
+process died is run in the caller by ``fork_map``.  A check that raises
 anything but an ``AssertionError``, or warns, is run again in the caller
 after the others, so its exception or warning reaches the caller as it
 would in a serial run.  Results come back in ``CHECKS`` order whichever
@@ -603,10 +604,11 @@ def run_suite(suite: str = "all", seed: int | None = None) -> list[CheckResult]:
     """Run the named invariant checks; ``fast`` trims sampling budgets.
 
     ``matcore.fork_map`` runs the checks, one job per check, with warnings
-    as errors; a check that raises anything but an ``AssertionError`` gives
-    None there.  A check missing from its answer (its child died) or None
-    is then run again here, in ``CHECKS`` order, so its exception or
-    warning reaches the caller as it would in a serial run.
+    as errors; a check whose child died is run here by ``fork_map``, and a
+    check that raises anything but an ``AssertionError`` gives None.  A
+    check that gave None is then run again here, in ``CHECKS`` order,
+    without warnings turned into errors, so its exception or warning
+    reaches the caller as it would in a serial run.
     """
     if suite not in ("all", "fast"):
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or 'fast'")
@@ -622,4 +624,4 @@ def run_suite(suite: str = "all", seed: int | None = None) -> list[CheckResult]:
 
     # a seed of None reaches rng_from_seed, the one home of the default seed
     done = matcore.fork_map(len(CHECKS), run)
-    return [done.get(index) or _run_check(index, seed, fast) for index in range(len(CHECKS))]
+    return [done[index] or _run_check(index, seed, fast) for index in range(len(CHECKS))]

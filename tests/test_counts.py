@@ -1,10 +1,13 @@
 """Counts: every integer count or size the package takes goes through
 ``matcore.check_count``, which accepts Python and numpy integers and refuses
-bools, integral floats, None and values below the least count."""
+bools, integral floats, None and values below the least count.  Radii: every
+ball radius a goes through ``matcore.check_radius``, which accepts a real
+number in (0, 1] and refuses bools and everything else."""
 
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -64,6 +67,17 @@ SITES = [
     ("mes_symmetry_witness", 2, 5,
      lambda v: dataclasses.astuple(geometry.mes_symmetry_witness(v))),
     ("cli.l_matrix_size", 1, 5, _l_matrix_size),
+    ("z_pattern", 2, 5, extremal.z_pattern),
+    ("x_pattern", 4, 5, extremal.x_pattern),
+    ("padded_sigma_z", 2, 5, extremal.padded_sigma_z),
+    ("padded_sigma_x", 2, 5, extremal.padded_sigma_x),
+    ("critical_mu.d2", 2, 5, lambda v: extremal.critical_mu(0.5, v)),
+    ("lambda_bound.d2", 2, 5, lambda v: ballbounds.lambda_bound(0.5, v)),
+    ("lambdaprime_bound.d2", 2, 5, lambda v: ballbounds.lambdaprime_bound(0.5, v)),
+    ("worst_case_input.d2", 4, 5, lambda v: extremal.worst_case_input(0.5, v)),
+    ("gamma_bound.d1", 2, 5, lambda v: ballbounds.gamma_bound(v, 4, 0.5)),
+    ("gamma_bound.d2", 2, 5, lambda v: ballbounds.gamma_bound(2, v, 0.6)),
+    ("normalized_radius.d", 2, 5, lambda v: ballbounds.normalized_radius(0.5, v)),
 ]
 
 
@@ -98,3 +112,43 @@ def test_check_count_messages():
         with pytest.raises(ValueError) as refused:
             matcore.check_count(value, "n", least)
         assert str(refused.value) == message
+
+
+#: (site, call of the site with the radius a).
+RADIUS_SITES = [
+    ("critical_mu", lambda a: extremal.critical_mu(a, 4)),
+    ("worst_case_input", lambda a: extremal.worst_case_input(a, 4)),
+    ("ball_positivity_check",
+     lambda a: extremal.ball_positivity_check(TAU, a, samples=16, seed=1)),
+    ("gamma_bound", lambda a: ballbounds.gamma_bound(3, 4, a)),
+    ("lambda_bound", lambda a: ballbounds.lambda_bound(a, 4)),
+    ("lambdaprime_bound", lambda a: ballbounds.lambdaprime_bound(a, 4)),
+]
+
+#: Each radius site's value at a = 0.3, 0.6 and 1.0: a double's ``hex()``,
+#: the first 16 hex digits of the SHA-256 of an array's bytes, or a verdict.
+RADIUS_VALUES = {
+    "critical_mu": ["0x1.a5d6e03424c2fp+1", "0x1.970399636e23ap+0", "0x1.bb67ae8584caap-1"],
+    "worst_case_input": ["08bcf4d5ea0b7bbb", "db21cac348e2325f", "bdb3bf7ecf95d000"],
+    "ball_positivity_check": [True, True, False],
+    "gamma_bound": ["0x1.10ec14402282bp+2", "0x1.094fe6c999f06p+1", "0x1.279a74590331cp+0"],
+    "lambda_bound": ["0x1.2a4914a0fb2b0p+2", "0x1.1fcd6a2cc001fp+1", "0x1.3988e1409212ep+0"],
+    "lambdaprime_bound": ["0x1.2bff3dd17c217p+2", "0x1.26d520d9a1e52p+1",
+                          "0x1.52a7fa9d2f8eap+0"],
+}
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return hashlib.sha256(value.tobytes()).hexdigest()[:16]
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("name, call", RADIUS_SITES, ids=[s[0] for s in RADIUS_SITES])
+def test_radii_have_one_rule(name, call):
+    for bad in (0, -0.5, 1 + 1e-12, 1.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+        assert str(refused.value) == f"need 0 < a <= 1, got {bad!r}"
+    want = RADIUS_VALUES[name]
+    assert [_bits(call(a)) for a in (0.3, 0.6, 1.0, np.float64(0.6))] == [*want, want[1]]

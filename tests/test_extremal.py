@@ -331,5 +331,5 @@ def test_block_chain_product_perturbation():
 def test_patterns_refuse_too_small_dimensions(builder, smallest):
     assert builder(smallest).shape == (smallest, smallest)
     for d in (smallest - 1, 0, -1):
-        with pytest.raises(ValueError, match=f"needs d[12] >= {smallest}"):
+        with pytest.raises(ValueError, match=f"d[12] must be an integer >= {smallest}"):
             builder(d)

@@ -4,7 +4,8 @@ materialization cap or ``numbers.Integral`` and only ``matcore.fork_map``
 forks, only ``schurnorm._face_points`` scatters or solves a face or reaches
 numpy's LU gufunc and ``slogdet``, and one ``schurnorm`` function holds its
 tolerance, only matcore reads ``TRACE_TOL`` or gives ``is_psd`` a floor and
-no module calls ``.is_integer()``, every third-party module the package
+no module calls ``.is_integer()``, only matcore compares ``0 < x <= 1``
+(the ball radius rule, ``check_radius``), every third-party module the package
 imports is a declared dependency, and the constants and ``verify`` checks
 the README quotes are the code's."""
 
@@ -449,6 +450,36 @@ def test_input_decisions_have_one_home():
              if (calls := input_decisions(path.read_text()))}
     assert set(found) <= {"matcore.py"}
     assert not [call for call in found.get("matcore.py", []) if "is_integer" in call]
+
+
+def radius_rules(source: str) -> list[str]:
+    """Every comparison in ``source`` that reads ``0 < x <= 1``: left
+    operand the constant 0, operators ``<`` then ``<=``, last comparator the
+    constant 1."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.Lt, ast.LtE]
+            and isinstance(node.left, ast.Constant) and node.left.value == 0
+            and isinstance(node.comparators[-1], ast.Constant)
+            and node.comparators[-1].value == 1]
+
+
+def test_scanner_finds_radius_rules():
+    source = (
+        '"""Needs ``0 < a <= 1``."""\n'
+        "def f(a, eps):\n"
+        "    if not 0 < a <= 1:\n"
+        "        raise ValueError('need 0 < a <= 1')\n"
+        "    return 0.0 < eps <= 1.0, 0 <= eps <= 1, 0 < a < 1, 0 < a <= 2, 1 < a <= 1\n"
+    )
+    assert sorted(radius_rules(source)) == ["0 < a <= 1", "0.0 < eps <= 1.0"]
+
+
+def test_the_radius_rule_has_one_home():
+    # the ball radius a is checked by matcore.check_radius alone
+    found = {path.name: rules for path in sorted(SRC.glob("*.py"))
+             if path.stem != "matcore" and (rules := radius_rules(path.read_text()))}
+    assert found == {}
 
 
 def test_all_matches_the_public_imports():

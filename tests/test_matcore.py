@@ -686,6 +686,31 @@ def test_reader_parses_a_range_here_when_fork_fails(tmp_path, monkeypatch, cut_i
     assert len(calls) == 2 and len(forks) == 1
 
 
+def test_reader_parses_a_range_here_when_its_child_dies(tmp_path, monkeypatch, cut_into, forks):
+    # both children die in their range: this process parses those ranges
+    # too, and the file never goes to the full JSON reader
+    cut_into(3)
+    parent = os.getpid()
+    parse_range = matcore._parse_range
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        time.sleep(0.2)  # time for each child to take a range
+        return parse_range(*args)
+
+    def unexpected(text):
+        raise AssertionError("a lost range sent the file to the full JSON reader")
+
+    monkeypatch.setattr(matcore, "_parse_range", dies_in_a_child)
+    monkeypatch.setattr(matcore, "_read_json", unexpected)
+    name = "legacy_2_2_2_2_2_2"
+    path = tmp_path / "m.json"
+    path.write_bytes(READER_CORPUS[name])
+    _assert_same_read(_read(matcore.load_matrix, path), _reference_read(name))
+    assert len(forks) == 2
+
+
 def test_openblas_lookup_finds_the_loaded_count(blas_threads):
     get, set_threads = blas_threads
     set_threads(3)
@@ -750,6 +775,22 @@ def test_fork_map_runs_where_no_openblas_is_found(monkeypatch, forks):
     monkeypatch.setattr(matcore, "cpus", lambda: 2)
     assert matcore.fork_map(3, lambda i: i * i) == {0: 0, 1: 1, 2: 4}
     assert len(forks) == 1
+
+
+def test_fork_map_runs_a_job_here_when_its_child_dies(monkeypatch, forks):
+    # every child dies in the first job it takes; this process runs that
+    # job after the reap, so the answer holds every index
+    monkeypatch.setattr(matcore, "cpus", lambda: 3)
+    parent = os.getpid()
+
+    def job(index):
+        if os.getpid() != parent:
+            os._exit(1)
+        time.sleep(0.2)  # time for each child to take a job
+        return index * index
+
+    assert matcore.fork_map(3, job) == {i: i * i for i in range(3)}
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("entry", ["[true, false]", "[1, true]", "[false, 0]",

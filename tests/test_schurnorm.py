@@ -179,7 +179,7 @@ def test_simplex_qp_same_answer_on_any_cpu_count(monkeypatch):
 
 
 def test_simplex_qp_solves_a_lost_share_itself(monkeypatch):
-    # a share whose child dies is missing from fork_map's answer
+    # a share whose child dies is run by fork_map in the caller
     c = np.abs(random_hermitian(rng_from_seed(5), 9)) ** 2
     want = _bits(schurnorm.simplex_qp_max(c))
     caller = os.getpid()
