@@ -137,9 +137,7 @@ def normalized_radius(a: float, d: int) -> float:
 
     ``a / sqrt(d (d - a^2))`` (the exact form, not the loosened ``a/d``).
     """
-    if not 0 < a:
-        raise ValueError("radius must be positive")
-    d = check_count(d, "d", 2)
+    a, d = check_radius(a), check_count(d, "d", 2)
     return math.exp(log_normalized_radius(math.log(a), math.log(d)))
 
 

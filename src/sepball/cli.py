@@ -3,8 +3,8 @@
 Each command builds its result once, as a JSON object and as human lines,
 and ``_emit`` prints the one ``--format`` asks for.  ``main`` is the only
 place that turns bad input into an exit code: a ``ValueError`` from a command
-or the library (bad dims, an unreadable matrix file, eta outside the
-threshold scan, a ``SEPBALL_SEED`` that is not an integer, a negative seed)
+or the library (bad dims, an unreadable matrix file, an eta outside
+(0, 0.1), a ``SEPBALL_SEED`` that is not an integer, a negative seed)
 prints ``error: <message>`` to stderr and exits 2.
 
 Exit codes: 0 success/separable, 1 verification failure, 2 usage or parse
@@ -158,11 +158,8 @@ def cmd_schur_norm(args) -> int:
         raise ValueError("need a matrix file or --l-matrix ETA N")
 
     # refused before an --l-matrix matrix is built
-    if not args.oracle_only and n > schurnorm.EXACT_SOLVER_CAP:
-        raise ValueError(
-            f"n = {n} exceeds the exact-solver cap "
-            f"{schurnorm.EXACT_SOLVER_CAP}; rerun with --oracle-only"
-        )
+    if not args.oracle_only:
+        schurnorm.check_exact_size(n)
     if args.l_matrix is not None:
         b = schurnorm.l_matrix(eta, n)
     oracle = schurnorm.oracle_two_inf_norm(b, restarts=args.restarts, seed=seed)

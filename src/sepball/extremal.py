@@ -237,6 +237,7 @@ def block_chain_check(phi: MapOnMatrices, a_mat, a: float) -> bool:
     ``(1/a) ||A_ii||_2`` on the diagonal and ``lambda ||A_ij||_2`` off it.
     """
     d2 = phi.in_dim
+    lam = ballbounds.lambda_bound(a, d2)
     a_mat = hermitian(a_mat)
     if a_mat.shape[0] % d2 != 0:
         raise ValueError("input dimension must be a multiple of the map's in_dim")
@@ -249,7 +250,6 @@ def block_chain_check(phi: MapOnMatrices, a_mat, a: float) -> bool:
     link1 = operator_norm(tilde)
     link2 = operator_norm(block_norm_matrix(tilde, d1, phi.out_dim, "inf"))
 
-    lam = ballbounds.lambda_bound(a, d2)
     two_norms = block_norm_matrix(x, d1, d2, "two")
     bound_mat = lam * two_norms
     np.fill_diagonal(bound_mat, np.diag(two_norms) / a)

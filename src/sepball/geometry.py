@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_count, check_dims, check_materializable, kron_all
+from .matcore import check_count, check_dims, check_materializable, check_unit_norm, kron_all
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def complete_local_basis(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     d = v.size
     check_materializable(d, d)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("local vectors must have unit norm")
+    check_unit_norm(v, "local vectors")
     phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0
     e1 = np.zeros(d, dtype=complex)
     e1[0] = phase

@@ -16,7 +16,8 @@ Counts have one rule, ``check_count``: a Python or numpy integer, never a
 bool or a float.  It is the package's only integer rule; ``check_dims``
 applies it to each local dimension, and every dimension argument goes
 through it.  The ball radius a has one rule, ``check_radius``: a real
-number in (0, 1], never a bool.  Memory has one rule,
+number in (0, 1], never a bool.  A unit vector has one rule,
+``check_unit_norm``.  Memory has one rule,
 ``check_materializable(*shape)``: every function that builds an array sized
 from its arguments, and every reader of outside input, asks it with the
 shape it is about to build, and it refuses any array of more than
@@ -187,6 +188,16 @@ def check_radius(a) -> float:
     if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a <= 1:
         raise ValueError(f"need 0 < a <= 1, got {a!r}")
     return float(a)
+
+
+def check_unit_norm(v: np.ndarray, what: str) -> None:
+    """Refuse a vector whose 2-norm is off 1 by more than 1e-10.
+
+    The package's one rule for unit vectors; ``what`` names them in the
+    message.
+    """
+    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        raise ValueError(f"{what} must have unit norm")
 
 
 def check_materializable(*shape: int) -> None:

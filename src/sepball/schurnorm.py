@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import check_count, check_materializable, eig_hermitian, fork_map, hermitian, workers
+from .matcore import (check_count, check_materializable, check_unit_norm, eig_hermitian, fork_map,
+                      hermitian, is_psd, workers)
 from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
@@ -159,6 +160,17 @@ def _feasible_faces(c: np.ndarray, share: int, jobs: int) -> tuple[np.ndarray, n
     return np.concatenate(values), np.concatenate(keys)
 
 
+def check_exact_size(n: int) -> None:
+    """Refuse an instance larger than ``EXACT_SOLVER_CAP`` for the exact solver.
+
+    The package's one rule for the exact solver's size: ``simplex_qp_max``
+    asks it, and the CLI asks it before it builds an ``--l-matrix``.
+    """
+    if n > EXACT_SOLVER_CAP:
+        raise ValueError(f"n = {n} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
+                         "use the oracle (--oracle-only, oracle_two_inf_norm) instead")
+
+
 def simplex_qp_max(c) -> SimplexQPResult:
     """Global maximum of y^t C y over {y >= 0, sum y = 1}, by enumeration.
 
@@ -172,17 +184,16 @@ def simplex_qp_max(c) -> SimplexQPResult:
     the incumbent only when it gains more than 1e-12 * max(1, max C), so
     ties go to the lexicographically smallest support.
     """
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        raise ValueError("C must be real")
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("C must be a square matrix")
     n = c.shape[0]
     if n == 0:
         raise ValueError("C must be non-empty")
-    if n > EXACT_SOLVER_CAP:
-        raise ValueError(
-            f"n = {n} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
-            "use oracle_two_inf_norm for larger instances"
-        )
+    check_exact_size(n)
     if not np.all(np.isfinite(c)):
         raise ValueError("C must be finite")
     if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
@@ -494,8 +505,7 @@ def nielsen_kempe_check(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
     xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
     ys = [np.asarray(y, dtype=complex) for _, y in pairs]
     for y in ys:
-        if abs(np.linalg.norm(y) - 1.0) > 1e-10:
-            raise ValueError("ensemble y-vectors must have unit norm")
+        check_unit_norm(y, "ensemble y-vectors")
     prods = [np.kron(x, y) for x, y in zip(xs, ys)]
     g = gram(prods)
     h = gram(xs)
@@ -511,12 +521,12 @@ def ds_schur_majorization_check(b, x) -> bool:
     """Disorder check for unit-diagonal PSD Schur multipliers.
 
     Such maps are doubly stochastic, so eig(B o X) must be majorized by
-    eig(X) for Hermitian X.
+    eig(X) for Hermitian X.  B's PSD is ``is_psd(B, 1e-9)``.
     """
     b = hermitian(b)
     if np.max(np.abs(np.diag(b) - 1.0)) > 1e-10:
         raise ValueError("B must have unit diagonal")
-    if eig_hermitian(b)[-1] < -1e-9:
+    if not is_psd(b, 1e-9):
         raise ValueError("B must be PSD")
     x = hermitian(x)
     return majorizes(eig_hermitian(x), eig_hermitian(b * x))

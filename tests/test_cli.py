@@ -5,12 +5,14 @@ import math
 import os
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, matcore, nmr, verify
+from sepball import ballbounds, cli, matcore, verify
 from sepball.matcore import save_matrix
+from test_nmr import _exact_thermal_norm
 
 
 def run_cli(capsys, *argv):
@@ -388,11 +390,31 @@ def test_nmr_thermal_gb03(capsys):
     assert "threshold: 13" in out
 
 
+def _certified_in_decimal(eta, m, mode):
+    # the closed-form qubit radius a^2 = 2^m / (3^(m-1) + 1), compared squared
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(2) ** m
+        a2 = d / (Decimal(3) ** (m - 1) + 1)
+        if mode == "pseudopure":
+            measured, bound2 = Decimal(eta) * m / d, a2 / ((d - 1) * (d - a2))
+        else:
+            measured, bound2 = _exact_thermal_norm(eta, m), a2 / (d * (d - a2))
+        return measured * measured <= bound2
+
+
+@pytest.mark.parametrize("eta", ["1e-60", "1e-200"])
 @pytest.mark.parametrize("mode", ["thermal", "pseudopure"])
-def test_nmr_tiny_eta_reaches_the_scan_cap(capsys, mode):
-    code, out, err = run_cli(capsys, "nmr", "--mode", mode, "--eta", "1e-200")
-    assert (code, out) == (2, "")
-    assert err == f"error: threshold scan reached the cap of {nmr.SCAN_CAP} qubits\n"
+def test_nmr_tiny_eta_has_a_threshold(capsys, mode, eta):
+    code, out, err = run_cli(capsys, "--format", "json", "nmr", "--mode", mode, "--eta", eta)
+    assert (code, err) == (0, "")
+    m = json.loads(out)["threshold"]
+    assert _certified_in_decimal(float(eta), m, mode)
+    assert not _certified_in_decimal(float(eta), m + 1, mode)
+    want = 2
+    while _certified_in_decimal(float(eta), want + 1, mode):
+        want += 1
+    assert m == want
 
 
 def test_nmr_eta_out_of_range(capsys):

@@ -2,7 +2,10 @@
 ``matcore.check_count``, which accepts Python and numpy integers and refuses
 bools, integral floats, None and values below the least count.  Radii: every
 ball radius a goes through ``matcore.check_radius``, which accepts a real
-number in (0, 1] and refuses bools and everything else."""
+number in (0, 1] and refuses bools and everything else.  Polarizations: every
+eta goes through ``nmr.check_polarization``, which accepts a finite positive
+real number and refuses bools.  Unit vectors: both sites that need one ask
+``matcore.check_unit_norm``."""
 
 import argparse
 import contextlib
@@ -19,6 +22,8 @@ from sepball import ballbounds, cli, extremal, geometry, matcore, nmr, schurnorm
 TAU = extremal.build_tau(0.8, 4)
 B = np.add.outer(np.arange(4.0), np.cos(np.arange(4.0)))
 B = B + B.T
+B8 = np.add.outer(np.arange(8.0), np.cos(np.arange(8.0)))
+B8 = B8 + B8.T
 
 
 def _nmr(m):
@@ -123,6 +128,8 @@ RADIUS_SITES = [
     ("gamma_bound", lambda a: ballbounds.gamma_bound(3, 4, a)),
     ("lambda_bound", lambda a: ballbounds.lambda_bound(a, 4)),
     ("lambdaprime_bound", lambda a: ballbounds.lambdaprime_bound(a, 4)),
+    ("normalized_radius", lambda a: ballbounds.normalized_radius(a, 4)),
+    ("block_chain_check", lambda a: extremal.block_chain_check(TAU, B8, a)),
 ]
 
 #: Each radius site's value at a = 0.3, 0.6 and 1.0: a double's ``hex()``,
@@ -135,6 +142,9 @@ RADIUS_VALUES = {
     "lambda_bound": ["0x1.2a4914a0fb2b0p+2", "0x1.1fcd6a2cc001fp+1", "0x1.3988e1409212ep+0"],
     "lambdaprime_bound": ["0x1.2bff3dd17c217p+2", "0x1.26d520d9a1e52p+1",
                           "0x1.52a7fa9d2f8eap+0"],
+    "normalized_radius": ["0x1.36b726c778b42p-4", "0x1.4208795cbc6afp-3",
+                          "0x1.279a74590331cp-2"],
+    "block_chain_check": [True, True, True],
 }
 
 
@@ -145,10 +155,52 @@ def _bits(value):
 
 
 @pytest.mark.parametrize("name, call", RADIUS_SITES, ids=[s[0] for s in RADIUS_SITES])
-def test_radii_have_one_rule(name, call):
+def test_radii_have_one_rule(name, call, monkeypatch):
+    # a refused radius costs no operator norm
+    norms = []
+    monkeypatch.setattr(extremal, "operator_norm",
+                        lambda *args: norms.append(args) or matcore.operator_norm(*args))
     for bad in (0, -0.5, 1 + 1e-12, 1.5, math.nan, math.inf, True):
         with pytest.raises(ValueError) as refused:
             call(bad)
         assert str(refused.value) == f"need 0 < a <= 1, got {bad!r}"
+    assert norms == []
     want = RADIUS_VALUES[name]
     assert [_bits(call(a)) for a in (0.3, 0.6, 1.0, np.float64(0.6))] == [*want, want[1]]
+
+
+#: (site, call of the site with the polarization eta).
+POLARIZATION_SITES = [
+    ("NmrParams", lambda eta: (nmr.thermal_deviation_norm(nmr.NmrParams(eta, 5)),
+                               nmr.pseudopure_epsilon(nmr.NmrParams(eta, 5)))),
+    ("bipartite_qubit_count", lambda eta: (nmr.bipartite_qubit_count(eta),)),
+    ("threshold", lambda eta: (nmr.threshold(eta, "pseudopure", "recursion"),
+                               nmr.threshold(eta, "thermal", "recursion"))),
+]
+
+#: Each polarization site's values at eta = 1e-5, as ``hex()`` or counts.
+POLARIZATION_VALUES = {
+    "NmrParams": ["0x1.0945654a300abp-18", "0x1.a36e2eb1c432dp-20"],
+    "bipartite_qubit_count": ["0x1.869ffffffffffp+16"],
+    "threshold": [41, 19],
+}
+
+
+@pytest.mark.parametrize("name, call", POLARIZATION_SITES, ids=[s[0] for s in POLARIZATION_SITES])
+def test_polarizations_have_one_rule(name, call):
+    for bad in (0, -1e-5, math.nan, math.inf, True, "1e-5"):
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+        assert str(refused.value) == f"polarization must be finite and positive, got {bad!r}"
+    for eta in (1e-5, np.float64(1e-5)):
+        assert [_bits(v) for v in call(eta)] == POLARIZATION_VALUES[name]
+
+
+def test_unit_vectors_have_one_rule():
+    off, near = np.array([1 + 2e-10, 0.0]), np.array([1 + 5e-11, 0.0])
+    with pytest.raises(ValueError, match="^local vectors must have unit norm$"):
+        geometry.complete_local_basis(off)
+    with pytest.raises(ValueError, match="^ensemble y-vectors must have unit norm$"):
+        schurnorm.nielsen_kempe_check([(np.ones(2), off)])
+    geometry.complete_local_basis(near)
+    assert schurnorm.nielsen_kempe_check([(np.ones(2), near)])

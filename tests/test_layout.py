@@ -5,7 +5,10 @@ forks, only ``schurnorm._face_points`` scatters or solves a face or reaches
 numpy's LU gufunc and ``slogdet``, and one ``schurnorm`` function holds its
 tolerance, only matcore reads ``TRACE_TOL`` or gives ``is_psd`` a floor and
 no module calls ``.is_integer()``, only matcore compares ``0 < x <= 1``
-(the ball radius rule, ``check_radius``), every third-party module the package
+(the ball radius rule, ``check_radius``), only ``matcore.check_unit_norm``
+compares ``norm(…) - 1`` and only ``schurnorm.check_exact_size`` compares
+``EXACT_SOLVER_CAP``, no module compares ``eig_hermitian(…)[-1]`` (PSD is
+``matcore.is_psd``'s), every third-party module the package
 imports is a declared dependency, and the constants and ``verify`` checks
 the README quotes are the code's."""
 
@@ -480,6 +483,61 @@ def test_the_radius_rule_has_one_home():
     found = {path.name: rules for path in sorted(SRC.glob("*.py"))
              if path.stem != "matcore" and (rules := radius_rules(path.read_text()))}
     assert found == {}
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name of the function a call node calls, as an attribute or bare."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _outside_value(node: ast.AST) -> bool:
+    """``norm(…) - 1``, ``EXACT_SOLVER_CAP`` or ``eig_hermitian(…)[-1]``."""
+    if isinstance(node, ast.BinOp):
+        return (isinstance(node.op, ast.Sub) and _called(node.left) == "norm"
+                and isinstance(node.right, ast.Constant) and node.right.value == 1)
+    if isinstance(node, ast.Subscript):
+        return _called(node.value) == "eig_hermitian" and ast.unparse(node.slice) == "-1"
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "EXACT_SOLVER_CAP"
+
+
+def is_outside_rule(node: ast.AST) -> bool:
+    """A comparison with a unit-norm test ``norm(…) - 1``, the exact
+    solver's cap or a smallest eigenvalue ``eig_hermitian(…)[-1]`` anywhere
+    in its operands."""
+    return isinstance(node, ast.Compare) and any(
+        _outside_value(sub) for operand in (node.left, *node.comparators)
+        for sub in ast.walk(operand))
+
+
+def test_scanner_finds_outside_rules():
+    source = (
+        "import numpy as np\n"
+        "CAP = EXACT_SOLVER_CAP\n"
+        "def unit(v):\n"
+        "    return abs(np.linalg.norm(v) - 1.0) > 1e-10, norm(v) - 1 < 0, np.linalg.norm(v) - 2 > 0\n"
+        "def size(n, schurnorm):\n"
+        "    return n > schurnorm.EXACT_SOLVER_CAP, EXACT_SOLVER_CAP >= n, n > 16\n"
+        "class Psd:\n"
+        "    def check(self, b, tol):\n"
+        "        return eig_hermitian(b)[-1] < -tol, eig_hermitian(b)[0] > 0, eig(b)[-1] < 0\n"
+    )
+    assert homes(source, is_outside_rule) == {
+        "unit": ["abs(np.linalg.norm(v) - 1.0) > 1e-10", "norm(v) - 1 < 0"],
+        "size": ["n > schurnorm.EXACT_SOLVER_CAP", "EXACT_SOLVER_CAP >= n"],
+        "Psd": ["eig_hermitian(b)[-1] < -tol"],
+    }
+
+
+def test_unit_norm_exact_size_and_psd_have_one_home_each():
+    # a unit vector is checked by matcore.check_unit_norm, the exact
+    # solver's size by schurnorm.check_exact_size, and PSD by matcore.is_psd
+    found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
+             if (found := homes(path.read_text(), is_outside_rule))}
+    assert found == {"matcore.py": ["check_unit_norm"], "schurnorm.py": ["check_exact_size"]}
 
 
 def test_all_matches_the_public_imports():

@@ -48,6 +48,8 @@ def test_simplex_qp_validation():
             schurnorm.simplex_qp_max(np.array(c))
     with pytest.raises(ValueError, match="C must be non-empty"):
         schurnorm.simplex_qp_max(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="C must be real"):
+        schurnorm.simplex_qp_max(np.array([[1 + 1j]]))
 
 
 def _reference_simplex_qp_max(c):
@@ -718,6 +720,24 @@ def test_ds_schur_majorization():
         vs = [random_unit_vector(rng, 3) for _ in range(n)]
         b = schurnorm.gram(vs)
         assert schurnorm.ds_schur_majorization_check(b, random_hermitian(rng, n))
+
+
+def test_ds_schur_psd_is_decided_by_is_psd(monkeypatch):
+    # (1 - lam) J + lam I: unit diagonal, eigenvalues (1 - lam) n + lam and lam
+    def b_with_min(lam, n=4):
+        return (1 - lam) * np.ones((n, n)) + lam * np.eye(n)
+
+    x = np.diag([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="B must be PSD"):
+        schurnorm.ds_schur_majorization_check(b_with_min(-1e-6), x)
+    # is_psd's rule scales 1e-9 by max(1, ||B||_inf) = 4 here
+    assert schurnorm.ds_schur_majorization_check(b_with_min(-2e-9), x)
+    checks = []
+    monkeypatch.setattr(schurnorm, "is_psd",
+                        lambda *args: checks.append(matcore.is_psd(*args)) or checks[-1])
+    gram = schurnorm.gram([np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0])])
+    assert schurnorm.ds_schur_majorization_check(gram, np.diag([1.0, -1.0, 0.5]))
+    assert [(c.psd, c.method) for c in checks] == [(True, "cholesky")]
 
 
 def test_ds_schur_validation():
