@@ -99,8 +99,8 @@ def log_normalized_bound(m: int, baseline: str) -> float:
     return ballbounds.log_bounds((2,) * m, baseline)[1]
 
 
-def _log_measured_and_bound(eta: float, m: int, mode: str, baseline: str) -> tuple[float, float]:
-    """Logs of ``measured_and_bound``'s two values, which neither underflows."""
+def log_measured_and_bound(eta: float, m: int, mode: str, baseline: str) -> tuple[float, float]:
+    """Natural logs of ``measured_and_bound``'s two values, which never underflow."""
     _, log_normalized, log_pseudopure = ballbounds.log_bounds((2,) * m, baseline)
     if mode == "pseudopure":
         return math.log(eta * m) - m * math.log(2.0), log_pseudopure
@@ -124,7 +124,7 @@ def measured_and_bound(
     Below the double range a value comes out as 0; ``threshold`` decides
     on the logs instead.
     """
-    log_measured, log_bound = _log_measured_and_bound(eta, m, mode, baseline)
+    log_measured, log_bound = log_measured_and_bound(eta, m, mode, baseline)
     # eta m / 2^m is exact up to eta m's rounding; exp of its log is not
     measured = _epsilon(eta, m) if mode == "pseudopure" else math.exp(log_measured)
     return measured, math.exp(log_bound)
@@ -149,7 +149,7 @@ def threshold(eta: float, mode: str, baseline: str) -> int:
         raise ValueError(f"eta must lie in (0, {LINEARIZATION_WARN})")
 
     def certified(m: int) -> bool:
-        log_measured, log_bound = _log_measured_and_bound(eta, m, mode, baseline)
+        log_measured, log_bound = log_measured_and_bound(eta, m, mode, baseline)
         return log_measured <= log_bound
 
     if not certified(2):

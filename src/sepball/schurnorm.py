@@ -12,6 +12,24 @@ lexicographically smallest support.  When each process gets at least
 ``FACE_SHARE_MIN`` faces, the chunks are shared among one process per CPU
 by ``matcore.fork_map``; a face's bits depend neither on its chunk nor on
 its process, so the result is bit-identical for any CPU count.
+
+Given a lower bound L on the maximum (``lower``; the CLI passes the
+oracle's value squared), the exact solver first walks the set-enumeration
+tree in the same lexicographic order and skips every subtree whose faces
+cannot decide the answer (``_walk``).  Each subtree's faces lie in one
+index set U, and ``colouring_bound`` bounds the maximum over U: colour the
+graph {ij : C_ij > 0} on U greedily with k colours, let D and M be C's
+largest diagonal and off-diagonal entries on U and s_c the weight y puts on
+class c; C vanishes off the diagonal inside a class, so
+y^t C y <= D sum s_c^2 + M (1 - sum s_c^2), and sum s_c^2 >= 1/k gives
+M - (M - D)/k when M > D, else D.  With g = L - 2 tol, a subtree is skipped
+when its bound is below g - tol or at most the incumbent + tol, and the tie
+chain runs over the faces worth at least g.  When no face before the first
+face worth g lies in [g - tol, g), that face replaces whatever came before
+it, and no face below g replaces after it, so the walk picks the scan's
+support, and every bit of the result is the scan's.  The full scan runs
+instead when no ``lower`` is given, when that gap check fails, when no face
+reaches g, and when pruning stops paying (``WALK_TRIAL``).
 A seeded multiplicative-ascent oracle provides an independent lower bound;
 its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
 batch.  Every ``FACE_CHECK_STEPS`` steps, a row whose support has settled
@@ -28,6 +46,8 @@ memory is O(RESTART_BLOCK * n + r^2) for any number of restarts.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import numbers
 from dataclasses import dataclass
@@ -53,6 +73,17 @@ FACE_CHUNK = 512
 #: faster on both a graph and an L-matrix (at n = 12 it lost on the
 #: L-matrix), and ``verify``'s hundreds of solves at n <= 8 never fork.
 FACE_SHARE_MIN = 2048
+
+#: Faces the pruned walk visits before it may give way to the full scan.
+#: From then on it gives way once visited^2 > 4 * WALK_TRIAL * skipped:
+#: where nothing is skipped, as on a hollow random C, it stops after 128
+#: faces, and it never visits more than about 2^(4.5 + n/2) faces (1 448
+#: at n = 12, 5 793 at n = 16).  A face costs the walk several times what
+#: it costs the scan, so a late give-way costs more than the scan alone.
+WALK_TRIAL = 128
+
+#: Units of roundoff, per index, by which the colouring bound is rounded up.
+BOUND_ULPS = 8
 
 #: Restarts that ``oracle_two_inf_norm`` draws and ascends together.
 RESTART_BLOCK = 64
@@ -160,47 +191,15 @@ def _feasible_faces(c: np.ndarray, share: int, jobs: int) -> tuple[np.ndarray, n
     return np.concatenate(values), np.concatenate(keys)
 
 
-def check_exact_size(n: int) -> None:
-    """Refuse an instance larger than ``EXACT_SOLVER_CAP`` for the exact solver.
+def _scan(c: np.ndarray) -> tuple[int, ...] | None:
+    """The winning support of the tie chain over every face; None for C = 0.
 
-    The package's one rule for the exact solver's size: ``simplex_qp_max``
-    asks it, and the CLI asks it before it builds an ``--l-matrix``.
+    The faces are shared by ``fork_map`` among one process per CPU when each
+    process gets at least ``FACE_SHARE_MIN`` faces (``_feasible_faces``).
+    Scanning the supports in lexicographic order, a face replaces the
+    incumbent only when it gains more than ``_tol(c)``.
     """
-    if n > EXACT_SOLVER_CAP:
-        raise ValueError(f"n = {n} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
-                         "use the oracle (--oracle-only, oracle_two_inf_norm) instead")
-
-
-def simplex_qp_max(c) -> SimplexQPResult:
-    """Global maximum of y^t C y over {y >= 0, sum y = 1}, by enumeration.
-
-    Every nonempty support contributes its interior stationary point (when
-    feasible); all vertices are included via the singleton supports.  The
-    supports of each size are solved ``FACE_CHUNK`` at a time, and the
-    chunks are shared by ``fork_map`` among one process per CPU when each
-    process gets at least ``FACE_SHARE_MIN`` faces (``_feasible_faces``); a
-    face's bits do not depend on its chunk or process, so neither does the
-    result.  Scanning the supports in lexicographic order, a face replaces
-    the incumbent only when it gains more than 1e-12 * max(1, max C), so
-    ties go to the lexicographically smallest support.
-    """
-    c = np.asarray(c)
-    if np.iscomplexobj(c):
-        raise ValueError("C must be real")
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("C must be a square matrix")
     n = c.shape[0]
-    if n == 0:
-        raise ValueError("C must be non-empty")
-    check_exact_size(n)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("C must be finite")
-    if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
-        raise ValueError("C must be symmetric")
-    if np.any(c < 0):
-        raise ValueError("C must be entrywise nonnegative")
-
     jobs = workers((2**n - 1) // FACE_SHARE_MIN)
     done = fork_map(jobs, lambda share: _feasible_faces(c, share, jobs))
     values, keys = (np.concatenate(part) for part in zip(*done.values()))
@@ -218,23 +217,231 @@ def simplex_qp_max(c) -> SimplexQPResult:
         if values[i] > incumbent + tol:
             best, incumbent = i, float(values[i])
     if best < 0:  # C = 0: every face is singular with a zero solution
+        return None
+    return tuple(t for t in keys[order[best]].tolist() if t >= 0)
+
+
+def _neighbours(c: np.ndarray) -> list[int]:
+    """Each index's neighbours {j != i : C_ij > 0}, as an int bitset (bit j)."""
+    edges = c > 0
+    np.fill_diagonal(edges, False)
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in edges]
+
+
+def _colour(adj: list[int], classes: list[int], vertices) -> list[int]:
+    """Greedy colouring: each vertex in turn joins the first class holding
+    none of its neighbours, or opens a new one.  Classes are int bitsets;
+    returns the extended copy of ``classes``.
+    """
+    classes = classes.copy()
+    for v in vertices:
+        for q, members in enumerate(classes):
+            if not adj[v] & members:
+                classes[q] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def _bound(d: float, m: float, k: int, n: int) -> float:
+    """M - (M - D)/k when M > D, else D, rounded up for faces of n x n C.
+
+    d and m are the largest diagonal and off-diagonal entries on an index
+    set U, and k the colours of a proper colouring of U.  The rounding is
+    ``BOUND_ULPS`` * (n + 1) units of roundoff (2^-53), relative: a face's
+    computed value y^t C y can exceed the true maximum over U by about 4n
+    of them (its point sums to 1 within n, and Cy and y^t (Cy) each err by
+    at most n, with no cancellation as C >= 0), and the formula itself by
+    about six more.
+    """
+    value = m - (m - d) / k if m > d else d
+    return value * (1.0 + BOUND_ULPS * (n + 1) * 2.0**-53)
+
+
+def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
+    """The support ``_scan`` picks, found by a pruned walk; None when the scan must run.
+
+    The walk, exact for the reasons the module docstring gives, visits the
+    supports in the scan's lexicographic order: the preorder of the
+    set-enumeration tree, whose node S has the children S + (j,) for
+    j > max S, with every face below S in U = S + (max S + 1, ..., n - 1).
+    A child whose subtree is skipped takes its later siblings with it, as
+    their sets U are subsets of its own.  The first visited face is solved
+    alone, which sets the incumbent before any skip needs it, and the rest
+    in stacks of ``FACE_CHUNK``; the tie chain runs between stacks.
+    Returns None when the gap check fails, when no face reaches g, or, from
+    ``WALK_TRIAL`` visited faces on, once visited^2 > 4 * WALK_TRIAL *
+    skipped, counting every face below a skipped subtree.
+    """
+    n = c.shape[0]
+    tol = _tol(c)
+    g = lower - 2.0 * tol
+    adj = _neighbours(c)
+    off = c.copy()
+    np.fill_diagonal(off, 0.0)
+    # reach[i][j]: the largest entry of row i, off the diagonal, from column
+    # j on; tail_d[j] and tail_m[j]: the largest diagonal and off-diagonal
+    # entries on {j, ..., n - 1}
+    reach = np.maximum.accumulate(off[:, ::-1], axis=1)[:, ::-1]
+    tail_m = [float(reach[j:, j].max()) for j in range(n)]
+    tail_d = np.maximum.accumulate(c.diagonal()[::-1])[::-1].tolist()
+    reach, off, diag = reach.tolist(), off.tolist(), c.diagonal().tolist()
+    incumbent = -math.inf
+    skipped = visited = 0
+    gave_up = False
+
+    def nodes():
+        nonlocal skipped, visited, gave_up
+        # each frame: support, its colour classes, its largest diagonal and
+        # off-diagonal entries, and its next child
+        path = [[(), [], 0.0, 0.0, 0]]
+        while path:
+            frame = path[-1]
+            support, classes, d, m, j = frame
+            if j == n:
+                path.pop()
+                continue
+            joined = _colour(adj, classes, (j,))
+            cross = max([reach[i][j] for i in support], default=0.0)
+            k = len(_colour(adj, joined, range(j + 1, n)))
+            bound = _bound(max(d, tail_d[j]), max(m, cross, tail_m[j]), k, n)
+            if bound < g - tol or bound <= incumbent + tol:
+                skipped += 2 ** (n - j) - 1
+                path.pop()
+                continue
+            if visited >= WALK_TRIAL and visited * visited > 4 * WALK_TRIAL * skipped:
+                gave_up = True
+                return
+            frame[4] = j + 1
+            visited += 1
+            yield support + (j,)
+            m = max([m] + [off[i][j] for i in support])
+            path.append([support + (j,), joined, max(d, diag[j]), m, j + 1])
+
+    walk = nodes()
+    best, size = None, 1
+    while (stack := list(islice(walk, size))) and not gave_up:
+        size = FACE_CHUNK
+        values = np.full(len(stack), -math.inf)
+        sizes = np.array([len(s) for s in stack])
+        for r in np.unique(sizes).tolist():
+            rows = np.flatnonzero(sizes == r)
+            y, feasible = _face_points(c, np.array([stack[i] for i in rows], dtype=np.intp))
+            values[rows[feasible]] = _products(c, y[feasible])[1]
+        for support, value in zip(stack, values.tolist()):
+            if incumbent == -math.inf and g - tol <= value < g:
+                return None
+            if value >= g and value > incumbent + tol:
+                best, incumbent = support, value
+    return None if gave_up else best
+
+
+def check_exact_size(n: int) -> None:
+    """Refuse an instance larger than ``EXACT_SOLVER_CAP`` for the exact solver.
+
+    The package's one rule for the exact solver's size: ``simplex_qp_max``
+    asks it, and the CLI asks it before it builds an ``--l-matrix``.
+    """
+    if n > EXACT_SOLVER_CAP:
+        raise ValueError(f"n = {n} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
+                         "use the oracle (--oracle-only, oracle_two_inf_norm) instead")
+
+
+def colouring_bound(c) -> float:
+    """Upper bound on max y^t C y over the simplex, from a greedy colouring.
+
+    Colour the graph {ij : i != j, C_ij > 0} greedily with k colours, and let
+    D and M be C's largest diagonal and off-diagonal entries.  Inside a
+    colour class C is zero off the diagonal, so with s_c the weight y puts
+    on class c, y^t C y <= D sum s_c^2 + M (1 - sum s_c^2), and
+    sum s_c^2 >= 1/k: the maximum is at most M - (M - D)/k when M > D, and
+    D otherwise (Motzkin & Straus, Canad. J. Math. 17 (1965) 533, with
+    k >= omega in place of the clique number omega).  Rounded up by
+    ``BOUND_ULPS`` * (n + 1) units of roundoff, so it is also at least every
+    face value ``simplex_qp_max`` computes.  C is taken as given: a float,
+    symmetric, entrywise nonnegative, non-empty square array, of any size.
+    """
+    n = c.shape[0]
+    off = c.copy()
+    np.fill_diagonal(off, 0.0)
+    k = len(_colour(_neighbours(c), [], range(n)))
+    return _bound(float(c.diagonal().max()), float(off.max()), k, n)
+
+
+def simplex_qp_max(c, lower: float | None = None) -> SimplexQPResult:
+    """Global maximum of y^t C y over {y >= 0, sum y = 1}, by enumeration.
+
+    Every nonempty support contributes its interior stationary point (when
+    feasible); all vertices are included via the singleton supports.
+    Scanning the supports in lexicographic order, a face replaces the
+    incumbent only when it gains more than 1e-12 * max(1, max C), so ties
+    go to the lexicographically smallest support (``_scan``: the supports
+    of each size are solved ``FACE_CHUNK`` at a time, shared by
+    ``fork_map`` among one process per CPU from ``FACE_SHARE_MIN`` faces a
+    process; a face's bits do not depend on its chunk or process, so
+    neither does the result).  ``lower``, a lower bound on the maximum such
+    as the oracle's value squared, lets a pruned walk (``_walk``) skip the
+    faces that cannot decide the answer; the answer is the same bit for bit
+    with or without it, and whatever its value.
+    """
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        raise ValueError("C must be real")
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("C must be a square matrix")
+    if c.shape[0] == 0:
+        raise ValueError("C must be non-empty")
+    check_exact_size(c.shape[0])
+    if not np.all(np.isfinite(c)):
+        raise ValueError("C must be finite")
+    if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.max(np.abs(c))):
+        raise ValueError("C must be symmetric")
+    if np.any(c < 0):
+        raise ValueError("C must be entrywise nonnegative")
+    support = None if lower is None else _walk(c, float(lower))
+    if support is None:
+        support = _scan(c)
+    if support is None:
         support = (0,)
-        y = np.eye(n)[0]
+        y = np.eye(c.shape[0])[0]
     else:
-        support = tuple(t for t in keys[order[best]].tolist() if t >= 0)
         y = _face_points(c, np.array([support], dtype=np.intp))[0][0]
     return SimplexQPResult(float(y @ c @ y), y, support)
+
+
+#: The ``lower`` that ``schur_two_inf_norm`` passes on; set by ``seeded``.
+_LOWER: contextvars.ContextVar[float | None] = contextvars.ContextVar("lower", default=None)
+
+
+@contextlib.contextmanager
+def seeded(lower: float):
+    """Within the block, ``schur_two_inf_norm`` passes ``lower`` to ``simplex_qp_max``.
+
+    For a caller that knows a lower bound on the squared norm, such as the
+    oracle's value squared.  It changes no answer, only how many faces the
+    exact solver solves.
+    """
+    token = _LOWER.set(lower)
+    try:
+        yield
+    finally:
+        _LOWER.reset(token)
 
 
 def schur_two_inf_norm(b) -> float:
     """Exact 2-to-inf induced norm of X -> B o X for Hermitian B.
 
     The simplex maximum is the *squared* norm (it equals the largest
-    ||B o xx†||_2^2 over unit x), so the norm is its square root.
+    ||B o xx†||_2^2 over unit x), so the norm is its square root.  Inside a
+    ``seeded`` block, its lower bound on the squared norm is passed to
+    ``simplex_qp_max``, which changes no answer.
     """
     b = hermitian(b)
     c = np.abs(b) ** 2
-    return math.sqrt(simplex_qp_max(c).value)
+    return math.sqrt(simplex_qp_max(c, lower=_LOWER.get()).value)
 
 
 def _check_l_args(eta: float, n: int) -> None:

@@ -248,14 +248,23 @@ def check_l_matrix_closed_form(seed: int, fast: bool) -> None:
 
 
 def check_oracle_matches_exact(seed: int, fast: bool) -> None:
+    """The oracle brackets the exact norm, and seeded with the oracle's value
+    squared, as ``schur-norm`` seeds it, the exact solver's pruned walk
+    returns the full scan's value, support and maximizer bit for bit."""
     rng = rng_from_seed(seed)
     for _ in range(10 if fast else 30):
         n = int(rng.integers(2, 7))
         b = random_hermitian(rng, n)
-        exact = schurnorm.schur_two_inf_norm(b)
+        c = np.abs(b) ** 2
+        scan = schurnorm.simplex_qp_max(c)
+        exact = math.sqrt(scan.value)
         oracle = schurnorm.oracle_two_inf_norm(b, seed=int(rng.integers(2**31)))
         assert oracle <= exact + 1e-9, "oracle exceeded the exact norm"
         assert exact - oracle <= 1e-6, "oracle fell short of the exact norm"
+        walk = schurnorm.simplex_qp_max(c, lower=oracle * oracle)
+        assert (walk.value.hex(), walk.support, walk.maximizer.tobytes()) == (
+            scan.value.hex(), scan.support, scan.maximizer.tobytes()
+        ), "the seeded walk's maximum differs from the full scan's"
 
 
 def check_duality_sampled(seed: int, fast: bool) -> None:

@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, matcore, verify
+from sepball import ballbounds, cli, matcore, nmr, schurnorm, verify
 from sepball.matcore import save_matrix
 from test_nmr import _exact_thermal_norm
 
@@ -304,6 +304,36 @@ def test_schur_norm_gap_is_never_below_rounding(capsys, tmp_path):
         assert obj["gap"] >= -1e-12 * obj["exact"], argv
 
 
+@pytest.mark.parametrize("argv, exact, gap", [
+    (("{graph}",), 0.9354143466934853, -1.1102230246251565e-16),
+    (("--l-matrix", "0.6", "14"), 1.0, 0.0),
+    (("--l-matrix", "2.5", "16"), 2.433490291741473, 0.0),
+])
+def test_schur_norm_seeded_walk_prints_the_full_scans_digits(capsys, tmp_path, monkeypatch,
+                                                             argv, exact, gap):
+    # the digits the full scan printed before the oracle seeded a pruned
+    # walk: a relabelled planted-clique graph (omega = 8) and one L-matrix
+    # on each side of eta = 1
+    rng = np.random.default_rng([0x5EBA11, 16])
+    adj = np.triu(rng.random((16, 16)) < 0.6, 1)
+    members = rng.choice(16, size=8, replace=False)
+    adj[np.ix_(members, members)] = True
+    adj = np.triu(adj, 1)
+    perm = np.random.default_rng(3).permutation(16)
+    graph = tmp_path / "graph16.json"
+    save_matrix(graph, (adj | adj.T).astype(float)[np.ix_(perm, perm)], (16,))
+
+    def no_scan(c):
+        raise AssertionError("the full scan ran")
+
+    monkeypatch.setattr(schurnorm, "_scan", no_scan)
+    argv = [arg.format(graph=graph) for arg in argv]
+    code, out, _ = run_cli(capsys, "--format", "json", "schur-norm", *argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["exact"], obj["gap"]) == (exact, gap)
+
+
 def test_schur_norm_over_cap_requires_oracle_only(capsys, tmp_path):
     path = tmp_path / "big.json"
     save_matrix(path, np.eye(17), (17,))
@@ -417,6 +447,28 @@ def test_nmr_tiny_eta_has_a_threshold(capsys, mode, eta):
     assert m == want
 
 
+@pytest.mark.parametrize("mode", ["thermal", "pseudopure"])
+def test_nmr_margins_show_their_logs_below_the_double_range(capsys, mode):
+    # both linear margins underflow to 0 at eta = 1e-200; their log10s are
+    # finite and decide on which side of the bound each count lies
+    code, out, _ = run_cli(capsys, "nmr", "--mode", mode, "--eta", "1e-200")
+    assert code == 0
+    at, above = [line for line in out.splitlines() if line.startswith("  m = ")]
+    assert at != above
+    code, out, _ = run_cli(capsys, "--format", "json", "nmr", "--mode", mode, "--eta", "1e-200")
+    margins = json.loads(out)["margins"]
+    assert margins["above_threshold"]["m"] == margins["at_threshold"]["m"] + 1
+    for label, certified in (("at_threshold", True), ("above_threshold", False)):
+        margin = margins[label]
+        assert (margin["measured"], margin["bound"]) == (0.0, 0.0)
+        assert math.isfinite(margin["log10_measured"]) and math.isfinite(margin["log10_bound"])
+        assert (margin["log10_measured"] <= margin["log10_bound"]) == certified
+        measured, bound = (x / math.log(10.0) for x in nmr.log_measured_and_bound(
+            1e-200, margin["m"], mode, "recursion"))
+        assert (margin["log10_measured"], margin["log10_bound"]) == (measured, bound)
+        assert f"(log10 {measured:.9g} vs {bound:.9g})" in (at if certified else above)
+
+
 def test_nmr_eta_out_of_range(capsys):
     code, _, _ = run_cli(capsys, "nmr", "--eta", "0.5")
     assert code == 2
@@ -502,16 +554,16 @@ gap:    -2.22044605e-16
 mode: pseudopure   eta = 3.746e-05   baseline = recursion
 threshold: 35 qubits certified separable
 entanglement not certified possible until 36
-  m = 35: measured 3.81580321e-14 vs bound 4.1774739e-14
-  m = 36: measured 1.96241308e-14 vs bound 1.70544658e-14
+  m = 35: measured 3.81580321e-14 vs bound 4.1774739e-14 (log10 -13.418414 vs -13.3790863)
+  m = 36: measured 1.96241308e-14 vs bound 1.70544658e-14 (log10 -13.7072096 vs -13.7681619)
 gb03 baseline comparison: threshold 22
 """),
     (["nmr", "--mode", "thermal", "--baseline", "gb03"], """\
 mode: thermal   eta = 3.746e-05   baseline = gb03
 threshold: 13 qubits certified separable
 entanglement not certified possible until 14
-  m = 13: measured 1.49225994e-06 vs bound 2.69739839e-06
-  m = 14: measured 1.09501942e-06 vs bound 9.53674324e-07
+  m = 13: measured 1.49225994e-06 vs bound 2.69739839e-06 (log10 -5.82615552 vs -5.56905491)
+  m = 14: measured 1.09501942e-06 vs bound 9.53674324e-07 (log10 -5.96057818 vs -6.02059991)
 gb03 baseline comparison: threshold 13
 """),
 ]

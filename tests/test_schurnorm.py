@@ -652,6 +652,176 @@ def test_pivot_rows_independent_of_restart_block(monkeypatch):
         assert results[1] == results[7] == results[64]
 
 
+def _workload_graphs(relabelings):
+    """Planted-clique graphs shaped like the schur benchmark's, each relabelled."""
+    graphs = []
+    for n, p, k in ((12, 0.25, 4), (12, 0.6, 6), (14, 0.6, 7), (16, 0.6, 8)):
+        adj = _planted_clique_graph(np.random.default_rng([0x5EBA11, n]), n, p, k)
+        for seed in range(relabelings):
+            perm = np.random.default_rng([seed, n]).permutation(n)
+            graphs.append(adj[np.ix_(perm, perm)])
+    return graphs
+
+
+def _greedy_colours(adj):
+    return len(schurnorm._colour(schurnorm._neighbours(adj), [], range(adj.shape[0])))
+
+
+def _slack(n):
+    """The bound's rounding, relative: BOUND_ULPS * (n + 1) units of roundoff."""
+    return schurnorm.BOUND_ULPS * (n + 1) * 2.0**-53
+
+
+def test_colouring_bound_is_above_the_maximum():
+    for c in _reference_corpus():
+        assert schurnorm.colouring_bound(c) >= schurnorm.simplex_qp_max(c).value
+    for adj in _workload_graphs(10):
+        omega = _clique_number_by_search(adj)
+        assert schurnorm.colouring_bound(adj) >= 1.0 - 1.0 / omega
+
+
+def test_colouring_bound_is_motzkin_straus_when_greedy_finds_omega():
+    # complete multipartite graphs with contiguous parts, and every
+    # workload-shaped graph whose index-order greedy colouring is optimal
+    graphs = []
+    for parts in ((1, 1), (2, 3), (3, 3, 3), (1, 2, 3, 4)):
+        label = np.repeat(np.arange(len(parts)), parts)
+        graphs.append((label[:, None] != label[None, :]).astype(float))
+    graphs += [adj for adj in _workload_graphs(10)
+               if _greedy_colours(adj) == _clique_number_by_search(adj)]
+    assert len(graphs) > 8
+    for adj in graphs:
+        want = 1.0 - 1.0 / _greedy_colours(adj)
+        assert want <= schurnorm.colouring_bound(adj) <= want * (1.0 + _slack(len(adj)))
+
+
+def test_colouring_bound_on_l_matrices():
+    # the graph is complete, so k = n: eta^2 - (eta^2 - 1)/n above eta = 1,
+    # the closed form squared, and the vertex value 1 below it
+    for eta in (1.0, 1.5, 2.0, 3.0):
+        for n in (1, 2, 5, 16, 100):
+            want = schurnorm.l_matrix_norm(eta, n) ** 2
+            got = schurnorm.colouring_bound(schurnorm.l_matrix(eta, n) ** 2)
+            # the closed form squared rounds too, by a few units
+            assert want * (1.0 - 4 * 2.0**-53) <= got <= want * (1.0 + _slack(n) + 4 * 2.0**-53)
+    for eta in (0.0, 0.3, 0.9):
+        assert 1.0 <= schurnorm.colouring_bound(schurnorm.l_matrix(eta, 7) ** 2) <= 1.0 + _slack(7)
+
+
+def test_colouring_bound_has_no_size_cap():
+    # the oracle-only sizes have a bound too
+    assert schurnorm.colouring_bound(np.ones((300, 300))) >= 1.0
+
+
+def _hollow(n):
+    """|B|^2 of a random Hermitian B with its diagonal set to 0."""
+    b = random_hermitian(rng_from_seed(2024), n)
+    np.fill_diagonal(b, 0.0)
+    return np.abs(b) ** 2
+
+
+def _lowers(c):
+    """The seeds tried on C: its largest vertex, the oracle squared, the
+    maximum itself and the maximum just above."""
+    exact = schurnorm.simplex_qp_max(c).value
+    oracle = schurnorm.oracle_two_inf_norm(np.sqrt(c), restarts=8, seed=1) ** 2
+    return [float(c.diagonal().max()), oracle, exact, exact * (1 + 1e-9)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_walk_gives_the_full_scans_bits(monkeypatch, chunk):
+    corpus = _reference_corpus() + _workload_graphs(1)
+    corpus += [schurnorm.l_matrix(eta, n) ** 2 for eta in (0.5, 2.0) for n in (5, 12, 16)]
+    want = {c.tobytes(): _bits(schurnorm.simplex_qp_max(c)) for c in corpus}
+    scans = {c.tobytes(): schurnorm._scan(c) for c in corpus}
+    lowers = [_lowers(c) for c in corpus]
+    # the scan's bits at every chunk are the reference loop test's; where
+    # the walk gives way, the scan at the default chunk stands in for it
+    monkeypatch.setattr(schurnorm, "_scan", lambda c: scans[c.tobytes()])
+    monkeypatch.setattr(schurnorm, "FACE_CHUNK", chunk)
+    for c, seeds in zip(corpus, lowers):
+        for lower in seeds:
+            assert _bits(schurnorm.simplex_qp_max(c, lower=lower)) == want[c.tobytes()]
+    assert schurnorm.simplex_qp_max(TIE, lower=1.0).support == (0,)
+    assert schurnorm.simplex_qp_max(CREEPING, lower=1.0 + 1.2e-12).support == (2,)
+    assert schurnorm.simplex_qp_max(SINGULAR, lower=0.5).support == (0, 1, 2)
+
+
+def test_walk_matches_the_scan_on_workload_graphs(monkeypatch):
+    # the benchmark's graph shapes over 10 relabelings, seeded as the CLI
+    # seeds them: the full scan's bits, and at n = 16 the walk decides
+    # alone, from at most 2^n / 8 faces, on all but one relabeling (it
+    # gives way on the eighth, where its first WALK_TRIAL faces skip next
+    # to nothing)
+    graphs = _workload_graphs(10)
+    want = [_bits(schurnorm.simplex_qp_max(adj)) for adj in graphs]
+    scans = _record_calls(monkeypatch, "_scan")
+    stacks = _count_faces(monkeypatch)
+    alone = []
+    for adj, bits in zip(graphs, want):
+        lower = schurnorm.oracle_two_inf_norm(adj) ** 2
+        scans.clear()
+        stacks.clear()
+        assert _bits(schurnorm.simplex_qp_max(adj, lower=lower)) == bits
+        if adj.shape[0] == 16:
+            alone.append(not scans)
+            if not scans:
+                assert sum(len(idx) for idx in stacks) <= 2**16 // 8
+    assert alone == [True] * 7 + [False] + [True] * 2
+
+
+@pytest.mark.parametrize("c, lower", [
+    # the vertex (0,) lies in [g - tol, g) below the first face worth g
+    (np.diag([1.0, 1.0 + 2.5e-12]), 1.0 + 2.5e-12),
+    # no face reaches g
+    (np.diag([1.0, 1.0 + 2.5e-12]), 1.1),
+    (schurnorm.l_matrix(2.0, 6) ** 2, 5.0),
+    # the walk skips next to nothing in its first WALK_TRIAL faces
+    (_hollow(12), 0.1),
+])
+def test_walk_gives_way_to_the_full_scan(monkeypatch, c, lower):
+    want = _bits(schurnorm.simplex_qp_max(c))
+    scans = _record_calls(monkeypatch, "_scan")
+    walks = _record_calls(monkeypatch, "_walk")
+    assert _bits(schurnorm.simplex_qp_max(c, lower=lower)) == want
+    assert [out for _, out in walks] == [None]
+    assert len(scans) == 1
+
+
+def test_walk_gives_way_early_where_nothing_is_skipped(monkeypatch):
+    # a hollow random C at n = 16: the walk gives way after about
+    # WALK_TRIAL faces, a few percent of the scan's 65 535
+    c = _hollow(16)
+    want = _bits(schurnorm.simplex_qp_max(c))
+    monkeypatch.setattr(schurnorm, "_scan", lambda c: want[1])
+    stacks = _count_faces(monkeypatch)
+    lower = schurnorm.oracle_two_inf_norm(np.sqrt(c)) ** 2
+    stacks.clear()
+    assert _bits(schurnorm.simplex_qp_max(c, lower=lower)) == want
+    # the faces the walk solved, and the winner's once more
+    assert sum(len(idx) for idx in stacks) - 1 <= 2 * schurnorm.WALK_TRIAL
+
+
+def test_schur_norm_takes_its_seed_from_the_block(monkeypatch):
+    b = schurnorm.l_matrix(2.0, 9)
+    lowers = []
+    simplex = schurnorm.simplex_qp_max
+
+    def recording(c, lower=None):
+        lowers.append(lower)
+        return simplex(c, lower=lower)
+
+    monkeypatch.setattr(schurnorm, "simplex_qp_max", recording)
+    want = schurnorm.schur_two_inf_norm(b)
+    with schurnorm.seeded(3.5):
+        assert schurnorm.schur_two_inf_norm(b) == want
+        with schurnorm.seeded(2.0):
+            assert schurnorm.schur_two_inf_norm(b) == want
+        assert schurnorm.schur_two_inf_norm(b) == want
+    assert schurnorm.schur_two_inf_norm(b) == want
+    assert lowers == [None, 3.5, 2.0, 3.5, None]
+
+
 def test_duality_sampled_never_exceeds_norm():
     rng = rng_from_seed(43)
     for _ in range(10):
