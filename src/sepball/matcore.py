@@ -584,11 +584,10 @@ def fork_map(jobs: int, run: Callable[[int], object]) -> dict[int, object]:
 
     This process reads the children's results only once it has finished
     its own share, so a child whose pickled results fill its pipe (64 KiB
-    on Linux) waits until then, and takes no further job meanwhile.  With
-    one job per 512-face chunk of an n = 16 exact Schur solve (139 jobs of
-    about 12 KiB of results each), the child finished only 8 to 15 of them.
+    on Linux) waits until then, and takes no further job meanwhile: of 139
+    jobs of about 12 KiB of results each, a child finished only 8 to 15.
     So a caller whose jobs return more than a few bytes has one job per
-    CPU, as the exact solver ``schurnorm.simplex_qp_max`` does.
+    process, as the matrix reader has one range per process.
 
     With W > 1 processes, the CPUs are shared between them and their BLAS
     threads: before the first fork each loaded OpenBLAS is capped at

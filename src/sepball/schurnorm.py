@@ -8,10 +8,8 @@ at ``EXACT_SOLVER_CAP``): the supports of each size are solved in stacked
 LAPACK calls of at most ``FACE_CHUNK`` faces, one LU a face, each feasible
 face's value is kept with its support as an n-byte key, and one
 ``np.lexsort`` of the keys orders the scan that keeps ties on the
-lexicographically smallest support.  When each process gets at least
-``FACE_SHARE_MIN`` faces, the chunks are shared among one process per CPU
-by ``matcore.fork_map``; a face's bits depend neither on its chunk nor on
-its process, so the result is bit-identical for any CPU count.
+lexicographically smallest support.  The exact solver runs in the calling
+process alone.
 
 Given a lower bound L on the maximum (``lower``; the CLI passes the
 oracle's value squared), the exact solver first walks the set-enumeration
@@ -56,8 +54,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import (check_count, check_materializable, check_unit_norm, eig_hermitian, fork_map,
-                      hermitian, is_psd, workers)
+from .matcore import (check_count, check_materializable, check_unit_norm, eig_hermitian,
+                      hermitian, is_psd)
 from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
@@ -66,21 +64,14 @@ EXACT_SOLVER_CAP = 16
 #: Supports of one size that ``simplex_qp_max`` solves per stacked call.
 FACE_CHUNK = 512
 
-#: Fewest faces ``simplex_qp_max`` hands one process when it solves them on
-#: several CPUs: a face takes 3-10 us to solve, so 2048 take 6-20 ms, and a
-#: ``fork_map`` over two processes costs about 3 ms (fork, reap and the BLAS
-#: thread counts).  On 2 CPUs it forks from n = 13, where forking measured
-#: faster on both a graph and an L-matrix (at n = 12 it lost on the
-#: L-matrix), and ``verify``'s hundreds of solves at n <= 8 never fork.
-FACE_SHARE_MIN = 2048
-
 #: Faces the pruned walk visits before it may give way to the full scan.
-#: From then on it gives way once visited^2 > 4 * WALK_TRIAL * skipped:
-#: where nothing is skipped, as on a hollow random C, it stops after 128
-#: faces, and it never visits more than about 2^(4.5 + n/2) faces (1 448
-#: at n = 12, 5 793 at n = 16).  A face costs the walk several times what
-#: it costs the scan, so a late give-way costs more than the scan alone.
-WALK_TRIAL = 128
+#: From then on it gives way once visited^2 > 2 * WALK_TRIAL * skipped:
+#: where nothing is skipped, as on a hollow random C, it stops after 512
+#: faces, and it never visits more than about 2^(5 + n/2) faces (2 048 at
+#: n = 12, 8 192 at n = 16).  A face costs the walk several times what it
+#: costs the scan, so a late give-way costs more than the scan alone; over
+#: the benchmark's graphs the walk decides alone at every n >= 14.
+WALK_TRIAL = 512
 
 #: Units of roundoff, per index, by which the colouring bound is rounded up.
 BOUND_ULPS = 8
@@ -163,24 +154,20 @@ def _support(y: np.ndarray) -> np.ndarray:
     return y > 1e-4 * y.max(axis=1, keepdims=True)
 
 
-def _feasible_faces(c: np.ndarray, share: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and keys of the feasible faces in every ``jobs``-th chunk from chunk ``share``.
+def _scan(c: np.ndarray) -> tuple[int, ...] | None:
+    """The winning support of the tie chain over every face; None for C = 0.
 
-    The supports of each size, in lexicographic order, are cut into chunks
-    of ``FACE_CHUNK``, numbered across sizes.  Every process walks the same
-    lazy stream of supports and steps over the other shares' chunks without
-    gathering them.  A face's key is its support padded with -1 to n bytes.
+    The supports of each size, in lexicographic order, are solved in chunks
+    of ``FACE_CHUNK``, and each feasible face's value is kept with its key,
+    its support padded with -1 to n bytes.  Scanning the supports in
+    lexicographic order, a face replaces the incumbent only when it gains
+    more than ``_tol(c)``.
     """
     n = c.shape[0]
-    values, keys = [np.empty(0)], [np.empty((0, n), np.int8)]
-    chunk = -1
+    values, keys = [], []
     for r in range(1, n + 1):
         supports = combinations(range(n), r)
         for _ in range(-(-math.comb(n, r) // FACE_CHUNK)):
-            chunk += 1
-            if chunk % jobs != share:
-                next(islice(supports, FACE_CHUNK, FACE_CHUNK), None)
-                continue
             idx = np.fromiter(chain.from_iterable(islice(supports, FACE_CHUNK)), np.intp)
             idx = idx.reshape(-1, r)
             y, feasible = _face_points(c, idx)
@@ -188,24 +175,9 @@ def _feasible_faces(c: np.ndarray, share: int, jobs: int) -> tuple[np.ndarray, n
             key = np.full((values[-1].size, n), -1, np.int8)
             key[:, :r] = idx[feasible]
             keys.append(key)
-    return np.concatenate(values), np.concatenate(keys)
-
-
-def _scan(c: np.ndarray) -> tuple[int, ...] | None:
-    """The winning support of the tie chain over every face; None for C = 0.
-
-    The faces are shared by ``fork_map`` among one process per CPU when each
-    process gets at least ``FACE_SHARE_MIN`` faces (``_feasible_faces``).
-    Scanning the supports in lexicographic order, a face replaces the
-    incumbent only when it gains more than ``_tol(c)``.
-    """
-    n = c.shape[0]
-    jobs = workers((2**n - 1) // FACE_SHARE_MIN)
-    done = fork_map(jobs, lambda share: _feasible_faces(c, share, jobs))
-    values, keys = (np.concatenate(part) for part in zip(*done.values()))
-    # the keys are distinct, so the sorted order does not depend on the
-    # shares' order; -1 pads a proper prefix, so it sorts before each
-    # support extending it
+    values, keys = np.concatenate(values), np.concatenate(keys)
+    # the faces come size by size; -1 pads a proper prefix, so the sort puts
+    # it before each support extending it
     order = np.lexsort(keys.T[::-1])
     values = values[order]
     tol = _tol(c)
@@ -272,7 +244,7 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
     alone, which sets the incumbent before any skip needs it, and the rest
     in stacks of ``FACE_CHUNK``; the tie chain runs between stacks.
     Returns None when the gap check fails, when no face reaches g, or, from
-    ``WALK_TRIAL`` visited faces on, once visited^2 > 4 * WALK_TRIAL *
+    ``WALK_TRIAL`` visited faces on, once visited^2 > 2 * WALK_TRIAL *
     skipped, counting every face below a skipped subtree.
     """
     n = c.shape[0]
@@ -311,7 +283,7 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
                 skipped += 2 ** (n - j) - 1
                 path.pop()
                 continue
-            if visited >= WALK_TRIAL and visited * visited > 4 * WALK_TRIAL * skipped:
+            if visited >= WALK_TRIAL and visited * visited > 2 * WALK_TRIAL * skipped:
                 gave_up = True
                 return
             frame[4] = j + 1
@@ -378,13 +350,12 @@ def simplex_qp_max(c, lower: float | None = None) -> SimplexQPResult:
     Scanning the supports in lexicographic order, a face replaces the
     incumbent only when it gains more than 1e-12 * max(1, max C), so ties
     go to the lexicographically smallest support (``_scan``: the supports
-    of each size are solved ``FACE_CHUNK`` at a time, shared by
-    ``fork_map`` among one process per CPU from ``FACE_SHARE_MIN`` faces a
-    process; a face's bits do not depend on its chunk or process, so
-    neither does the result).  ``lower``, a lower bound on the maximum such
-    as the oracle's value squared, lets a pruned walk (``_walk``) skip the
-    faces that cannot decide the answer; the answer is the same bit for bit
-    with or without it, and whatever its value.
+    of each size are solved ``FACE_CHUNK`` at a time, in this process).
+    ``lower``, a lower bound on the maximum such as the oracle's value
+    squared, lets a pruned walk (``_walk``) skip the faces that cannot
+    decide the answer; the answer is the same bit for bit with or without
+    it, and whatever its value.  ``lower`` must be a real number other than
+    a bool and not NaN; -inf and inf are taken.
     """
     c = np.asarray(c)
     if np.iscomplexobj(c):
@@ -401,6 +372,9 @@ def simplex_qp_max(c, lower: float | None = None) -> SimplexQPResult:
         raise ValueError("C must be symmetric")
     if np.any(c < 0):
         raise ValueError("C must be entrywise nonnegative")
+    if lower is not None and (isinstance(lower, bool) or not isinstance(lower, numbers.Real)
+                              or math.isnan(lower)):
+        raise ValueError(f"lower must be a real number, got {lower!r}")
     support = None if lower is None else _walk(c, float(lower))
     if support is None:
         support = _scan(c)
@@ -445,8 +419,8 @@ def schur_two_inf_norm(b) -> float:
 
 
 def _check_l_args(eta: float, n: int) -> None:
-    """Refuse a non-finite eta and a size that is not a positive integer."""
-    if not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
+    """Refuse a bool, a non-finite eta and a size that is not a positive integer."""
+    if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
         raise ValueError(f"eta must be a finite number, got {eta!r}")
     check_count(n, "n", 1)
 
@@ -454,8 +428,9 @@ def _check_l_args(eta: float, n: int) -> None:
 def l_matrix(eta: float, n: int) -> np.ndarray:
     """The matrix with ones on the diagonal and eta off the diagonal.
 
-    Raises ``ValueError`` for a non-finite eta or an n that is not a positive
-    integer, and ``MaterializationError`` for n above the materialization cap.
+    Raises ``ValueError`` for a bool or non-finite eta or an n that is not a
+    positive integer, and ``MaterializationError`` for n above the
+    materialization cap.
     """
     _check_l_args(eta, n)
     check_materializable(n, n)

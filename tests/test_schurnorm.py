@@ -3,7 +3,6 @@
 import itertools
 import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -50,6 +49,14 @@ def test_simplex_qp_validation():
         schurnorm.simplex_qp_max(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="C must be real"):
         schurnorm.simplex_qp_max(np.array([[1 + 1j]]))
+    for lower in (True, False, "3.5", 1j, math.nan, np.nan):
+        with pytest.raises(ValueError, match="lower must be a real number"):
+            schurnorm.simplex_qp_max(np.eye(2), lower=lower)
+    # C's own checks come first
+    with pytest.raises(ValueError, match="C must be symmetric"):
+        schurnorm.simplex_qp_max(np.array([[1.0, 2.0], [0.0, 1.0]]), lower="3.5")
+    for lower in (-math.inf, math.inf, -1.0, 0, np.float64(0.5), 2):
+        assert schurnorm.simplex_qp_max(np.eye(2), lower=lower).support == (0,)
 
 
 def _reference_simplex_qp_max(c):
@@ -147,59 +154,32 @@ def _bits(res):
     return res.value.hex(), res.support, res.maximizer.tobytes()
 
 
-def test_simplex_qp_same_answer_on_any_cpu_count(monkeypatch):
-    # the faces are shared among processes from FACE_SHARE_MIN faces each;
-    # at a minimum of 1 every input with more than one face forks
+def test_simplex_qp_never_forks(monkeypatch):
+    # the walk and the full scan run in the calling process at any CPU
+    # count, and give the same bits where os.fork is missing
     corpus = _reference_corpus()
     rng = rng_from_seed(14)
     graph = _adjacency(rng, 14, 0.6)
     clique = rng.choice(14, size=7, replace=False)
     graph[np.ix_(clique, clique)] = 1.0 - np.eye(7)
     corpus.append(graph)
+
+    def solve_all():
+        return [_bits(schurnorm.simplex_qp_max(c, lower=lower))
+                for c in corpus for lower in (None, float(c.diagonal().max()))]
+
     monkeypatch.setattr(matcore, "cpus", lambda: 1)
-    want = [_bits(schurnorm.simplex_qp_max(c)) for c in corpus]
-    fork = os.fork
-    forks = []
+    want = solve_all()
 
-    def counted_fork():
-        forks.append(None)
-        return fork()
+    def no_fork():
+        raise AssertionError("the exact solver forked")
 
-    monkeypatch.setattr(os, "fork", counted_fork)
-    for least in (schurnorm.FACE_SHARE_MIN, 1):
-        monkeypatch.setattr(schurnorm, "FACE_SHARE_MIN", least)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(matcore, "cpus", lambda: cpus)
-            for c, bits in zip(corpus, want):
-                forks.clear()
-                assert _bits(schurnorm.simplex_qp_max(c)) == bits
-                # one process per CPU, at most one per FACE_SHARE_MIN faces
-                assert len(forks) == max(1, min(cpus, (2 ** c.shape[0] - 1) // least)) - 1
+    monkeypatch.setattr(os, "fork", no_fork)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(matcore, "cpus", lambda: cpus)
+        assert solve_all() == want
     monkeypatch.delattr(os, "fork")
-    for c, bits in zip(corpus, want):
-        assert _bits(schurnorm.simplex_qp_max(c)) == bits
-
-
-def test_simplex_qp_solves_a_lost_share_itself(monkeypatch):
-    # a share whose child dies is run by fork_map in the caller
-    c = np.abs(random_hermitian(rng_from_seed(5), 9)) ** 2
-    want = _bits(schurnorm.simplex_qp_max(c))
-    caller = os.getpid()
-    faces = schurnorm._feasible_faces
-    here = []
-
-    def dies_in_a_child(c, share, jobs):
-        if os.getpid() != caller:
-            os._exit(1)
-        time.sleep(0.05)  # time for each child to take a share
-        here.append(share)
-        return faces(c, share, jobs)
-
-    monkeypatch.setattr(schurnorm, "_feasible_faces", dies_in_a_child)
-    monkeypatch.setattr(schurnorm, "FACE_SHARE_MIN", 1)
-    monkeypatch.setattr(matcore, "cpus", lambda: 3)
-    assert _bits(schurnorm.simplex_qp_max(c)) == want
-    assert sorted(here) == [0, 1, 2]
+    assert solve_all() == want
 
 
 def _block_faces(blocks):
@@ -324,7 +304,8 @@ def test_l_matrix_norm_eta_one_and_validation():
         assert schurnorm.l_matrix_norm(1.0, n) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         schurnorm.l_matrix_norm(0.5, 3)
-    for eta, n in ((math.nan, 3), (math.inf, 3), (2.0, 0), (2.0, 2.5), (2.0, True)):
+    for eta, n in ((math.nan, 3), (math.inf, 3), (True, 3), (False, 3), (2.0, 0), (2.0, 2.5),
+                   (2.0, True)):
         for build in (schurnorm.l_matrix, schurnorm.l_matrix_norm):
             with pytest.raises(ValueError):
                 build(eta, n)
@@ -750,9 +731,7 @@ def test_walk_gives_the_full_scans_bits(monkeypatch, chunk):
 def test_walk_matches_the_scan_on_workload_graphs(monkeypatch):
     # the benchmark's graph shapes over 10 relabelings, seeded as the CLI
     # seeds them: the full scan's bits, and at n = 16 the walk decides
-    # alone, from at most 2^n / 8 faces, on all but one relabeling (it
-    # gives way on the eighth, where its first WALK_TRIAL faces skip next
-    # to nothing)
+    # alone on every relabeling, from at most 2^n / 8 faces
     graphs = _workload_graphs(10)
     want = [_bits(schurnorm.simplex_qp_max(adj)) for adj in graphs]
     scans = _record_calls(monkeypatch, "_scan")
@@ -764,10 +743,8 @@ def test_walk_matches_the_scan_on_workload_graphs(monkeypatch):
         stacks.clear()
         assert _bits(schurnorm.simplex_qp_max(adj, lower=lower)) == bits
         if adj.shape[0] == 16:
-            alone.append(not scans)
-            if not scans:
-                assert sum(len(idx) for idx in stacks) <= 2**16 // 8
-    assert alone == [True] * 7 + [False] + [True] * 2
+            alone.append(not scans and sum(len(idx) for idx in stacks) <= 2**16 // 8)
+    assert alone == [True] * 10
 
 
 @pytest.mark.parametrize("c, lower", [
