@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -144,9 +145,12 @@ def pseudopure_bound(dims: Sequence[int], *, baseline: str = "recursion") -> flo
 
 
 def certify_pseudopure(eps: float, dims: Sequence[int], *, baseline: str = "recursion") -> Certificate:
-    """Ball test for a pseudopure state, without materializing it."""
-    if not 0 <= eps <= 1:
-        raise ValueError("epsilon must lie in [0, 1]")
+    """Ball test for a pseudopure state, without materializing it.
+
+    ``eps`` must be a real number in [0, 1], not a bool.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps <= 1:
+        raise ValueError(f"epsilon must be a real number in [0, 1], got {eps!r}")
     dims = check_dims(dims)
     bound = pseudopure_bound(dims, baseline=baseline)
     return _ball_verdict(eps, bound, dims)

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import check_materializable
+from .matcore import check_count, check_materializable
 
 #: Default seed for every sampling-based check (overridable via CLI / env).
 DEFAULT_SEED = 0xB0B5
 
 
 def rng_from_seed(seed: int | None = None) -> np.random.Generator:
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+    """The generator of ``seed``, or of ``DEFAULT_SEED`` for None.
+
+    The package's one seed rule: any other seed must be a nonnegative
+    integer (``check_count``), so a bool or a float is refused.
+    """
+    return np.random.default_rng(DEFAULT_SEED if seed is None else check_count(seed, "seed", 0))
 
 
 def random_complex_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

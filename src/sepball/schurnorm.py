@@ -15,10 +15,10 @@ Given a lower bound L on the maximum (``lower``; the CLI passes the
 oracle's value squared), the exact solver first walks the set-enumeration
 tree in the same lexicographic order and skips every subtree whose faces
 cannot decide the answer (``_walk``).  Each subtree's faces lie in one
-index set U, and ``colouring_bound`` bounds the maximum over U: colour the
-graph {ij : C_ij > 0} on U greedily with k colours, let D and M be C's
-largest diagonal and off-diagonal entries on U and s_c the weight y puts on
-class c; C vanishes off the diagonal inside a class, so
+index set U, and ``colouring_bound``'s formula bounds the maximum over U:
+colour the graph {ij : C_ij > 0} on U greedily with k colours, let D and M
+be C's largest diagonal and off-diagonal entries and s_c the weight y puts
+on class c; C vanishes off the diagonal inside a class, so
 y^t C y <= D sum s_c^2 + M (1 - sum s_c^2), and sum s_c^2 >= 1/k gives
 M - (M - D)/k when M > D, else D.  With g = L - 2 tol, a subtree is skipped
 when its bound is below g - tol or at most the incumbent + tol, and the tie
@@ -217,11 +217,17 @@ def _colour(adj: list[int], classes: list[int], vertices) -> list[int]:
     return classes
 
 
+def _extremes(c: np.ndarray) -> tuple[float, float]:
+    """D and M: C's largest diagonal and off-diagonal entries (M is 0 at n = 1)."""
+    return float(c.diagonal().max()), float((c - np.diag(c.diagonal())).max())
+
+
 def _bound(d: float, m: float, k: int, n: int) -> float:
     """M - (M - D)/k when M > D, else D, rounded up for faces of n x n C.
 
-    d and m are the largest diagonal and off-diagonal entries on an index
-    set U, and k the colours of a proper colouring of U.  The rounding is
+    d and m are C's largest diagonal and off-diagonal entries
+    (``_extremes``), and k the colours of a proper colouring of an index
+    set U; the bound holds on every face in U.  The rounding is
     ``BOUND_ULPS`` * (n + 1) units of roundoff (2^-53), relative: a face's
     computed value y^t C y can exceed the true maximum over U by about 4n
     of them (its point sums to 1 within n, and Cy and y^t (Cy) each err by
@@ -239,7 +245,9 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
     supports in the scan's lexicographic order: the preorder of the
     set-enumeration tree, whose node S has the children S + (j,) for
     j > max S, with every face below S in U = S + (max S + 1, ..., n - 1).
-    A child whose subtree is skipped takes its later siblings with it, as
+    Each subtree is bounded by ``_bound`` with C's own D and M and the
+    colours of a greedy colouring of its U, extended from its parent's.  A
+    child whose subtree is skipped takes its later siblings with it, as
     their sets U are subsets of its own.  The first visited face is solved
     alone, which sets the incumbent before any skip needs it, and the rest
     in stacks of ``FACE_CHUNK``; the tie chain runs between stacks.
@@ -251,34 +259,24 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
     tol = _tol(c)
     g = lower - 2.0 * tol
     adj = _neighbours(c)
-    off = c.copy()
-    np.fill_diagonal(off, 0.0)
-    # reach[i][j]: the largest entry of row i, off the diagonal, from column
-    # j on; tail_d[j] and tail_m[j]: the largest diagonal and off-diagonal
-    # entries on {j, ..., n - 1}
-    reach = np.maximum.accumulate(off[:, ::-1], axis=1)[:, ::-1]
-    tail_m = [float(reach[j:, j].max()) for j in range(n)]
-    tail_d = np.maximum.accumulate(c.diagonal()[::-1])[::-1].tolist()
-    reach, off, diag = reach.tolist(), off.tolist(), c.diagonal().tolist()
+    d, m = _extremes(c)
     incumbent = -math.inf
     skipped = visited = 0
     gave_up = False
 
     def nodes():
         nonlocal skipped, visited, gave_up
-        # each frame: support, its colour classes, its largest diagonal and
-        # off-diagonal entries, and its next child
-        path = [[(), [], 0.0, 0.0, 0]]
+        # each frame: support, its colour classes and its next child
+        path = [[(), [], 0]]
         while path:
             frame = path[-1]
-            support, classes, d, m, j = frame
+            support, classes, j = frame
             if j == n:
                 path.pop()
                 continue
             joined = _colour(adj, classes, (j,))
-            cross = max([reach[i][j] for i in support], default=0.0)
             k = len(_colour(adj, joined, range(j + 1, n)))
-            bound = _bound(max(d, tail_d[j]), max(m, cross, tail_m[j]), k, n)
+            bound = _bound(d, m, k, n)
             if bound < g - tol or bound <= incumbent + tol:
                 skipped += 2 ** (n - j) - 1
                 path.pop()
@@ -286,11 +284,10 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
             if visited >= WALK_TRIAL and visited * visited > 2 * WALK_TRIAL * skipped:
                 gave_up = True
                 return
-            frame[4] = j + 1
+            frame[2] = j + 1
             visited += 1
             yield support + (j,)
-            m = max([m] + [off[i][j] for i in support])
-            path.append([support + (j,), joined, max(d, diag[j]), m, j + 1])
+            path.append([support + (j,), joined, j + 1])
 
     walk = nodes()
     best, size = None, 1
@@ -325,9 +322,10 @@ def colouring_bound(c) -> float:
     """Upper bound on max y^t C y over the simplex, from a greedy colouring.
 
     Colour the graph {ij : i != j, C_ij > 0} greedily with k colours, and let
-    D and M be C's largest diagonal and off-diagonal entries.  Inside a
-    colour class C is zero off the diagonal, so with s_c the weight y puts
-    on class c, y^t C y <= D sum s_c^2 + M (1 - sum s_c^2), and
+    D and M be C's largest diagonal and off-diagonal entries (``_extremes``,
+    which the exact solver's walk shares).  Inside a colour class C is zero
+    off the diagonal, so with s_c the weight y puts on class c,
+    y^t C y <= D sum s_c^2 + M (1 - sum s_c^2), and
     sum s_c^2 >= 1/k: the maximum is at most M - (M - D)/k when M > D, and
     D otherwise (Motzkin & Straus, Canad. J. Math. 17 (1965) 533, with
     k >= omega in place of the clique number omega).  Rounded up by
@@ -336,10 +334,8 @@ def colouring_bound(c) -> float:
     symmetric, entrywise nonnegative, non-empty square array, of any size.
     """
     n = c.shape[0]
-    off = c.copy()
-    np.fill_diagonal(off, 0.0)
     k = len(_colour(_neighbours(c), [], range(n)))
-    return _bound(float(c.diagonal().max()), float(off.max()), k, n)
+    return _bound(*_extremes(c), k, n)
 
 
 def simplex_qp_max(c, lower: float | None = None) -> SimplexQPResult:
@@ -659,10 +655,13 @@ def majorizes(u, v) -> bool:
     """True iff u majorizes v: prefix sums of sorted-decreasing u dominate v's.
 
     Vectors are zero-padded to a common length; totals must agree within
-    ``MAJORIZATION_TOL``.  Non-finite entries raise ``ValueError``.
+    ``MAJORIZATION_TOL``.  Inputs that are not 1-D and non-finite entries
+    raise ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.ndim != 1 or v.ndim != 1:
+        raise ValueError("majorization needs 1-D vectors")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("majorization needs finite vectors")
     n = max(u.size, v.size)

@@ -208,6 +208,21 @@ def test_certify_pseudopure_verdicts():
         certify.certify_pseudopure(1.5, dims)
 
 
+@pytest.mark.parametrize("eps", [True, False, "0.1", None, 1j, math.nan, -0.1, 1.5])
+def test_certify_pseudopure_refuses_eps_outside_the_reals_in_0_1(eps):
+    with pytest.raises(ValueError) as refused:
+        certify.certify_pseudopure(eps, (2, 2))
+    assert str(refused.value) == f"epsilon must be a real number in [0, 1], got {eps!r}"
+
+
+def test_certify_pseudopure_takes_eps_0_and_1():
+    dims = (2, 2)
+    assert certify.certify_pseudopure(0, dims).verdict == certify.SEPARABLE
+    assert certify.certify_pseudopure(np.float64(0.0), dims).verdict == certify.SEPARABLE
+    assert certify.certify_pseudopure(1, dims).verdict == certify.INCONCLUSIVE
+    assert certify.certify_pseudopure(1, dims) == certify.certify_pseudopure(1.0, dims)
+
+
 #: Profiles holding an integral float, refused like any other non-integer count.
 FLOAT_DIMS = [[np.int64(2), 2.0], [2.0, 2.0]]
 

@@ -5,7 +5,9 @@ ball radius a goes through ``matcore.check_radius``, which accepts a real
 number in (0, 1] and refuses bools and everything else.  Polarizations: every
 eta goes through ``nmr.check_polarization``, which accepts a finite positive
 real number and refuses bools.  Unit vectors: both sites that need one ask
-``matcore.check_unit_norm``."""
+``matcore.check_unit_norm``.  Seeds: every seed other than None goes through
+``sampling.rng_from_seed``, which asks ``check_count`` for a nonnegative
+integer."""
 
 import argparse
 import contextlib
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, extremal, geometry, matcore, nmr, schurnorm
+from sepball import ballbounds, cli, extremal, geometry, matcore, nmr, sampling, schurnorm
 
 TAU = extremal.build_tau(0.8, 4)
 B = np.add.outer(np.arange(4.0), np.cos(np.arange(4.0)))
@@ -204,3 +206,22 @@ def test_unit_vectors_have_one_rule():
         schurnorm.nielsen_kempe_check([(np.ones(2), off)])
     geometry.complete_local_basis(near)
     assert schurnorm.nielsen_kempe_check([(np.ones(2), near)])
+
+
+#: (site, call of the site with the seed).
+SEED_SITES = [
+    ("oracle_two_inf_norm", lambda seed: schurnorm.oracle_two_inf_norm(B, 4, seed=seed)),
+    ("ball_positivity_check",
+     lambda seed: extremal.ball_positivity_check(TAU, 0.8, samples=16, seed=seed)),
+]
+
+
+@pytest.mark.parametrize("name, call", SEED_SITES, ids=[s[0] for s in SEED_SITES])
+def test_seeds_have_one_rule(name, call):
+    for bad in (True, False, 2.5, 1.0, -1, "1"):
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+        assert str(refused.value) == f"seed must be a nonnegative integer, got {bad!r}"
+    assert call(None) == call(sampling.DEFAULT_SEED)
+    assert call(np.int64(7)) == call(7)
+    assert call(0) == call(np.uint8(0))

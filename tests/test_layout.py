@@ -8,9 +8,9 @@ no module calls ``.is_integer()``, only matcore compares ``0 < x <= 1``
 (the ball radius rule, ``check_radius``), only ``matcore.check_unit_norm``
 compares ``norm(…) - 1`` and only ``schurnorm.check_exact_size`` compares
 ``EXACT_SOLVER_CAP``, no module compares ``eig_hermitian(…)[-1]`` (PSD is
-``matcore.is_psd``'s), every third-party module the package
-imports is a declared dependency, and the constants and ``verify`` checks
-the README quotes are the code's."""
+``matcore.is_psd``'s), only ``schurnorm._bound`` reads ``BOUND_ULPS``,
+every third-party module the package imports is a declared dependency, and
+the constants and ``verify`` checks the README quotes are the code's."""
 
 import ast
 import importlib
@@ -538,6 +538,40 @@ def test_unit_norm_exact_size_and_psd_have_one_home_each():
     found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
              if (found := homes(path.read_text(), is_outside_rule))}
     assert found == {"matcore.py": ["check_unit_norm"], "schurnorm.py": ["check_exact_size"]}
+
+
+def is_bound_ulps_read(node: ast.AST) -> bool:
+    """A read of ``BOUND_ULPS``: a loaded name or attribute of it, or an import."""
+    if isinstance(node, ast.alias):
+        return node.name == "BOUND_ULPS"
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "BOUND_ULPS" and isinstance(getattr(node, "ctx", None), ast.Load)
+
+
+def test_scanner_finds_bound_ulps_reads():
+    source = (
+        '"""Rounded up by ``BOUND_ULPS`` units of roundoff."""\n'
+        "from .schurnorm import BOUND_ULPS as ulps\n"
+        "BOUND_ULPS = 8\n"
+        "def _bound(value, n):\n"
+        "    return value * (1.0 + BOUND_ULPS * (n + 1) * 2.0**-53)\n"
+        "def slack(schurnorm, n):\n"
+        "    schurnorm.BOUND_ULPS = 4\n"
+        "    return schurnorm.BOUND_ULPS * n, 'BOUND_ULPS', BOUND_ULPS_MAX\n"
+    )
+    assert homes(source, is_bound_ulps_read) == {
+        "<module>": ["BOUND_ULPS as ulps"],
+        "_bound": ["BOUND_ULPS"],
+        "slack": ["schurnorm.BOUND_ULPS"],
+    }
+
+
+def test_only_bound_reads_bound_ulps():
+    # the colouring bound's rounding is written once, in schurnorm._bound,
+    # which both colouring_bound and the exact solver's walk call
+    found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
+             if (found := homes(path.read_text(), is_bound_ulps_read))}
+    assert found == {"schurnorm.py": ["_bound"]}
 
 
 def test_all_matches_the_public_imports():

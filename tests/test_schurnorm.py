@@ -747,6 +747,38 @@ def test_walk_matches_the_scan_on_workload_graphs(monkeypatch):
     assert alone == [True] * 10
 
 
+def _weighted_corpus():
+    """Weighted C, whose largest entries on most of the walk's sets U lie
+    below C's own: random weights masked by G(n, p) at p = 0.35, 0.6 and
+    0.85, L-matrices near eta = 1 with 1% noise, and 0/1 graphs with a
+    random diagonal, at n = 10..13 over 10 seeds."""
+    corpus = []
+    for n in range(10, 14):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, n, 0x3E16])
+            w = rng.random((n, n))
+            corpus += [(w + w.T) / 2 * (_adjacency(rng, n, p) + np.eye(n))
+                       for p in (0.35, 0.6, 0.85)]
+            noise = rng.uniform(-0.01, 0.01, (n, n))
+            eta = rng.uniform(0.9, 1.01)
+            corpus.append(schurnorm.l_matrix(eta, n) ** 2 * (1 + (noise + noise.T) / 2))
+            corpus.append(_adjacency(rng, n, 0.6) + np.diag(rng.random(n)))
+    return corpus
+
+
+def test_walk_gives_the_scans_bits_on_weighted_c(monkeypatch):
+    # the walk bounds every subtree with C's own largest entries, which
+    # bound the entries on each U however far below them those lie
+    corpus = _weighted_corpus()
+    want = [_bits(schurnorm.simplex_qp_max(c)) for c in corpus]
+    walks = _record_calls(monkeypatch, "_walk")
+    for c, bits in zip(corpus, want):
+        lower = schurnorm.oracle_two_inf_norm(np.sqrt(c)) ** 2
+        assert _bits(schurnorm.simplex_qp_max(c, lower=lower)) == bits
+    assert len(walks) == len(corpus)
+    assert any(out is not None for _, out in walks)
+
+
 @pytest.mark.parametrize("c, lower", [
     # the vertex (0,) lies in [g - tol, g) below the first face worth g
     (np.diag([1.0, 1.0 + 2.5e-12]), 1.0 + 2.5e-12),
@@ -837,6 +869,17 @@ def test_majorizes_basic():
 ])
 def test_majorizes_rejects_non_finite(u, v):
     with pytest.raises(ValueError, match="finite"):
+        schurnorm.majorizes(u, v)
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.eye(2), np.eye(2)),
+    (np.eye(2), [1.0, 1.0]),
+    ([1.0, 1.0], [[1.0, 1.0]]),
+    (2.0, 2.0),
+])
+def test_majorizes_rejects_inputs_that_are_not_vectors(u, v):
+    with pytest.raises(ValueError, match="^majorization needs 1-D vectors$"):
         schurnorm.majorizes(u, v)
 
 
