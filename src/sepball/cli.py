@@ -73,9 +73,7 @@ def _resolve_seed(args) -> int:
     else:
         env = os.environ.get("SEPBALL_SEED")
         seed = DEFAULT_SEED if env is None else int(env, 0)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    return check_count(seed, "seed", 0)
 
 
 def cmd_bound(args) -> int:

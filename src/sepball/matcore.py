@@ -401,12 +401,15 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
 def partial_transpose(h, dims: Sequence[int], subsystem: int) -> np.ndarray:
     """Transpose on one tensor factor.
 
-    ``dims`` lists the local dimensions; ``subsystem`` is a 0-based index.
-    The operation is an involution and preserves trace and Frobenius norm.
+    ``dims`` lists the local dimensions; ``subsystem`` is a 0-based party
+    index, a ``check_count`` >= 0, and raises ``IndexError`` past the last
+    party.  The operation is an involution and preserves trace and
+    Frobenius norm.
     """
     h = as_matrix(h)
     dims, _ = check_matrix_dims(h, dims)
-    if not 0 <= subsystem < len(dims):
+    subsystem = check_count(subsystem, "subsystem", 0)
+    if subsystem >= len(dims):
         raise IndexError(f"subsystem index {subsystem} out of range for {dims}")
     return transpose_parties(h, dims, (subsystem,))
 

@@ -246,14 +246,17 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
     set-enumeration tree, whose node S has the children S + (j,) for
     j > max S, with every face below S in U = S + (max S + 1, ..., n - 1).
     Each subtree is bounded by ``_bound`` with C's own D and M and the
-    colours of a greedy colouring of its U, extended from its parent's.  A
-    child whose subtree is skipped takes its later siblings with it, as
-    their sets U are subsets of its own.  The first visited face is solved
-    alone, which sets the incumbent before any skip needs it, and the rest
-    in stacks of ``FACE_CHUNK``; the tie chain runs between stacks.
-    Returns None when the gap check fails, when no face reaches g, or, from
-    ``WALK_TRIAL`` visited faces on, once visited^2 > 2 * WALK_TRIAL *
-    skipped, counting every face below a skipped subtree.
+    colours of one greedy colouring of its U, extended from its parent's.
+    A child whose subtree is skipped takes its later siblings with it, as
+    their sets U are subsets of its own.  One loop visits nodes onto a
+    stack until the stack is full or the tree is done, then solves the
+    stack and runs the tie chain: the first visited face is solved alone,
+    which sets the incumbent before any skip needs it, and the rest in
+    stacks of ``FACE_CHUNK``.  Returns None when the gap check fails, when
+    no face reaches g, and when the walk gives way: from ``WALK_TRIAL``
+    visited faces on, once visited^2 > 2 * WALK_TRIAL * skipped, counting
+    every face below a skipped subtree.  A give-way returns at once, and
+    the stack being filled is dropped unsolved.
     """
     n = c.shape[0]
     tol = _tol(c)
@@ -262,49 +265,40 @@ def _walk(c: np.ndarray, lower: float) -> tuple[int, ...] | None:
     d, m = _extremes(c)
     incumbent = -math.inf
     skipped = visited = 0
-    gave_up = False
-
-    def nodes():
-        nonlocal skipped, visited, gave_up
-        # each frame: support, its colour classes and its next child
-        path = [[(), [], 0]]
-        while path:
-            frame = path[-1]
-            support, classes, j = frame
-            if j == n:
-                path.pop()
-                continue
-            joined = _colour(adj, classes, (j,))
-            k = len(_colour(adj, joined, range(j + 1, n)))
-            bound = _bound(d, m, k, n)
-            if bound < g - tol or bound <= incumbent + tol:
-                skipped += 2 ** (n - j) - 1
-                path.pop()
-                continue
-            if visited >= WALK_TRIAL and visited * visited > 2 * WALK_TRIAL * skipped:
-                gave_up = True
-                return
-            frame[2] = j + 1
-            visited += 1
-            yield support + (j,)
-            path.append([support + (j,), joined, j + 1])
-
-    walk = nodes()
-    best, size = None, 1
-    while (stack := list(islice(walk, size))) and not gave_up:
-        size = FACE_CHUNK
-        values = np.full(len(stack), -math.inf)
-        sizes = np.array([len(s) for s in stack])
-        for r in np.unique(sizes).tolist():
-            rows = np.flatnonzero(sizes == r)
-            y, feasible = _face_points(c, np.array([stack[i] for i in rows], dtype=np.intp))
-            values[rows[feasible]] = _products(c, y[feasible])[1]
-        for support, value in zip(stack, values.tolist()):
-            if incumbent == -math.inf and g - tol <= value < g:
-                return None
-            if value >= g and value > incumbent + tol:
-                best, incumbent = support, value
-    return None if gave_up else best
+    best, size, stack = None, 1, []
+    # each frame: support, its colour classes and its next child
+    path = [[(), [], 0]]
+    while path or stack:
+        if not path or len(stack) == size:
+            values = np.full(len(stack), -math.inf)
+            sizes = np.array([len(s) for s in stack])
+            for r in np.unique(sizes).tolist():
+                rows = np.flatnonzero(sizes == r)
+                y, feasible = _face_points(c, np.array([stack[i] for i in rows], dtype=np.intp))
+                values[rows[feasible]] = _products(c, y[feasible])[1]
+            for support, value in zip(stack, values.tolist()):
+                if incumbent == -math.inf and g - tol <= value < g:
+                    return None
+                if value >= g and value > incumbent + tol:
+                    best, incumbent = support, value
+            stack, size = [], FACE_CHUNK
+            continue
+        support, classes, j = path[-1]
+        if j == n:
+            path.pop()
+            continue
+        bound = _bound(d, m, len(_colour(adj, classes, range(j, n))), n)
+        if bound < g - tol or bound <= incumbent + tol:
+            skipped += 2 ** (n - j) - 1
+            path.pop()
+            continue
+        if visited >= WALK_TRIAL and visited * visited > 2 * WALK_TRIAL * skipped:
+            return None
+        path[-1][2] = j + 1
+        visited += 1
+        stack.append(support + (j,))
+        path.append([support + (j,), _colour(adj, classes, (j,)), j + 1])
+    return best
 
 
 def check_exact_size(n: int) -> None:
@@ -401,6 +395,17 @@ def seeded(lower: float):
         _LOWER.reset(token)
 
 
+def _weights(b) -> np.ndarray:
+    """C = |B_ij|^2 of the symmetrized B, whose simplex maximum is the squared norm.
+
+    The one place the Schur-norm functions read B: refuses an empty B.
+    """
+    b = hermitian(b)
+    if b.shape[0] == 0:
+        raise ValueError("B must be non-empty")
+    return np.abs(b) ** 2
+
+
 def schur_two_inf_norm(b) -> float:
     """Exact 2-to-inf induced norm of X -> B o X for Hermitian B.
 
@@ -409,9 +414,7 @@ def schur_two_inf_norm(b) -> float:
     ``seeded`` block, its lower bound on the squared norm is passed to
     ``simplex_qp_max``, which changes no answer.
     """
-    b = hermitian(b)
-    c = np.abs(b) ** 2
-    return math.sqrt(simplex_qp_max(c, lower=_LOWER.get()).value)
+    return math.sqrt(simplex_qp_max(_weights(b), lower=_LOWER.get()).value)
 
 
 def _check_l_args(eta: float, n: int) -> None:
@@ -625,12 +628,12 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     vertex counts too: x = e_i attains C_ii = |b_ii|^2.  Restarts are drawn and ascended
     ``RESTART_BLOCK`` at a time, so memory is O(RESTART_BLOCK * n) for any
     number of restarts; neither the draws nor any restart's result depend
-    on the block size.  ``restarts`` must be a positive integer.
+    on the block size.  ``restarts`` must be a positive integer, and B
+    non-empty.
     """
     restarts = check_count(restarts, "restarts", 1)
-    b = hermitian(b)
-    n = b.shape[0]
-    c = np.abs(b) ** 2
+    c = _weights(b)
+    n = c.shape[0]
     rng = rng_from_seed(seed)
     best = float(c.diagonal().max())
     for start in range(0, restarts, RESTART_BLOCK):
@@ -702,7 +705,7 @@ def ds_schur_majorization_check(b, x) -> bool:
     """Disorder check for unit-diagonal PSD Schur multipliers.
 
     Such maps are doubly stochastic, so eig(B o X) must be majorized by
-    eig(X) for Hermitian X.  B's PSD is ``is_psd(B, 1e-9)``.
+    eig(X) for Hermitian X of B's order.  B's PSD is ``is_psd(B, 1e-9)``.
     """
     b = hermitian(b)
     if np.max(np.abs(np.diag(b) - 1.0)) > 1e-10:
@@ -710,4 +713,6 @@ def ds_schur_majorization_check(b, x) -> bool:
     if not is_psd(b, 1e-9):
         raise ValueError("B must be PSD")
     x = hermitian(x)
+    if x.shape != b.shape:
+        raise ValueError(f"B and X must have the same order, got {b.shape[0]} and {x.shape[0]}")
     return majorizes(eig_hermitian(x), eig_hermitian(b * x))

@@ -517,7 +517,7 @@ def test_negative_seed_is_a_usage_error(capsys, monkeypatch, count_calls, argv):
         else:
             monkeypatch.setenv("SEPBALL_SEED", env)
         code, out, err = run_cli(capsys, *flag, *argv)
-        assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
+        assert (code, out, err) == (2, "", "error: seed must be a nonnegative integer, got -1\n")
     assert forks == []
 
 

@@ -85,6 +85,7 @@ SITES = [
     ("gamma_bound.d1", 2, 5, lambda v: ballbounds.gamma_bound(v, 4, 0.5)),
     ("gamma_bound.d2", 2, 5, lambda v: ballbounds.gamma_bound(2, v, 0.6)),
     ("normalized_radius.d", 2, 5, lambda v: ballbounds.normalized_radius(0.5, v)),
+    ("partial_transpose.subsystem", 0, 1, lambda v: matcore.partial_transpose(B, (2, 2), v)),
 ]
 
 
@@ -102,6 +103,15 @@ def test_counts_refuse_non_integers_and_keep_numpy_integers(least, valid, call):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         else:
             assert g == w
+
+
+def test_partial_transpose_keeps_its_index_error_past_the_last_party():
+    for subsystem in (2, np.int64(2), 7):
+        with pytest.raises(IndexError, match="out of range"):
+            matcore.partial_transpose(B, (2, 2), subsystem)
+    with pytest.raises(ValueError) as refused:
+        matcore.partial_transpose(B, (2, 2), -1)
+    assert str(refused.value) == "subsystem must be a nonnegative integer, got -1"
 
 
 def test_check_count_messages():

@@ -811,6 +811,73 @@ def test_walk_gives_way_early_where_nothing_is_skipped(monkeypatch):
     assert sum(len(idx) for idx in stacks) - 1 <= 2 * schurnorm.WALK_TRIAL
 
 
+def _pinned_walks():
+    """Inputs whose walks are pinned, each with a fixed ``lower``: three
+    relabelings each of the n = 14 and n = 16 workload graphs, a
+    ``graph12_sparse`` labelling whose walk gives way, an L-matrix with
+    eta < 1, and TIE, SINGULAR and CREEPING."""
+    graphs = _workload_graphs(3)
+    sparse = _planted_clique_graph(np.random.default_rng([0x5EBA11, 12]), 12, 0.25, 4)
+    perm = np.random.default_rng([131, 12]).permutation(12)
+    return {
+        **{f"graph14_dense.{i}": (c, 6 / 7) for i, c in enumerate(graphs[6:9])},
+        **{f"graph16_dense.{i}": (c, 7 / 8) for i, c in enumerate(graphs[9:12])},
+        "graph12_sparse.131": (sparse[np.ix_(perm, perm)], 0.75),
+        "l12_below": (schurnorm.l_matrix(0.5, 12) ** 2, 1.0),
+        "TIE": (TIE, 1.0),
+        "SINGULAR": (SINGULAR, 0.5),
+        "CREEPING": (CREEPING, 1.0 + 1.2e-12),
+    }
+
+
+#: The row count of every ``_face_points`` call ``simplex_qp_max`` makes on
+#: each pinned input, in order; "scan" marks where the full scan runs.
+WALK_CALLS = {
+    "graph14_dense.0": [
+        1, 1, 2, 5, 12, 28, 54, 79, 99, 104, 79, 38, 10, 1, 1, 4, 6, 10, 19, 44, 71, 92, 105, 91,
+        51, 16, 2, 1, 2, 5, 14, 20, 24, 25, 18, 7, 1, 1],
+    "graph14_dense.1": [
+        1, 1, 2, 4, 7, 10, 16, 51, 111, 141, 107, 49, 12, 1, 1, 5, 10, 12, 13, 16, 39, 90, 131,
+        115, 61, 17, 2, 1],
+    "graph14_dense.2": [
+        1, 1, 3, 9, 20, 26, 32, 49, 70, 86, 92, 75, 38, 10, 1, 1, 5, 11, 13, 16, 25, 33, 35, 33,
+        25, 11, 2, 1],
+    "graph16_dense.0": [1, 1, 4, 7, 8, 8, 10, 15, 24, 41, 65, 79, 67, 36, 10, 1, 1],
+    "graph16_dense.1": [
+        1, 1, 1, 1, 5, 15, 25, 34, 49, 73, 97, 98, 70, 33, 9, 1, 1, 2, 7, 18, 29, 41, 55, 72, 87,
+        87, 65, 34, 12, 2, 1, 2, 2, 5, 14, 27, 34, 47, 71, 95, 96, 71, 36, 10, 1, 1, 3, 5, 7, 10,
+        14, 19, 24, 23, 17, 12, 7, 2, 1],
+    "graph16_dense.2": [
+        1, 1, 3, 5, 8, 12, 15, 20, 30, 45, 71, 99, 99, 66, 29, 8, 1, 1, 2, 2, 3, 5, 8, 12, 13, 8,
+        2, 1],
+    "graph12_sparse.131": [1, 1, 8, 29, 64, 98, 112, 98, 64, 29, 8, 1, "scan", 1],
+    "l12_below": [1, 1],
+    "TIE": [1, 1, 2, 1, 1],
+    "SINGULAR": [1, 2, 1, 1],
+    "CREEPING": [1, 2, 3, 1, 1],
+}
+
+
+def test_walk_makes_the_pinned_face_calls(monkeypatch):
+    # a guard for rewrites of the walk: the same stacks, split by support
+    # size, in the same order, then the winner's face once more
+    inputs = _pinned_walks()
+    want = {name: _bits(schurnorm.simplex_qp_max(c)) for name, (c, _) in inputs.items()}
+    calls = []
+    face_points = schurnorm._face_points
+    monkeypatch.setattr(schurnorm, "_face_points",
+                        lambda c, idx: calls.append(len(idx)) or face_points(c, idx))
+    for name, (c, lower) in inputs.items():
+        calls.clear()
+        monkeypatch.setattr(schurnorm, "_scan", lambda c: calls.append("scan") or want[name][1])
+        assert _bits(schurnorm.simplex_qp_max(c, lower=lower)) == want[name]
+        assert calls == WALK_CALLS[name], name
+    # the walk that gives way solved its first face and whole stacks only:
+    # the partial stack it was filling is dropped unsolved
+    calls = WALK_CALLS["graph12_sparse.131"]
+    assert sum(calls[:calls.index("scan")]) % schurnorm.FACE_CHUNK == 1
+
+
 def test_schur_norm_takes_its_seed_from_the_block(monkeypatch):
     b = schurnorm.l_matrix(2.0, 9)
     lowers = []
@@ -933,3 +1000,16 @@ def test_ds_schur_psd_is_decided_by_is_psd(monkeypatch):
 def test_ds_schur_validation():
     with pytest.raises(ValueError):
         schurnorm.ds_schur_majorization_check(2 * np.eye(3), np.eye(3))
+    # numpy would broadcast a 1 x 1 B over X, and refuse 2 x 2 against 3 x 3
+    for b, x, orders in ((np.eye(1), np.diag([3.0, 1.0, 2.0]), "1 and 3"),
+                         (np.eye(2), np.eye(3), "2 and 3"),
+                         (np.ones((3, 3)), np.eye(2), "3 and 2")):
+        with pytest.raises(ValueError) as refused:
+            schurnorm.ds_schur_majorization_check(b, x)
+        assert str(refused.value) == f"B and X must have the same order, got {orders}"
+
+
+def test_schur_norms_refuse_an_empty_b():
+    for norm in (schurnorm.oracle_two_inf_norm, schurnorm.schur_two_inf_norm):
+        with pytest.raises(ValueError, match="^B must be non-empty$"):
+            norm(np.zeros((0, 0)))
