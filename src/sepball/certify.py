@@ -39,9 +39,12 @@ class Certificate:
     margin: float
     dims: tuple[int, ...]
     boundary: bool = field(default=False)
-    #: How PSD was decided: "ball", "cholesky", "eig" or "skipped" (no check
-    #: ran); None when not recorded.
+    #: How PSD was decided: "ball", "cholesky", "witness", "eig" or
+    #: "skipped" (no check ran); None when not recorded.
     psd_check: str | None = field(default=None)
+    #: With "witness": the proved upper bound on lambda_min, the witness
+    #: vector's Rayleigh quotient plus its rounding bound; else None.
+    rayleigh_bound: float | None = field(default=None)
 
     def to_dict(self) -> dict:
         """The certificate as the JSON object that ``to_json`` writes."""
@@ -53,6 +56,7 @@ class Certificate:
             "dims": list(self.dims),
             "boundary": self.boundary,
             "psd_check": self.psd_check,
+            "rayleigh_bound": self.rayleigh_bound,
         }
 
     def to_json(self) -> str:
@@ -69,6 +73,7 @@ class Certificate:
             dims=tuple(obj["dims"]),
             boundary=obj.get("boundary", False),
             psd_check=obj.get("psd_check"),
+            rayleigh_bound=obj.get("rayleigh_bound"),
         )
 
 
@@ -119,7 +124,8 @@ def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
     ``matcore.measure``).  Normalization and PSD are the ``State``'s
     decisions (``State.normalized`` and ``State.psd``, which tries the floor
     from the trace and distance already measured before any factorization);
-    the certificate's ``psd_check`` names the check that decided.
+    the certificate's ``psd_check`` names the check that decided, and a
+    witness's ``rayleigh_bound`` is recorded.
     """
     state = measure(rho, dims)
     bound = ballbounds.radius_report(state.dims).normalized_radius
@@ -130,7 +136,7 @@ def certify_normalized(rho, dims: Sequence[int]) -> Certificate:
     psd = state.psd
     if not psd:
         return Certificate(NOT_PSD, bound, measured, bound - measured, dims,
-                           psd_check=psd.method)
+                           psd_check=psd.method, rayleigh_bound=psd.bound)
     return _ball_verdict(measured, bound, dims, psd.method)
 
 

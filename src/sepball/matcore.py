@@ -27,9 +27,11 @@ shape it is about to build, and it refuses any array of more than
 cheapest check that settles it, and says which one did: a lower bound on
 lambda_min the caller already knows (``psd_floor``, from the trace and the
 distance from (trace/d)·I), then a Cholesky factorization with a
-rounding-error bound, then the eigensolve, which alone can reject.  The
-first two accept only matrices the eigenvalue rule accepts, so the answer
-never depends on which check ran.
+rounding-error bound, then a Lanczos witness vector whose Rayleigh quotient
+proves lambda_min below the rule's edge, then the eigensolve.  The first two
+only accept and the witness only rejects, each only where the eigenvalue
+rule gives the same answer, so the answer never depends on which check
+ran.
 
 Matrix files hold ``{"dims": [...], "entries": [[re, im], ...]}`` in
 row-major order, and the matrices and errors read from them are those of
@@ -98,9 +100,14 @@ MATERIALIZATION_CAP = 4096
 #: Default relative PSD tolerance, scaled by max(1, operator norm).
 PSD_TOL = 1e-10
 
-#: Unit roundoffs per step in ``is_psd``'s Cholesky rounding bound: the real
-#: bound takes one, and complex products and sums need a few more.
+#: Unit roundoffs per step in ``is_psd``'s Cholesky and witness rounding
+#: bounds: the real bounds take one, and complex products and sums need a
+#: few more.
 CHOLESKY_ROUNDING = 8
+
+#: Most Lanczos steps ``is_psd``'s witness takes before the eigensolve
+#: decides; matrices of this order or less go straight to the eigensolve.
+WITNESS_STEPS = 20
 
 #: Reject nominally-Hermitian input when the anti-Hermitian part is this
 #: large relative to the matrix itself.
@@ -257,50 +264,110 @@ class PsdCheck:
     """The answer of ``is_psd``: truthy iff the matrix passed.
 
     ``method`` names the check that decided: ``"ball"`` (the caller's floor
-    on lambda_min was >= 0), ``"cholesky"`` or ``"eig"``.
+    on lambda_min was >= 0), ``"cholesky"``, ``"witness"`` or ``"eig"``.
+    For ``"witness"``, ``bound`` is the proved upper bound on lambda_min,
+    the witness's Rayleigh quotient plus its rounding bound; else None.
     """
 
     psd: bool
     method: str
+    bound: float | None = None
 
     def __bool__(self) -> bool:
         return self.psd
 
 
+def _gamma(d: int) -> float:
+    """gamma_{d+1} with ``CHOLESKY_ROUNDING`` unit roundoffs per step."""
+    k = CHOLESKY_ROUNDING * (d + 1) * float(np.finfo(np.float64).eps) / 2
+    return k / (1 - k)
+
+
 def _cholesky_certifies(h: np.ndarray, tol: float) -> bool:
     """True when a Cholesky factorization proves lambda_min(H) >= -tol·max(1, max|H_ii|).
 
-    With s half that margin: if the factorization R of H + s·I runs to the
-    end, then RᴴR = H + s·I + E with ||E||_2 <= gamma_{d+1}·||R||_2²
-    (Frobenius norms; Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3), so lambda_min(H) >= -s - gamma_{d+1}·||R||_2².
-    Gamma is taken with ``CHOLESKY_ROUNDING`` unit roundoffs per step
-    instead of one, which covers complex arithmetic and the rounding of the
-    shift.  Since max|H_ii| <= ||H||_inf, a matrix accepted here meets
-    ``is_psd``'s rule.
+    If the factorization R of H + s·I runs to the end, then RᴴR = H + s·I +
+    E with ||E||_2 <= gamma_{d+1}·||R||_2² (Frobenius norms; Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3), so
+    lambda_min(H) >= -s - gamma_{d+1}·||R||_2², whatever the sign of s.
+    Gamma is ``_gamma``'s, which covers complex arithmetic and the rounding
+    of the shift.  Since ||R||_2² = tr H + d·s + tr E, s solves
+    s + gamma·(tr H + d·s) = margin/2: the bound then lands near half the
+    margin, and s is negative when the rounding term alone exceeds that,
+    as at I of order 256.  Since max|H_ii| <= ||H||_inf, a matrix accepted
+    here meets ``is_psd``'s rule.
     """
     d = h.shape[0]
     margin = tol * max(1.0, float(np.abs(np.diagonal(h)).max()))
-    shift = margin / 2
+    gamma = _gamma(d)
+    shift = (margin / 2 - gamma * float(np.trace(h).real)) / (1 + gamma * d)
     a = h.copy()
     a.flat[::d + 1] += shift
     try:
         r = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
-    k = CHOLESKY_ROUNDING * (d + 1) * np.finfo(np.float64).eps / 2
-    return shift + k / (1 - k) * float(np.linalg.norm(r)) ** 2 <= margin
+    return shift + gamma * float(np.linalg.norm(r)) ** 2 <= margin
+
+
+def _witness(h: np.ndarray, tol: float) -> float | None:
+    """An upper bound on lambda_min(H) that proves the eigenvalue rule rejects H, or None.
+
+    Any unit x gives lambda_min <= x†Hx, and ||H||_2 <= ||H||_F.  Up to
+    ``WITNESS_STEPS`` Lanczos steps from a fixed-seed random start, each
+    vector orthogonalized twice against all before it, build a Krylov
+    basis; they stop at breakdown, when the new direction's norm is at
+    rounding level.  x is the lowest Ritz vector of the basis (one small
+    ``eigh`` of the projected matrix), and q = fl(x†Hx)/fl(x†x).  The
+    matrix-vector product, the two inner products and the quotient err by
+    at most 4·gamma·f, with gamma ``_gamma``'s and f >= ||H||_F the computed
+    norm rounded up, so lambda_min <= q + 4·gamma·f.  ``eigvalsh``'s
+    eigenvalues are exact for H + E with ||E||_2 of order d²·u·||H||
+    (Householder reduction; Higham, ch. 19); delta = d·gamma·f covers that.
+    So when q + 4·gamma·f + delta < -tol·max(1, f + delta), the rule
+    rejects H on exact eigenvalues and on ``eigvalsh``'s alike, and q +
+    4·gamma·f is returned.  At order ``WITNESS_STEPS`` or less the Krylov
+    space can be the whole space, so the eigensolve is no dearer: None.
+    """
+    d = h.shape[0]
+    if d <= WITNESS_STEPS:
+        return None
+    gamma = _gamma(d)
+    f = frobenius_norm(h) * (1 + gamma)
+    basis = np.empty((WITNESS_STEPS, d), np.result_type(h, float))
+    images = np.empty_like(basis)
+    v = np.random.default_rng(0).standard_normal(d)
+    basis[0] = v / np.linalg.norm(v)
+    steps = 1
+    while True:
+        images[steps - 1] = h @ basis[steps - 1]
+        if steps == WITNESS_STEPS:
+            break
+        w = images[steps - 1].copy()
+        for _ in range(2):
+            w -= basis[:steps].T @ (basis[:steps].conj() @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= gamma * f:
+            break
+        basis[steps] = w / beta
+        steps += 1
+    _, ritz = np.linalg.eigh(basis[:steps].conj() @ images[:steps].T)
+    x = ritz[:, 0] @ basis[:steps]
+    bound = float(np.vdot(x, h @ x).real) / float(np.vdot(x, x).real) + 4 * gamma * f
+    delta = d * gamma * f
+    return bound if bound + delta < -tol * max(1.0, f + delta) else None
 
 
 def is_psd(h: np.ndarray, tol: float = PSD_TOL, floor: float = -math.inf) -> PsdCheck:
     """Whether lambda_min(H) >= -tol * max(1, ||H||_inf), and which check decided.
 
-    The checks run cheapest first, and only the last can reject: a
-    ``floor`` on lambda_min that the caller already knows (``psd_floor``)
-    settles the question when it is >= 0; a single matrix is then tried with
-    a Cholesky factorization and its rounding-error bound
-    (``_cholesky_certifies``); the eigensolve decides every other case, so
-    the answer is always the eigenvalue rule's.  On a stack ``(..., d, d)``
+    The checks run cheapest first: a ``floor`` on lambda_min that the
+    caller already knows (``psd_floor``) accepts when it is >= 0; a single
+    matrix is then tried with a Cholesky factorization and its
+    rounding-error bound (``_cholesky_certifies``), which can only accept,
+    and a Lanczos witness (``_witness``), which can only reject; the
+    eigensolve decides every other case, and each check answers only where
+    the eigenvalue rule gives the same answer.  On a stack ``(..., d, d)``
     the rule is applied to each matrix with one stacked eigensolve, and the
     answer is True iff every one of them passes.
     """
@@ -308,8 +375,12 @@ def is_psd(h: np.ndarray, tol: float = PSD_TOL, floor: float = -math.inf) -> Psd
         raise ValueError("tolerance must be nonnegative")
     if floor >= 0:
         return PsdCheck(True, "ball")
-    if h.ndim == 2 and _cholesky_certifies(h, tol):
-        return PsdCheck(True, "cholesky")
+    if h.ndim == 2:
+        if _cholesky_certifies(h, tol):
+            return PsdCheck(True, "cholesky")
+        bound = _witness(h, tol)
+        if bound is not None:
+            return PsdCheck(False, "witness", bound)
     w = eig_hermitian(h)
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
     return PsdCheck(bool(np.all(w[..., -1] >= -tol * scale)), "eig")

@@ -395,15 +395,17 @@ def seeded(lower: float):
         _LOWER.reset(token)
 
 
-def _weights(b) -> np.ndarray:
-    """C = |B_ij|^2 of the symmetrized B, whose simplex maximum is the squared norm.
-
-    The one place the Schur-norm functions read B: refuses an empty B.
-    """
+def _schur_multiplier(b) -> np.ndarray:
+    """The symmetrized B of a Schur map; the one place B is read, and an empty B refused."""
     b = hermitian(b)
     if b.shape[0] == 0:
         raise ValueError("B must be non-empty")
-    return np.abs(b) ** 2
+    return b
+
+
+def _weights(b) -> np.ndarray:
+    """C = |B_ij|^2 of the symmetrized B, whose simplex maximum is the squared norm."""
+    return np.abs(_schur_multiplier(b)) ** 2
 
 
 def schur_two_inf_norm(b) -> float:
@@ -625,7 +627,11 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     For a rank-one projector the squared objective is ``y^t C y`` with
     ``y_i = |x_i|^2``, so each restart runs a monotone multiplicative ascent
     on the simplex from a random unit vector's amplitude profile.  Every
-    vertex counts too: x = e_i attains C_ii = |b_ii|^2.  Restarts are drawn and ascended
+    vertex counts too: x = e_i attains C_ii = |b_ii|^2.  When C's largest
+    entry lies on its diagonal, so that its largest off-diagonal entry M is
+    at most its largest diagonal entry D, y^t C y <= D sum y_i^2 +
+    M (1 - sum y_i^2) <= D, so the largest vertex is the maximum and no
+    restart is drawn.  Otherwise restarts are drawn and ascended
     ``RESTART_BLOCK`` at a time, so memory is O(RESTART_BLOCK * n) for any
     number of restarts; neither the draws nor any restart's result depend
     on the block size.  ``restarts`` must be a positive integer, and B
@@ -636,6 +642,8 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     n = c.shape[0]
     rng = rng_from_seed(seed)
     best = float(c.diagonal().max())
+    if c.max() <= best:
+        return math.sqrt(best)
     for start in range(0, restarts, RESTART_BLOCK):
         x = rng.standard_normal((min(RESTART_BLOCK, restarts - start), 2, n))
         y = np.abs(x[:, 0] + 1j * x[:, 1]) ** 2
@@ -707,7 +715,7 @@ def ds_schur_majorization_check(b, x) -> bool:
     Such maps are doubly stochastic, so eig(B o X) must be majorized by
     eig(X) for Hermitian X of B's order.  B's PSD is ``is_psd(B, 1e-9)``.
     """
-    b = hermitian(b)
+    b = _schur_multiplier(b)
     if np.max(np.abs(np.diag(b) - 1.0)) > 1e-10:
         raise ValueError("B must have unit diagonal")
     if not is_psd(b, 1e-9):

@@ -182,6 +182,13 @@ def test_certificate_json_roundtrip():
     obj = json.loads(cert.to_json())
     del obj["psd_check"]
     assert certify.Certificate.from_json(json.dumps(obj)).psd_check is None
+    # and so do those written before a witness's bound was recorded
+    rho = np.diag([0.6, 0.5, 0.0, -0.1])
+    cert = certify.certify_normalized(rho, (2, 2))
+    assert certify.Certificate.from_json(cert.to_json()) == cert
+    obj = json.loads(cert.to_json())
+    del obj["rayleigh_bound"]
+    assert certify.Certificate.from_json(json.dumps(obj)) == cert
 
 
 def test_pseudopure_bound_matches_materialized_edge():
@@ -377,3 +384,73 @@ def test_ghz_mixture_decisions_match_eigensolve(m, ratio):
     rho = p * ghz + (1.0 - p) * np.eye(d) / d
     _assert_same_decisions(rho, (2,) * m)
     assert certify.ppt_all_cuts(rho, (2,) * m) is (ratio < 1)
+
+
+def _not_psd_state(rng, d: int) -> np.ndarray:
+    """(1 + s) I/d - s psi psi†, trace one and lambda_min (1 + s)/d - s < 0."""
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    s = rng.uniform(3.0, 5.0) / d
+    return matcore.hermitian((1.0 + s) * np.eye(d) / d - s * np.outer(psi, psi.conj()))
+
+
+def _witness_corpus():
+    """(name, H) pairs: lambda_min within 10·tau of the rule's edge -tau,
+    tau = PSD_TOL·max(1, ||H||_inf), and clearly below it, on generic
+    spectra and on a multiple of I less a rank-one part, where the Krylov
+    space has dimension 2."""
+    rng = rng_from_seed(61)
+    corpus = []
+    for d in (32, 64, 256):
+        for norm in (0.5, 1e3):
+            tau = matcore.PSD_TOL * max(1.0, norm)
+            offsets = [-10.0, -1.0, -1e-3, 1e-3, 1.0, 10.0, *rng.uniform(-10.0, 10.0, 2)]
+            for k, offset in enumerate(offsets):
+                low = -tau * (1.0 + offset)
+                generic = np.concatenate([[norm], rng.uniform(0.1, 1.0, d - 2) * norm, [low]])
+                flat = np.concatenate([np.full(d - 1, norm), [low]])
+                corpus.append((f"edge-generic-{d}-{norm}-{offset:+.3g}",
+                               _with_spectrum(7 * d + k, generic)))
+                corpus.append((f"edge-flat-{d}-{norm}-{offset:+.3g}",
+                               _with_spectrum(11 * d + k, flat)))
+            for k, low in enumerate((-0.01 * norm, -0.5 * norm)):
+                generic = np.concatenate([[norm], rng.uniform(0.1, 1.0, d - 2) * norm, [low]])
+                corpus.append((f"clear-generic-{d}-{norm}-{low:g}", _with_spectrum(13 * d + k, generic)))
+        corpus.append((f"clear-state-{d}", _not_psd_state(rng, d)))
+    return corpus
+
+
+def test_witness_never_changes_an_answer():
+    # the witness rejects only where the eigenvalue rule does; it fires at
+    # least on the rank-one cases and the clearly non-PSD generic ones
+    corpus = _witness_corpus()
+    fired = []
+    for name, h in corpus:
+        got = matcore.is_psd(h)
+        assert bool(got) is _reference_is_psd(h), name
+        if got.method == "witness":
+            fired.append(name)
+            # a proved upper bound on lambda_min, close to it
+            low = np.linalg.eigvalsh(h)[0]
+            assert low <= got.bound <= low + 1e-9 * max(1.0, np.abs(h).max()), name
+        else:
+            assert got.bound is None, name
+    assert all(name in fired for name, _ in corpus if name.startswith("clear"))
+
+
+def test_a_not_psd_10_qubit_state_is_rejected_by_its_witness(count_calls):
+    # a multiple of I less a rank-one part: the Cholesky fails and the
+    # witness rejects after two Lanczos steps, with no eigensolve, for the
+    # certificate and the PPT scan together
+    rho = _not_psd_state(rng_from_seed(67), 1024)
+    state = matcore.measure(rho, (2,) * 10)
+    eigensolves = count_calls(np.linalg, "eigvalsh")
+    factorizations = count_calls(np.linalg, "cholesky")
+    cert = certify.certify_normalized(state, state.dims)
+    with pytest.raises(ValueError, match="^input is not PSD$"):
+        certify.ppt_all_cuts(state, state.dims)
+    assert (cert.verdict, cert.psd_check) == (certify.NOT_PSD, "witness")
+    assert (len(eigensolves), len(factorizations)) == (0, 1)
+    low = np.linalg.eigvalsh(rho)[0]
+    assert low <= cert.rayleigh_bound <= low + 1e-12
+    assert json.loads(cert.to_json())["rayleigh_bound"] == cert.rayleigh_bound

@@ -9,6 +9,7 @@ no module calls ``.is_integer()``, only matcore compares ``0 < x <= 1``
 compares ``norm(…) - 1`` and only ``schurnorm.check_exact_size`` compares
 ``EXACT_SOLVER_CAP``, no module compares ``eig_hermitian(…)[-1]`` (PSD is
 ``matcore.is_psd``'s), only ``schurnorm._bound`` reads ``BOUND_ULPS``,
+only ``matcore._witness`` reads ``WITNESS_STEPS``,
 every third-party module the package imports is a declared dependency, and
 the constants and ``verify`` checks the README quotes are the code's."""
 
@@ -17,6 +18,7 @@ import importlib
 import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -540,12 +542,20 @@ def test_unit_norm_exact_size_and_psd_have_one_home_each():
     assert found == {"matcore.py": ["check_unit_norm"], "schurnorm.py": ["check_exact_size"]}
 
 
-def is_bound_ulps_read(node: ast.AST) -> bool:
-    """A read of ``BOUND_ULPS``: a loaded name or attribute of it, or an import."""
-    if isinstance(node, ast.alias):
-        return node.name == "BOUND_ULPS"
-    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-    return name == "BOUND_ULPS" and isinstance(getattr(node, "ctx", None), ast.Load)
+def reads_of(constant: str) -> Callable[[ast.AST], bool]:
+    """The test for a read of ``constant``: a loaded name or attribute of
+    it, or an import."""
+
+    def is_read(node: ast.AST) -> bool:
+        if isinstance(node, ast.alias):
+            return node.name == constant
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name == constant and isinstance(getattr(node, "ctx", None), ast.Load)
+
+    return is_read
+
+
+is_bound_ulps_read = reads_of("BOUND_ULPS")
 
 
 def test_scanner_finds_bound_ulps_reads():
@@ -572,6 +582,14 @@ def test_only_bound_reads_bound_ulps():
     found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
              if (found := homes(path.read_text(), is_bound_ulps_read))}
     assert found == {"schurnorm.py": ["_bound"]}
+
+
+def test_only_the_witness_reads_witness_steps():
+    # the witness's step cap, and the order at or below which it does not
+    # run, are written once, in matcore._witness
+    found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
+             if (found := homes(path.read_text(), reads_of("WITNESS_STEPS")))}
+    assert found == {"matcore.py": ["_witness"]}
 
 
 def test_all_matches_the_public_imports():

@@ -85,6 +85,15 @@ def test_is_psd_tolerance_scaling():
     assert not matcore.is_psd(np.stack([np.diag([1.0, -1e-6]), np.eye(2)]))
 
 
+@pytest.mark.parametrize("d", [256, 1024])
+def test_cholesky_certifies_the_identity_and_a_perturbation(d):
+    # the rounding term gamma·||R||_2² ~ gamma·d exceeds the margin PSD_TOL
+    # at these orders; a negative shift leaves room for it
+    delta = random_hermitian(rng_from_seed(d), d)
+    for h in (np.eye(d), np.eye(d, dtype=complex), np.eye(d) + 0.5 * delta / np.linalg.norm(delta, 2)):
+        assert matcore.is_psd(h) == matcore.PsdCheck(True, "cholesky")
+
+
 def _measure_inputs() -> dict[str, np.ndarray]:
     rng = rng_from_seed(43)
     ints = rng.integers(-5, 6, size=(12, 12)).astype(float)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sepball import matcore, schurnorm
+from sepball import cli, matcore, schurnorm
 from sepball.matcore import operator_norm
 from sepball.sampling import (
     random_hermitian,
@@ -586,6 +586,30 @@ def test_oracle_escapes_the_saddle_of_a_motzkin_straus_graph(monkeypatch):
     assert rows[0] == rows[1]
 
 
+def test_oracle_returns_the_largest_vertex_when_no_off_diagonal_entry_exceeds_it(monkeypatch,
+                                                                                  capsys):
+    # M <= D: y^t C y <= D sum y_i^2 + M (1 - sum y_i^2) <= D on the simplex,
+    # so the largest vertex is the maximum, and no restart is drawn
+    ascents = _record_calls(monkeypatch, "_ascend")
+    rng = rng_from_seed(89)
+    dominant = random_hermitian(rng, 40)
+    dominant *= 0.9 / np.abs(dominant).max()
+    np.fill_diagonal(dominant, rng.uniform(0.5, 1.0, 40))
+    dominant[7, 7] = 1.0
+    for b in (schurnorm.l_matrix(0.5, 300), schurnorm.l_matrix(0.7, 12),
+              schurnorm.l_matrix(-0.99, 14), dominant, np.eye(5), np.ones((1, 1))):
+        assert schurnorm.oracle_two_inf_norm(b, seed=7) == 1.0
+    assert ascents == []
+    # the schur benchmark's eta < 1 oracle-only request prints its oracle
+    assert cli.main(["schur-norm", "--oracle-only", "--l-matrix", "0.5", "300"]) == 0
+    assert capsys.readouterr().out == "oracle: 1\n"
+    assert ascents == []
+    # one off-diagonal entry above the diagonal and the ascent runs
+    dominant[3, 5] = dominant[5, 3] = 1.5
+    assert schurnorm.oracle_two_inf_norm(dominant, seed=7) > 1.0
+    assert ascents
+
+
 def _values(c, y):
     """y^t C y of every row of y, renormalized, by the ascent's products."""
     y = y / y.sum(axis=1, keepdims=True)
@@ -1013,3 +1037,7 @@ def test_schur_norms_refuse_an_empty_b():
     for norm in (schurnorm.oracle_two_inf_norm, schurnorm.schur_two_inf_norm):
         with pytest.raises(ValueError, match="^B must be non-empty$"):
             norm(np.zeros((0, 0)))
+    # the majorization check's unit-diagonal test would meet an empty
+    # reduction in numpy first
+    with pytest.raises(ValueError, match="^B must be non-empty$"):
+        schurnorm.ds_schur_majorization_check(np.zeros((0, 0)), np.zeros((0, 0)))
