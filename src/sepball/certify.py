@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -17,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ballbounds
-from .matcore import check_dims, distance_from_scalar, is_psd, measure, transpose_parties
+from .matcore import (check_dims, check_real, distance_from_scalar, is_psd, measure,
+                      transpose_parties)
 
 #: Relative width of the band around the bound inside which a verdict is
 #: still reported separable, with a "boundary" annotation.  It is kept at
@@ -155,8 +155,7 @@ def certify_pseudopure(eps: float, dims: Sequence[int], *, baseline: str = "recu
 
     ``eps`` must be a real number in [0, 1], not a bool.
     """
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps <= 1:
-        raise ValueError(f"epsilon must be a real number in [0, 1], got {eps!r}")
+    eps = check_real(eps, "epsilon must be a real number in [0, 1]", lambda eps: 0 <= eps <= 1)
     dims = check_dims(dims)
     bound = pseudopure_bound(dims, baseline=baseline)
     return _ball_verdict(eps, bound, dims)

@@ -48,6 +48,7 @@ from .matcore import (
     check_count,
     check_materializable,
     check_radius,
+    check_real,
     frobenius_norm,
     hermitian,
     is_psd,
@@ -118,10 +119,13 @@ def build_tau(a: float, d2: int, d1: int = 2, mu_scale: float = 1.0) -> MapOnMat
     complex-linearly (hence Hermiticity-preserving) to all of M(d2).
 
     ``mu_scale`` rescales mu away from the critical value; any value above 1
-    breaks ball positivity (the critical mu is extremal).
+    breaks ball positivity (the critical mu is extremal).  It must be a
+    finite ``matcore.check_real``: a bool, NaN or infinity raises
+    ``ValueError``.
     """
     d2, d1 = check_count(d2, "d2", 4), check_count(d1, "d1", 2)
     check_materializable(d2, d2, d1, d1)
+    mu_scale = check_real(mu_scale, "mu_scale must be a finite number", math.isfinite)
     mu = mu_scale * critical_mu(a, d2)
     # Orthonormal (trace inner product) Hermitian triple spanning the support.
     basis_in = [

@@ -70,7 +70,6 @@ def complete_local_basis(v: np.ndarray) -> np.ndarray:
     else:
         u = np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / (wn * wn)
     # reflector maps phase*e1 -> v; absorb the phase into the first column
-    u = u.copy()
     u[:, 0] *= phase
     return u
 

@@ -15,9 +15,12 @@ kernel that takes trusted ndarrays and never re-validates.
 Counts have one rule, ``check_count``: a Python or numpy integer, never a
 bool or a float.  It is the package's only integer rule; ``check_dims``
 applies it to each local dimension, and every dimension argument goes
-through it.  The ball radius a has one rule, ``check_radius``: a real
-number in (0, 1], never a bool.  A unit vector has one rule,
-``check_unit_norm``.  Memory has one rule,
+through it.  Real numbers have one rule, ``check_real``: a ``numbers.Real``,
+never a bool, whose float lies in the site's range, by default anything
+but NaN.  It is the package's only real-number rule, and no other module
+imports ``numbers``.  The ball radius a has one rule, ``check_radius``: a
+``check_real`` in (0, 1].  A unit vector has one rule, ``check_unit_norm``,
+which refuses NaN.  Memory has one rule,
 ``check_materializable(*shape)``: every function that builds an array sized
 from its arguments, and every reader of outside input, asks it with the
 shape it is about to build, and it refuses any array of more than
@@ -186,24 +189,38 @@ def check_count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def check_real(value, rule: str,
+               within: Callable[[float], bool] = lambda x: not math.isnan(x)) -> float:
+    """Validate a real number: a ``numbers.Real``, not a bool, whose float passes ``within``.
+
+    The package's one rule for real numbers; ``within`` is the site's range,
+    by default anything but NaN, and ``rule`` states it in the message.  An
+    integer too large for a float is refused like any other value.  Returns
+    the value as float.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if within(x := float(value)):
+                return x
+    raise ValueError(f"{rule}, got {value!r}")
+
+
 def check_radius(a) -> float:
-    """Validate a ball radius: a real number, not a bool, in (0, 1].
+    """Validate a ball radius: a ``check_real`` in (0, 1].
 
     The package's one rule for the radius a of the ball around I on which
     the paper's maps are positive.  Returns the radius as float.
     """
-    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a <= 1:
-        raise ValueError(f"need 0 < a <= 1, got {a!r}")
-    return float(a)
+    return check_real(a, "need 0 < a <= 1", lambda a: 0 < a <= 1)
 
 
 def check_unit_norm(v: np.ndarray, what: str) -> None:
-    """Refuse a vector whose 2-norm is off 1 by more than 1e-10.
+    """Refuse a vector whose 2-norm is off 1 by more than 1e-10, or is NaN.
 
     The package's one rule for unit vectors; ``what`` names them in the
     message.
     """
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValueError(f"{what} must have unit norm")
 
 

@@ -13,14 +13,13 @@ polarization has one rule, ``check_polarization``.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ballbounds
-from .matcore import check_count, check_materializable, kron_all
+from .matcore import check_count, check_materializable, check_real, kron_all
 
 #: Single-spin polarization beta*mu*B at T = 300 K, B = 11 T.
 ETA_DEFAULT = 3.746e-5
@@ -30,13 +29,12 @@ LINEARIZATION_WARN = 0.1
 
 
 def check_polarization(eta) -> float:
-    """Validate a polarization: a real number, not a bool, finite and > 0.
+    """Validate a polarization: a ``matcore.check_real``, finite and > 0.
 
     The package's one rule for the polarization eta.  Returns it as float.
     """
-    if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not 0 < eta < math.inf:
-        raise ValueError(f"polarization must be finite and positive, got {eta!r}")
-    return float(eta)
+    return check_real(eta, "polarization must be finite and positive",
+                      lambda eta: 0 < eta < math.inf)
 
 
 @dataclass(frozen=True)

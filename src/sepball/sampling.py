@@ -54,11 +54,6 @@ def random_unit_hermitians(
     return h
 
 
-def random_traceless_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform direction on the unit sphere of traceless Hermitian matrices."""
-    return random_unit_hermitians(rng, 1, d, traceless=True)[0]
-
-
 def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)

@@ -47,15 +47,14 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Sequence
 
 import numpy as np
 
-from .matcore import (check_count, check_materializable, check_unit_norm, eig_hermitian,
-                      hermitian, is_psd)
+from .matcore import (check_count, check_materializable, check_real, check_unit_norm,
+                      eig_hermitian, hermitian, is_psd)
 from .sampling import rng_from_seed
 
 #: Largest instance the exact support-enumeration solver accepts.
@@ -362,10 +361,7 @@ def simplex_qp_max(c, lower: float | None = None) -> SimplexQPResult:
         raise ValueError("C must be symmetric")
     if np.any(c < 0):
         raise ValueError("C must be entrywise nonnegative")
-    if lower is not None and (isinstance(lower, bool) or not isinstance(lower, numbers.Real)
-                              or math.isnan(lower)):
-        raise ValueError(f"lower must be a real number, got {lower!r}")
-    support = None if lower is None else _walk(c, float(lower))
+    support = None if lower is None else _walk(c, check_real(lower, "lower must be a real number"))
     if support is None:
         support = _scan(c)
     if support is None:
@@ -419,11 +415,11 @@ def schur_two_inf_norm(b) -> float:
     return math.sqrt(simplex_qp_max(_weights(b), lower=_LOWER.get()).value)
 
 
-def _check_l_args(eta: float, n: int) -> None:
-    """Refuse a bool, a non-finite eta and a size that is not a positive integer."""
-    if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
-        raise ValueError(f"eta must be a finite number, got {eta!r}")
+def _check_l_args(eta: float, n: int) -> float:
+    """The float eta, a finite ``check_real``; n must be a positive integer."""
+    eta = check_real(eta, "eta must be a finite number", math.isfinite)
     check_count(n, "n", 1)
+    return eta
 
 
 def l_matrix(eta: float, n: int) -> np.ndarray:
@@ -433,7 +429,7 @@ def l_matrix(eta: float, n: int) -> np.ndarray:
     positive integer, and ``MaterializationError`` for n above the
     materialization cap.
     """
-    _check_l_args(eta, n)
+    eta = _check_l_args(eta, n)
     check_materializable(n, n)
     return eta * np.ones((n, n)) + (1.0 - eta) * np.eye(n)
 
@@ -445,7 +441,7 @@ def l_matrix_norm(eta: float, n: int) -> float:
     below that the maximum moves off the uniform point.  Raises
     ``ValueError`` on the arguments ``l_matrix`` refuses, and for eta < 1.
     """
-    _check_l_args(eta, n)
+    eta = _check_l_args(eta, n)
     if eta < 1.0:
         raise ValueError("closed form requires eta >= 1")
     return math.sqrt((eta * eta * (n - 1) + 1.0) / n)

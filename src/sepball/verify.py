@@ -44,7 +44,6 @@ from .sampling import (
     random_density_matrix,
     random_hermitian,
     random_product_ensemble,
-    random_traceless_unit_hermitian,
     random_unit_hermitians,
     random_unit_vector,
     rng_from_seed,
@@ -197,8 +196,7 @@ def check_ball_boundary_ppt(seed: int, fast: bool) -> None:
     for dims in [(2, 2), (2, 2, 2)]:
         d = math.prod(dims)
         b = ballbounds.radius_report(dims).normalized_radius
-        for _ in range(n):
-            delta = random_traceless_unit_hermitian(rng, d)
+        for delta in random_unit_hermitians(rng, n, d, traceless=True):
             rho = np.eye(d) / d + b * delta
             cert = certify.certify_normalized(rho, dims)
             assert cert.verdict == certify.SEPARABLE, "boundary state not certified"

@@ -14,7 +14,7 @@ import numpy as np
 from sepball import ballbounds, certify, extremal, geometry, nmr, schurnorm, verify
 from sepball.sampling import (
     random_product_ensemble,
-    random_traceless_unit_hermitian,
+    random_unit_hermitians,
     random_unit_vector,
     rng_from_seed,
 )
@@ -151,8 +151,8 @@ def test_criterion_11_soundness_vs_ppt():
     for dims in [(2, 2), (2, 2, 2)]:
         d = math.prod(dims)
         b = ballbounds.normalized_radius(ballbounds.recursion_radius(dims), d)
-        for _ in range(200):
-            rho = np.eye(d) / d + b * random_traceless_unit_hermitian(rng, d)
+        for delta in random_unit_hermitians(rng, 200, d, traceless=True):
+            rho = np.eye(d) / d + b * delta
             cert = certify.certify_normalized(rho, dims)
             assert cert.verdict == certify.SEPARABLE
             assert certify.ppt_all_cuts(rho, dims)

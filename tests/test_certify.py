@@ -12,7 +12,7 @@ from sepball import ballbounds, certify, matcore
 from sepball.matcore import frobenius_norm
 from sepball.sampling import (
     random_density_matrix,
-    random_traceless_unit_hermitian,
+    random_unit_hermitians,
     rng_from_seed,
 )
 
@@ -111,7 +111,7 @@ def test_certify_peak_memory(normalized):
     # it for the unnormalized test: the symmetrized copy and one temporary
     # of hermitian's are all either adds
     d = 1024
-    rho = np.eye(d) / d + 0.5 / d * random_traceless_unit_hermitian(rng_from_seed(37), d)
+    rho = np.eye(d) / d + 0.5 / d * random_unit_hermitians(rng_from_seed(37), 1, d, traceless=True)[0]
     x = rho if normalized else d * rho
     fn = certify.certify_normalized if normalized else certify.certify_unnormalized
     tracemalloc.start()
@@ -154,7 +154,7 @@ def test_boundary_band():
     dims = (2, 2)
     b = ballbounds.normalized_radius(1.0, 4)
     rng = rng_from_seed(2)
-    delta = random_traceless_unit_hermitian(rng, 4)
+    delta = random_unit_hermitians(rng, 1, 4, traceless=True)[0]
     on_edge = np.eye(4) / 4 + b * delta
     cert = certify.certify_normalized(on_edge, dims)
     assert cert.verdict == certify.SEPARABLE
@@ -266,8 +266,8 @@ def test_ball_boundary_states_pass_ppt():
     for dims in [(2, 2), (2, 2, 2)]:
         d = math.prod(dims)
         b = ballbounds.normalized_radius(ballbounds.recursion_radius(dims), d)
-        for _ in range(25):
-            rho = np.eye(d) / d + b * random_traceless_unit_hermitian(rng, d)
+        for delta in random_unit_hermitians(rng, 25, d, traceless=True):
+            rho = np.eye(d) / d + b * delta
             cert = certify.certify_normalized(rho, dims)
             assert cert.verdict == certify.SEPARABLE
             assert certify.ppt_all_cuts(rho, dims)

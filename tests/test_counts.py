@@ -4,8 +4,11 @@ bools, integral floats, None and values below the least count.  Radii: every
 ball radius a goes through ``matcore.check_radius``, which accepts a real
 number in (0, 1] and refuses bools and everything else.  Polarizations: every
 eta goes through ``nmr.check_polarization``, which accepts a finite positive
-real number and refuses bools.  Unit vectors: both sites that need one ask
-``matcore.check_unit_norm``.  Seeds: every seed other than None goes through
+real number and refuses bools.  Other real numbers: every one goes through
+``matcore.check_real``, which accepts a ``numbers.Real`` other than a bool in
+the site's range, as a float, and refuses everything else with the site's
+message.  Unit vectors: both sites that need one ask
+``matcore.check_unit_norm``, which refuses NaN.  Seeds: every seed other than None goes through
 ``sampling.rng_from_seed``, which asks ``check_count`` for a nonnegative
 integer."""
 
@@ -15,11 +18,13 @@ import dataclasses
 import hashlib
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sepball import ballbounds, cli, extremal, geometry, matcore, nmr, sampling, schurnorm
+from sepball import (ballbounds, certify, cli, extremal, geometry, matcore, nmr, sampling,
+                     schurnorm)
 
 TAU = extremal.build_tau(0.8, 4)
 B = np.add.outer(np.arange(4.0), np.cos(np.arange(4.0)))
@@ -210,12 +215,49 @@ def test_polarizations_have_one_rule(name, call):
 
 def test_unit_vectors_have_one_rule():
     off, near = np.array([1 + 2e-10, 0.0]), np.array([1 + 5e-11, 0.0])
-    with pytest.raises(ValueError, match="^local vectors must have unit norm$"):
-        geometry.complete_local_basis(off)
-    with pytest.raises(ValueError, match="^ensemble y-vectors must have unit norm$"):
-        schurnorm.nielsen_kempe_check([(np.ones(2), off)])
+    for bad in (off, np.array([math.nan, 0.0]), np.array([math.inf, 0.0])):
+        with pytest.raises(ValueError, match="^local vectors must have unit norm$"):
+            geometry.complete_local_basis(bad)
+        with pytest.raises(ValueError, match="^ensemble y-vectors must have unit norm$"):
+            schurnorm.nielsen_kempe_check([(np.ones(2), bad)])
     geometry.complete_local_basis(near)
     assert schurnorm.nielsen_kempe_check([(np.ones(2), near)])
+
+
+def _pseudopure(eps):
+    cert = certify.certify_pseudopure(eps, (2, 2))
+    assert type(cert.measured) is float
+    assert certify.Certificate.from_json(cert.to_json()) == cert
+    return cert.measured, cert.margin, cert.verdict
+
+
+#: (site, its rule, whether it takes inf and -inf, a valid value, call of the
+#: site with the real number returning its results).
+REAL_SITES = [
+    ("l_matrix", "eta must be a finite number", False, Fraction(1, 3),
+     lambda eta: (schurnorm.l_matrix(eta, 3),)),
+    ("l_matrix_norm", "eta must be a finite number", False, Fraction(4, 3),
+     lambda eta: (schurnorm.l_matrix_norm(eta, 3),)),
+    ("certify_pseudopure", "epsilon must be a real number in [0, 1]", False,
+     Fraction(1, 10**6), _pseudopure),
+    ("simplex_qp_max", "lower must be a real number", True, Fraction(1, 3),
+     lambda lower: dataclasses.astuple(schurnorm.simplex_qp_max(B8 * B8, lower=lower))),
+    ("build_tau", "mu_scale must be a finite number", False, Fraction(2, 3),
+     lambda mu_scale: (extremal.build_tau(0.5, 4, mu_scale=mu_scale).images,)),
+]
+
+
+@pytest.mark.parametrize("name, rule, takes_inf, valid, call", REAL_SITES,
+                         ids=[s[0] for s in REAL_SITES])
+def test_reals_have_one_rule(name, rule, takes_inf, valid, call):
+    infinities = (math.inf, -math.inf)
+    for bad in (True, np.True_, "0.5", 1j, math.nan, 10**400, *(() if takes_inf else infinities)):
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+        assert str(refused.value) == f"{rule}, got {bad!r}"
+    want = [_bits(v) for v in call(float(valid))]
+    for value in (valid, np.float64(valid), *(infinities if takes_inf else ())):
+        assert [_bits(v) for v in call(value)] == want
 
 
 #: (site, call of the site with the seed).

@@ -14,7 +14,7 @@ from sepball.matcore import (
     identity_map,
     operator_norm,
 )
-from sepball.sampling import random_hermitian, rng_from_seed
+from sepball.sampling import random_hermitian, random_unit_hermitians, rng_from_seed
 
 GRID = [(0.3, 4), (0.3, 6), (0.3, 9), (0.6, 4), (0.6, 6), (0.6, 9),
         (1.0, 4), (1.0, 6), (1.0, 9)]
@@ -99,13 +99,10 @@ def test_tau_ratios_below_lambdaprime():
 
 def test_hermitian_traceless_ratios_below_lambda():
     rng = rng_from_seed(67)
-    from sepball.sampling import random_traceless_unit_hermitian
-
     for a, d2 in [(0.3, 4), (1.0, 9)]:
         tau = extremal.build_tau(a, d2)
         lam = ballbounds.lambda_bound(a, d2)
-        for _ in range(1000):
-            h = random_traceless_unit_hermitian(rng, d2)
+        for h in random_unit_hermitians(rng, 1000, d2, traceless=True):
             assert extremal.achieved_ratio(tau, h) <= lam + 1e-9
 
 

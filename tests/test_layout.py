@@ -1,7 +1,7 @@
 """Source layout rules: helpers that other modules use are public, every
 private name is read in its own module, only matcore reads the
-materialization cap or ``numbers.Integral`` and only ``matcore.fork_map``
-forks, only ``schurnorm._face_points`` scatters or solves a face or reaches
+materialization cap, ``numbers.Integral`` or ``numbers.Real`` or imports
+``numbers``, and only ``matcore.fork_map`` forks, only ``schurnorm._face_points`` scatters or solves a face or reaches
 numpy's LU gufunc and ``slogdet``, and one ``schurnorm`` function holds its
 tolerance, only matcore reads ``TRACE_TOL`` or gives ``is_psd`` a floor and
 no module calls ``.is_integer()``, only matcore compares ``0 < x <= 1``
@@ -253,8 +253,8 @@ def test_only_matcore_forks():
     assert found == {}
 
 
-def integral_reads(source: str) -> list[str]:
-    """Every use of ``numbers.Integral`` in ``source``.
+def abc_reads(source: str, abc: str) -> list[str]:
+    """Every use of the ABC ``numbers.<abc>`` in ``source``.
 
     An attribute of ``numbers``, or of any name ``numbers`` is imported as,
     an import of it from ``numbers``, or a ``getattr`` of it counts.
@@ -266,14 +266,14 @@ def integral_reads(source: str) -> list[str]:
     for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "numbers":
             found += [f"from numbers import {alias.name}"
-                      for alias in node.names if alias.name == "Integral"]
-        elif (isinstance(node, ast.Attribute) and node.attr == "Integral"
+                      for alias in node.names if alias.name == abc]
+        elif (isinstance(node, ast.Attribute) and node.attr == abc
               and isinstance(node.value, ast.Name) and node.value.id in aliases):
             found.append(ast.unparse(node))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "getattr" and len(node.args) >= 2
               and isinstance(node.args[0], ast.Name) and node.args[0].id in aliases
-              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "Integral"):
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == abc):
             found.append(ast.unparse(node))
     return found
 
@@ -288,7 +288,7 @@ def test_scanner_finds_integral_reads():
         "def g(n):\n"
         "    return numbers.Integral\n"
     )
-    assert sorted(integral_reads(source)) == [
+    assert sorted(abc_reads(source, "Integral")) == [
         "from numbers import Integral",
         "getattr(num, 'Integral')",
         "num.Integral",
@@ -302,9 +302,41 @@ def test_only_matcore_reads_integral():
     found = {
         path.name: reads
         for path in sorted(SRC.glob("*.py"))
-        if path.stem != "matcore" and (reads := integral_reads(path.read_text()))
+        if path.stem != "matcore" and (reads := abc_reads(path.read_text(), "Integral"))
     }
     assert found == {}
+
+
+def test_scanner_finds_real_reads():
+    source = (
+        '"""Reals are ``numbers.Real``."""\n'
+        "import json, numbers as num\n"
+        "from numbers import Integral, Real as R\n"
+        "def f(x):\n"
+        "    return isinstance(x, (num.Integral, num.Real)), getattr(num, 'Real'), R\n"
+        "def g(x):\n"
+        "    return numbers.Real, numbers.Rational, x.Real\n"
+    )
+    assert sorted(abc_reads(source, "Real")) == [
+        "from numbers import Real",
+        "getattr(num, 'Real')",
+        "num.Real",
+        "numbers.Real",
+    ]
+    assert absolute_imports(source) == {"json", "numbers"}
+
+
+def test_only_matcore_reads_real():
+    # real numbers have one rule, matcore.check_real: no other module decides
+    # what a real number is, or imports numbers at all
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "matcore" and (reads := abc_reads(path.read_text(), "Real"))
+    }
+    assert found == {}
+    assert {path.name for path in SRC.glob("*.py")
+            if "numbers" in absolute_imports(path.read_text())} == {"matcore.py"}
 
 
 #: The numpy functions that scatter a face's point or solve its system.
@@ -607,15 +639,20 @@ def test_all_matches_the_public_imports():
     assert set(sepball.__all__) == imported
 
 
-def third_party_imports(source: str) -> set[str]:
-    """Top-level names of the absolute imports in ``source`` outside the stdlib."""
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"sepball"}
+    return names
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source`` outside the stdlib."""
+    return absolute_imports(source) - set(sys.stdlib_module_names) - {"sepball"}
 
 
 def test_scanner_finds_third_party_imports():
