@@ -98,7 +98,12 @@ def log_normalized_bound(m: int, baseline: str) -> float:
 
 
 def log_measured_and_bound(eta: float, m: int, mode: str, baseline: str) -> tuple[float, float]:
-    """Natural logs of ``measured_and_bound``'s two values, which never underflow."""
+    """Natural logs of ``measured_and_bound``'s two values, which never underflow.
+
+    eta must pass ``check_polarization`` and m be an integer >= 2
+    (``check_count``).
+    """
+    eta, m = check_polarization(eta), check_count(m, "m", 2)
     _, log_normalized, log_pseudopure = ballbounds.log_bounds((2,) * m, baseline)
     if mode == "pseudopure":
         return math.log(eta * m) - m * math.log(2.0), log_pseudopure
@@ -117,14 +122,14 @@ def measured_and_bound(
     ``certify.pseudopure_bound``, the exact ball condition
     ``eps <= b / sqrt((d-1)(d-b^2))``.  Both bounds come from
     ``ballbounds.log_bounds``; ``baseline`` is any method of
-    ``ballbounds.log_radius``.  eta and m are trusted (``threshold`` checks
-    eta once for its whole search), so no ``NmrParams`` is built per m.
-    Below the double range a value comes out as 0; ``threshold`` decides
-    on the logs instead.
+    ``ballbounds.log_radius``.  eta and m are checked as
+    ``log_measured_and_bound`` checks them.  Below the double range a value
+    comes out as 0; ``threshold`` decides on the logs instead.
     """
     log_measured, log_bound = log_measured_and_bound(eta, m, mode, baseline)
-    # eta m / 2^m is exact up to eta m's rounding; exp of its log is not
-    measured = _epsilon(eta, m) if mode == "pseudopure" else math.exp(log_measured)
+    # eta and m passed its checks, which return float(eta) and int(m); eta m
+    # / 2^m is exact up to eta m's rounding, and exp of its log is not
+    measured = _epsilon(float(eta), int(m)) if mode == "pseudopure" else math.exp(log_measured)
     return measured, math.exp(log_bound)
 
 

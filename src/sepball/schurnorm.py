@@ -29,14 +29,14 @@ support, and every bit of the result is the scan's.  The full scan runs
 instead when no ``lower`` is given, when that gap check fails, when no face
 reaches g, and when pruning stops paying (``WALK_TRIAL``).
 A seeded multiplicative-ascent oracle provides an independent lower bound;
-its restarts are drawn and ascended ``RESTART_BLOCK`` at a time as one
-batch.  Every ``FACE_CHECK_STEPS`` steps, a row whose support has settled
-gets one solve of its face, and leaves the batch: it is done if that face's
-point passes the KKT test, and otherwise (near a saddle, where the ascent
-crawls) it is finished by infection-immunization pivots, one O(n) exact
-line search a step, stacked with the other rows of its batch that failed
-their face, and its final face is solved once more.  Every face, exact or
-oracle, goes through one kernel, ``_face_points``, and every row's Cy and
+its restarts are drawn ``RESTART_BLOCK`` at a time, and each block runs
+three fixed phases as one batch: every row takes ``ASCENT_STEPS`` ascent
+steps, then each row's face (its support) is solved once, and the rows
+whose face fails the KKT test (near a saddle, where the ascent crawls, or
+not yet settled) are finished together by at most ``PIVOT_STEPS``
+infection-immunization pivots, one O(n) exact line search a step, after
+which their final face is solved once more.  Every face, exact or oracle,
+goes through one kernel, ``_face_points``, and every row's Cy and
 y^t C y through ``_products``.  The oracle's faces are solved in stacks of
 at most max(RESTART_BLOCK * n, r^2) doubles for support size r, so its
 memory is O(RESTART_BLOCK * n + r^2) for any number of restarts.
@@ -78,11 +78,11 @@ BOUND_ULPS = 8
 #: Restarts that ``oracle_two_inf_norm`` draws and ascends together.
 RESTART_BLOCK = 64
 
-#: Iteration cap of each restart's multiplicative ascent.
-ASCENT_STEPS = 5000
+#: Multiplicative-ascent steps every restart takes before its face is solved.
+ASCENT_STEPS = 32
 
-#: Steps between the ascent's checks for rows whose support has settled.
-FACE_CHECK_STEPS = 32
+#: Pivot cap of each restart whose face fails after the ascent.
+PIVOT_STEPS = 5000
 
 #: Slack on the totals and prefix sums compared by ``majorizes``.
 MAJORIZATION_TOL = 1e-9
@@ -477,7 +477,7 @@ def _face_exit_values(
     return out
 
 
-def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.ndarray:
+def _pivot(c: np.ndarray, y: np.ndarray, budget: int, tol: float) -> np.ndarray:
     """Infection-immunization pivots on every row of ``y``; returns the final points.
 
     With g = Cy and v = y^t C y, each pivot takes a row's largest violation:
@@ -487,10 +487,10 @@ def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.n
     quadratic on that segment, t in [0, 1].  At t = 1 an immunized y_i is set
     to exactly 0.  g and v follow by the rank-one update, O(n) a row.  A row
     stops when its largest violation is at most ``tol``, when a pivot that
-    zeroes no coordinate would gain at most 1e-16, or after ``budget`` (one
-    count per row) pivots.  Only elementwise operations and per-row
-    reductions touch a row, so its result does not depend on the rows
-    beside it.  (Rota Bulo, Pelillo & Bomze, CVIU 115 (2011) 984.)
+    zeroes no coordinate would gain at most 1e-16, or after ``budget``
+    pivots.  Only elementwise operations and per-row reductions touch a
+    row, so its result does not depend on the rows beside it.  (Rota Bulo,
+    Pelillo & Bomze, CVIU 115 (2011) 984.)
     """
     y = y.copy()
     out = np.empty_like(y)
@@ -518,7 +518,7 @@ def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.n
             gain = t * (2.0 * b + t * a)
             zeroes = ~infect & (t == reach)
             s = np.where(infect, t, -t)
-            stop = (b <= tol) | ((gain <= 1e-16) & ~zeroes) | (step >= budget[rows])
+            stop = (b <= tol) | ((gain <= 1e-16) & ~zeroes) | (step >= budget)
             if stop.any():
                 out[rows[stop]] = y[stop]
                 going = ~stop
@@ -537,83 +537,38 @@ def _pivot(c: np.ndarray, y: np.ndarray, budget: np.ndarray, tol: float) -> np.n
 
 
 def _ascend(c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Multiplicative ascent y <- y o (Cy) / y^t C y on every row of ``y``.
+    """Each row's value after the oracle's three phases; returns the values.
 
-    Every ``FACE_CHECK_STEPS`` steps each running row's support is taken
-    (``_support``); a row whose support is the same as at its previous check
-    has settled, and its face is solved once (``_face_exit_values``, through
-    ``_face_points`` like every face of the exact solver).  Each row stops
-    on its own: when its value is not positive, when the update leaves the
-    simplex, when it gains at most 1e-16, when its settled face's point
-    passes the KKT test (it then keeps the larger of its value and the
-    face's), or after ``ASCENT_STEPS`` steps.  Rows that stop leave the
-    batch.
-
-    A settled row whose face fails sits near a saddle or a non-strict
-    maximum, where the ascent only crawls: it also leaves the batch, and all
-    such rows are finished together by ``_pivot`` with the steps each has
-    left.  A finished row's value is y^t C y of its final point, renormalized,
-    by the ascent's products, or its final face's value where that face
-    passes; its final face is solved once whether or not its support moved,
-    and it keeps the larger of that and its value at handoff (a face that
-    failed at handoff can pass only below that value).  Every row goes
-    through the same BLAS and LAPACK calls whatever the batch holds
-    (``_products`` once per step, whose g also gives the next step's
-    gradient, since C is symmetric, and one solve per face), so a row's
-    result does not depend on the rows beside it.  Returns each row's final
-    value.
+    First, every row takes ``ASCENT_STEPS`` multiplicative steps
+    y <- y o (Cy) / y^t C y.  Next, each row's face, its support
+    (``_support``), is solved once (``_face_exit_values``, through
+    ``_face_points`` like every face of the exact solver).  Last, the rows
+    whose face failed, near a saddle or a non-strict maximum where the
+    ascent only crawls, or not yet settled on their support, are finished
+    together by ``_pivot`` with ``PIVOT_STEPS`` pivots each, and the face
+    of each final point is solved once.  A row's value is the largest of
+    its ascent value, its pivot value (y^t C y of its final point,
+    renormalized) and any face that passes.  Every row goes through the
+    same BLAS and LAPACK calls whatever the batch holds (``_products`` once
+    per step, whose g also gives the next step's gradient, since C is
+    symmetric, and one solve per face), so a row's result does not depend
+    on the rows beside it.
     """
-    k = y.shape[0]
     tol = _tol(c)
-    final_value = np.empty(k)
-    rows = np.arange(k)
-    last_support = np.zeros(y.shape, dtype=bool)
-    # rows handed to the pivots: their indices, points and budgets
-    handed = []
     g, value = _products(c, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(1, ASCENT_STEPS + 1):
-            y_new = y * g / value[:, None]
-            s = y_new.sum(axis=1)
-            y_new /= s[:, None]
-            g_new, new_value = _products(c, y_new)
-            stuck = (value <= 0) | (s <= 0)
-            done = stuck | (new_value <= value + 1e-16)
-            if step % FACE_CHECK_STEPS == 0:
-                support = _support(y_new)
-                settled = ~done & np.all(support == last_support, axis=1)
-                last_support = support
-                if settled.any():
-                    face_value = np.full(rows.size, -np.inf)
-                    face_value[settled] = _face_exit_values(
-                        c, support[settled], new_value[settled], tol
-                    )
-                    new_value = np.maximum(new_value, face_value)
-                    failed = settled & (face_value == -np.inf)
-                    if failed.any():
-                        handed.append((rows[failed], y_new[failed],
-                                       np.full(failed.sum(), ASCENT_STEPS - step)))
-                    done |= settled
-            if done.any():
-                # a stuck row keeps its value; any other takes its largest
-                new_value = np.where(stuck, value, np.maximum(value, new_value))
-                final_value[rows[done]] = new_value[done]
-                going = ~done
-                rows, y_new, g_new, new_value, last_support = (
-                    rows[going], y_new[going], g_new[going], new_value[going],
-                    last_support[going],
-                )
-            y, g, value = y_new, g_new, new_value
-            if not rows.size:
-                break
-    final_value[rows] = value
-    if handed:
-        rows, y, budget = (np.concatenate(part) for part in zip(*handed))
-        y = _pivot(c, y, budget, tol)
+    for _ in range(ASCENT_STEPS):
+        y = y * g / value[:, None]
+        y /= y.sum(axis=1, keepdims=True)
+        g, value = _products(c, y)
+    face = _face_exit_values(c, _support(y), value, tol)
+    final_value = np.maximum(value, face)
+    failed = face == -np.inf
+    if failed.any():
+        y = _pivot(c, y[failed], PIVOT_STEPS, tol)
         y /= y.sum(axis=1, keepdims=True)
         value = _products(c, y)[1]
-        value = np.maximum(value, _face_exit_values(c, _support(y), value, tol))
-        final_value[rows] = np.maximum(final_value[rows], value)
+        face = _face_exit_values(c, _support(y), value, tol)
+        final_value[failed] = np.maximum(final_value[failed], np.maximum(value, face))
     return final_value
 
 
@@ -621,9 +576,12 @@ def oracle_two_inf_norm(b, restarts: int = 64, seed: int | None = None) -> float
     """Sampled lower bound on the Schur-map norm via maximizing ||B o xx†||_2.
 
     For a rank-one projector the squared objective is ``y^t C y`` with
-    ``y_i = |x_i|^2``, so each restart runs a monotone multiplicative ascent
-    on the simplex from a random unit vector's amplitude profile.  Every
-    vertex counts too: x = e_i attains C_ii = |b_ii|^2.  When C's largest
+    ``y_i = |x_i|^2``, so each restart runs ``ASCENT_STEPS`` steps of a
+    monotone multiplicative ascent on the simplex from a random unit
+    vector's amplitude profile, one solve of its face, and, when that face
+    fails, at most ``PIVOT_STEPS`` pivots and one more face (``_ascend``),
+    so the result is a lower bound up to rounding.  Every vertex counts
+    too: x = e_i attains C_ii = |b_ii|^2.  When C's largest
     entry lies on its diagonal, so that its largest off-diagonal entry M is
     at most its largest diagonal entry D, y^t C y <= D sum y_i^2 +
     M (1 - sum y_i^2) <= D, so the largest vertex is the maximum and no

@@ -548,7 +548,7 @@ ppt: all cuts positive
     (["schur-norm", "--l-matrix", "2", "3"], """\
 exact:  1.73205081
 oracle: 1.73205081
-gap:    -2.22044605e-16
+gap:    0
 """),
     (["nmr"], """\
 mode: pseudopure   eta = 3.746e-05   baseline = recursion

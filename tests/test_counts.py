@@ -91,6 +91,10 @@ SITES = [
     ("gamma_bound.d2", 2, 5, lambda v: ballbounds.gamma_bound(2, v, 0.6)),
     ("normalized_radius.d", 2, 5, lambda v: ballbounds.normalized_radius(0.5, v)),
     ("partial_transpose.subsystem", 0, 1, lambda v: matcore.partial_transpose(B, (2, 2), v)),
+    ("measured_and_bound.m", 2, 5,
+     lambda v: nmr.measured_and_bound(1e-5, v, "pseudopure", "recursion")),
+    ("log_measured_and_bound.m", 2, 5,
+     lambda v: nmr.log_measured_and_bound(1e-5, v, "thermal", "recursion")),
 ]
 
 
@@ -193,6 +197,11 @@ POLARIZATION_SITES = [
     ("bipartite_qubit_count", lambda eta: (nmr.bipartite_qubit_count(eta),)),
     ("threshold", lambda eta: (nmr.threshold(eta, "pseudopure", "recursion"),
                                nmr.threshold(eta, "thermal", "recursion"))),
+    ("measured_and_bound", lambda eta: (*nmr.measured_and_bound(eta, 5, "pseudopure", "recursion"),
+                                        *nmr.measured_and_bound(eta, 5, "thermal", "recursion"))),
+    ("log_measured_and_bound",
+     lambda eta: (*nmr.log_measured_and_bound(eta, 5, "pseudopure", "recursion"),
+                  *nmr.log_measured_and_bound(eta, 5, "thermal", "recursion"))),
 ]
 
 #: Each polarization site's values at eta = 1e-5, as ``hex()`` or counts.
@@ -200,6 +209,10 @@ POLARIZATION_VALUES = {
     "NmrParams": ["0x1.0945654a300abp-18", "0x1.a36e2eb1c432dp-20"],
     "bipartite_qubit_count": ["0x1.869ffffffffffp+16"],
     "threshold": [41, 19],
+    "measured_and_bound": ["0x1.a36e2eb1c432dp-20", "0x1.46f6232d76779p-6",
+                           "0x1.0945654a300abp-18", "0x1.41cfe93ff519ap-6"],
+    "log_measured_and_bound": ["-0x1.abd0adb532acfp+3", "-0x1.f50519ef598b7p+1",
+                               "-0x1.8e1d482fa0eaep+3", "-0x1.f70d45a096740p+1"],
 }
 
 
@@ -211,6 +224,14 @@ def test_polarizations_have_one_rule(name, call):
         assert str(refused.value) == f"polarization must be finite and positive, got {bad!r}"
     for eta in (1e-5, np.float64(1e-5)):
         assert [_bits(v) for v in call(eta)] == POLARIZATION_VALUES[name]
+
+
+@pytest.mark.parametrize("call", [nmr.measured_and_bound, nmr.log_measured_and_bound])
+def test_nmr_margins_refuse_a_qubit_count_below_two_or_not_an_integer(call):
+    for bad in (4.0, True, 1):
+        with pytest.raises(ValueError) as refused:
+            call(1e-5, bad, "pseudopure", "recursion")
+        assert str(refused.value) == f"m must be an integer >= 2, got {bad!r}"
 
 
 def test_unit_vectors_have_one_rule():

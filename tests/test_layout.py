@@ -9,7 +9,8 @@ no module calls ``.is_integer()``, only matcore compares ``0 < x <= 1``
 compares ``norm(…) - 1`` and only ``schurnorm.check_exact_size`` compares
 ``EXACT_SOLVER_CAP``, no module compares ``eig_hermitian(…)[-1]`` (PSD is
 ``matcore.is_psd``'s), only ``schurnorm._bound`` reads ``BOUND_ULPS``,
-only ``matcore._witness`` reads ``WITNESS_STEPS``,
+only ``matcore._witness`` reads ``WITNESS_STEPS``, only ``schurnorm._ascend``
+reads the oracle's ``ASCENT_STEPS`` and ``PIVOT_STEPS``,
 every third-party module the package imports is a declared dependency, and
 the constants and ``verify`` checks the README quotes are the code's."""
 
@@ -624,6 +625,15 @@ def test_only_the_witness_reads_witness_steps():
     assert found == {"matcore.py": ["_witness"]}
 
 
+@pytest.mark.parametrize("constant", ["ASCENT_STEPS", "PIVOT_STEPS"])
+def test_only_the_oracle_reads_its_step_caps(constant):
+    # the oracle's phases are fixed in schurnorm._ascend: its ascent length,
+    # and the one pivot budget it hands to _pivot
+    found = {path.name: sorted(found) for path in sorted(SRC.glob("*.py"))
+             if (found := homes(path.read_text(), reads_of(constant)))}
+    assert found == {"schurnorm.py": ["_ascend"]}
+
+
 def test_all_matches_the_public_imports():
     # the validate-once contract covers the names in __all__, which is kept
     # by hand next to the imports it must list
@@ -686,7 +696,7 @@ def test_readme_constants_match_the_code():
     quoted = [(name, int(number) * UNITS[unit])
               for name, number, unit in README_CONSTANT.findall((ROOT / "README.md").read_text())]
     assert {"FACE_CHUNK", "RESTART_BLOCK", "SAMPLE_BLOCK", "WRITE_CHUNK", "READ_BLOCK",
-            "CHOLESKY_ROUNDING"} <= {name for name, _ in quoted}
+            "CHOLESKY_ROUNDING", "ASCENT_STEPS", "PIVOT_STEPS"} <= {name for name, _ in quoted}
     for name, value in quoted:
         assert {vars(mod)[name] for mod in modules if name in vars(mod)} == {value}, name
 

@@ -445,10 +445,11 @@ def test_oracle_face_exits_keep_the_bounds(monkeypatch):
     assert solved
 
 
-@pytest.mark.parametrize("steps", [3 * schurnorm.FACE_CHECK_STEPS, schurnorm.ASCENT_STEPS])
+@pytest.mark.parametrize("steps", [schurnorm.ASCENT_STEPS, 3 * schurnorm.ASCENT_STEPS])
 def test_oracle_finishes_on_the_face(monkeypatch, steps):
-    # the uniform face holds the maximizer; the ascent alone ends 2.4e-14
-    # short of it after ASCENT_STEPS, and 1.2e-3 short after three checks
+    # the uniform face holds the maximizer; the best ascent alone ends 3e-3
+    # short of it after ASCENT_STEPS steps, and 1.4e-3 short after three
+    # times as many
     monkeypatch.setattr(schurnorm, "ASCENT_STEPS", steps)
     stacks = _count_faces(monkeypatch)
     want = schurnorm.l_matrix_norm(2.0, 100)
@@ -470,14 +471,16 @@ def test_ascent_goes_on_past_a_face_point_that_fails(monkeypatch, c, y):
     want = schurnorm.simplex_qp_max(c).value
     stacks = _count_faces(monkeypatch)
     assert schurnorm._ascend(c, np.array([y]))[0] == pytest.approx(want, abs=1e-12)
-    # the row stays on the failing face for several checks but solves it once
+    # the row's first face fails, and the pivots finish it on another face
     supports = [tuple(idx[0]) for idx in stacks]
     assert supports and len(set(supports)) == len(supports)
 
 
 def test_oracle_face_stacks_stay_within_the_restart_block(monkeypatch):
-    # every row settles on the L-block's face: r^2 of it fits RESTART_BLOCK * n
-    # a few times over at r = 20 and 40, and not once at r = 100
+    # every face lies in the L-block: r^2 fits RESTART_BLOCK * n a few times
+    # over at r = 20 and 40, and not once at r = 100, where two rows' first
+    # faces miss a coordinate still below the support threshold and fail,
+    # and the pivots finish those rows on the whole block
     stacks = _count_faces(monkeypatch)
     shared = []
     for n, r in ((100, 20), (100, 100), (300, 40)):
@@ -487,9 +490,10 @@ def test_oracle_face_stacks_stay_within_the_restart_block(monkeypatch):
         got = schurnorm.oracle_two_inf_norm(b, seed=3)
         assert abs(got - schurnorm.l_matrix_norm(2.0, r)) <= 4 * math.ulp(got)
         assert stacks[before:]
-        for faces, size in (idx.shape for idx in stacks[before:]):
-            assert size == r
-            assert faces * r * r <= max(schurnorm.RESTART_BLOCK * n, r * r)
+        for idx in stacks[before:]:
+            assert np.all(idx < r)
+            faces, size = idx.shape
+            assert faces * size * size <= max(schurnorm.RESTART_BLOCK * n, size * size)
             shared.append(faces > 1)
     assert any(shared)
 
@@ -576,13 +580,13 @@ def test_oracle_escapes_the_saddle_of_a_motzkin_straus_graph(monkeypatch):
     want = math.sqrt(1.0 - 1.0 / _clique_number_by_search(adj))
     ascents = _record_calls(monkeypatch, "_ascend")
     rows = []
-    for steps in (schurnorm.ASCENT_STEPS, schurnorm.ASCENT_STEPS + 1):
-        monkeypatch.setattr(schurnorm, "ASCENT_STEPS", steps)
+    for steps in (schurnorm.PIVOT_STEPS, schurnorm.PIVOT_STEPS + 1):
+        monkeypatch.setattr(schurnorm, "PIVOT_STEPS", steps)
         ascents.clear()
         got = schurnorm.oracle_two_inf_norm(adj)
         assert abs(got - want) <= 4 * math.ulp(want)
         rows.append([out.tolist() for _, out in ascents])
-    # a row that ran out of steps would move on with one step more
+    # a row that ran out of pivots would move on with one pivot more
     assert rows[0] == rows[1]
 
 
@@ -628,10 +632,10 @@ def test_pivots_never_lower_a_row_value():
             # interior points, and points with entries far below the others
             y = rng.random((6, n)) ** rng.choice([1, 40], size=(6, 1))
             y /= y.sum(axis=1, keepdims=True)
-            assert schurnorm._pivot(c, y, np.zeros(6, np.intp), tol).tolist() == y.tolist()
+            assert schurnorm._pivot(c, y, 0, tol).tolist() == y.tolist()
             last = _values(c, y)
             for budget in range(1, 3 * n + 3):
-                now = _values(c, schurnorm._pivot(c, y, np.full(6, budget), tol))
+                now = _values(c, schurnorm._pivot(c, y, budget, tol))
                 assert np.all(now >= last - 1e-14 * max(1.0, float(np.max(c))))
                 last = now
 
@@ -655,6 +659,38 @@ def test_pivot_rows_independent_of_restart_block(monkeypatch):
             results[block] = (value, np.concatenate([out for _, out in ascents]).tolist())
         assert max(stacks) > 1
         assert results[1] == results[7] == results[64]
+
+
+def test_oracle_runs_three_phases_per_block(monkeypatch):
+    # each row of a block gets one face after its ascent; only the rows whose
+    # face fails go to the pivots, in one call with PIVOT_STEPS, and get one
+    # face more
+    hollow = random_hermitian(rng_from_seed(71), 24)
+    np.fill_diagonal(hollow, 0.0)
+    planted = _planted_clique_graph(rng_from_seed(83), 60, 0.15, 5)
+    graph300 = _planted_clique_graph(np.random.default_rng([0x5EBA11, 300]), 300, 0.03, 10)
+    stacks = _count_faces(monkeypatch)
+    exits = _record_calls(monkeypatch, "_face_exit_values")
+    pivots = _record_calls(monkeypatch, "_pivot")
+    ascents = _record_calls(monkeypatch, "_ascend")
+    pivoted = []
+    for b in (hollow, planted, graph300):
+        for calls in (stacks, exits, pivots, ascents):
+            calls.clear()
+        schurnorm.oracle_two_inf_norm(b)
+        [((_, y), _)] = ascents
+        assert sum(len(idx) for idx in stacks) <= 2 * len(y)
+        (_, support, _, _), first = exits[0]
+        failed = first == -np.inf
+        if failed.any():
+            [((_, handed, budget, _), _)] = pivots
+            assert budget == schurnorm.PIVOT_STEPS
+            assert np.array_equal(schurnorm._support(handed), support[failed])
+            assert len(exits) == 2 and len(exits[1][0][1]) == failed.sum()
+        else:
+            assert pivots == [] and len(exits) == 1
+        pivoted.append(bool(failed.any()))
+    assert any(pivoted)
 
 
 def _workload_graphs(relabelings):
@@ -769,6 +805,18 @@ def test_walk_matches_the_scan_on_workload_graphs(monkeypatch):
         if adj.shape[0] == 16:
             alone.append(not scans and sum(len(idx) for idx in stacks) <= 2**16 // 8)
     assert alone == [True] * 10
+
+
+def test_oracle_seeds_the_walk_within_a_few_ulps():
+    # the walk is exact for any lower bound, but prunes from the oracle's:
+    # on the benchmark's shapes the oracle lands on the exact norm's face
+    corpus = _workload_graphs(8)
+    corpus += [schurnorm.l_matrix(eta, n) for n in (12, 14, 16) for eta in (0.5, 1.5, 2.2, 3.0)]
+    for b in corpus:
+        oracle = schurnorm.oracle_two_inf_norm(b)
+        with schurnorm.seeded(oracle**2):
+            exact = schurnorm.schur_two_inf_norm(b)
+        assert abs(exact - oracle) <= 4 * math.ulp(exact)
 
 
 def _weighted_corpus():
